@@ -21,12 +21,7 @@ from .dynamics import (
     AttitudeState,
     DipoleCommand,
     InertiaTensor,
-    Torque,
-    euler_dynamics,
-    magnetic_torque,
     propagate,
-    quat_kinematics,
-    step,
 )
 from .errors import ConfigError, FrameError, IntegrationDivergedError
 from .orbit import (
@@ -41,9 +36,7 @@ from .orbit import (
     mean_motion,
     orbit_radius,
     orbital_period,
-    rotation_matrix,
     solve_kepler,
-    to_body_frame,
     true_anomaly,
 )
 from .quantizer import QuantizerLevels, quantize, quantize_vector

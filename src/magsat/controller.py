@@ -35,7 +35,6 @@ from .dynamics import (
     AttitudeState,
     DipoleCommand,
     InertiaTensor,
-    _rk4,
     _rk4_stages,
     body_field,
 )
@@ -150,21 +149,6 @@ def shift_warm_start(seq: ControlSequence) -> ControlSequence:
     return ControlSequence(np.vstack([d[1:], d[-1:]]))
 
 
-def _state_cost(x: tuple, xref: tuple, q_diag: tuple) -> float:
-    s = 0.0
-    for i in range(7):
-        e = x[i] - xref[i]
-        s += q_diag[i] * e * e
-    return s
-
-
-def _control_cost(m: tuple, r_diag: tuple) -> float:
-    s = 0.0
-    for i in range(3):
-        s += r_diag[i] * m[i] * m[i]
-    return s
-
-
 def _stage_vjp(x: tuple, m: tuple, b: tuple, inertia: tuple, v: tuple):
     """Vector-Jacobian products of the right-hand side at one RK4 stage.
 
@@ -178,14 +162,7 @@ def _stage_vjp(x: tuple, m: tuple, b: tuple, inertia: tuple, v: tuple):
     bx, by, bz = b
     ix, iy, iz = inertia
     vq1, vq2, vq3, vq4, vw1, vw2, vw3 = v
-    # body-frame field at this stage
-    xx = q1 * q1
-    yy = q2 * q2
-    zz = q3 * q3
-    ww = q4 * q4
-    f1 = (xx - yy - zz + ww) * bx + 2.0 * ((q1 * q2 + q3 * q4) * by + (q1 * q3 - q2 * q4) * bz)
-    f2 = 2.0 * ((q1 * q2 - q3 * q4) * bx + (q2 * q3 + q1 * q4) * bz) + (-xx + yy - zz + ww) * by
-    f3 = 2.0 * ((q1 * q3 + q2 * q4) * bx + (q2 * q3 - q1 * q4) * by) + (-xx - yy + zz + ww) * bz
+    f1, f2, f3 = body_field((q1, q2, q3, q4), b)
     # quaternion partials of the body-frame field (d f_i / d q_j, aliased rows)
     dva = 2.0 * (q1 * bx + q2 * by + q3 * bz)    # df1/dq1 = df2/dq2 = df3/dq3
     dv12 = 2.0 * (-q2 * bx + q1 * by - q4 * bz)
@@ -220,11 +197,12 @@ def _stage_vjp(x: tuple, m: tuple, b: tuple, inertia: tuple, v: tuple):
 def _substep_vjp(record, m: tuple, b: tuple, inertia: tuple, h: float, lam: tuple):
     """Pull the adjoint vector backward through one recorded RK4 substep.
 
-    `record` holds the four stage states, the renormalized new state and the
-    pre-renormalization quaternion norm from the forward pass. Returns the
-    adjoint at the substep start and the control-gradient contribution.
+    `record` is the forward pass's `_rk4_stages` result: the renormalized new
+    state, the four stage states and the pre-renormalization quaternion norm.
+    Returns the adjoint at the substep start and the control-gradient
+    contribution.
     """
-    (s1, s2, s3, s4), x_new, norm = record
+    x_new, (s1, s2, s3, s4), norm = record
     # chain rule through q <- q/|q| ((I - n n^T)/|q| is symmetric)
     n1, n2, n3, n4 = x_new[0], x_new[1], x_new[2], x_new[3]
     dot = n1 * lam[0] + n2 * lam[1] + n3 * lam[2] + n4 * lam[3]
@@ -271,89 +249,127 @@ def _field_schedule(
     return bs
 
 
-def _rollout(
-    x0: tuple,
-    u: np.ndarray,
-    b_list: list[tuple],
-    ts: float,
-    substeps: int,
-    inertia: tuple,
-    q_diag: tuple,
-    r_diag: tuple,
-    xref: tuple,
-    t0: float,
-    need_states: bool = False,
-    need_grad: bool = False,
-):
-    """Predict over the horizon; optionally accumulate states and the cost gradient.
+def _controls(u: np.ndarray) -> list[tuple]:
+    """Control sequence (p, 3) or flat (3p,) as one float tuple per interval."""
+    return [tuple(row) for row in np.reshape(u, (-1, 3)).tolist()]
 
-    The primal path is identical with and without the gradient, so costs
-    compared across the two modes are bitwise equal. The gradient is the
-    exact derivative of the discretized cost: the forward pass records every
-    RK4 substep, then one adjoint vector is swept backward through them.
+
+def _weights(cfg: MpcConfig) -> tuple:
+    """Reference state and the Q and R diagonals as float tuples."""
+    return (
+        tuple(cfg.x_ref.as_array().tolist()),
+        tuple(float(v) for v in cfg.q_diag),
+        tuple(float(v) for v in cfg.r_diag),
+    )
+
+
+def _horizon_cost(ends, controls, ts: float, weights: tuple) -> float:
+    """Discrete tracking cost of the interval-end states x_1..x_p and controls u_0..u_{p-1}.
+
+    Summed per interval, state term of x_{k+1} then control term of u_k; the
+    solver and `total_cost` both go through here, so they agree bit for bit.
     """
-    p = len(b_list)
-    h = ts / substeps
-    x = x0
+    xref, q_diag, r_diag = weights
     cost = 0.0
-    states = [x] if need_states else None
-    tape = [] if need_grad else None
-    ends = [] if need_grad else None
-    for k in range(p):
-        mk = (float(u[k, 0]), float(u[k, 1]), float(u[k, 2]))
-        b = b_list[k]
-        if need_grad:
-            tape_k = []
-            for _ in range(substeps):
-                rec = _rk4_stages(x, mk, b, inertia, h)
-                tape_k.append(rec)
-                x = rec[0]
-            tape.append((mk, b, tape_k))
-            ends.append(x)
-        else:
-            for _ in range(substeps):
-                x = _rk4(x, mk, b, inertia, h)
-        if not all(math.isfinite(v) for v in x):
-            t_fail = t0 + (k + 1) * ts
-            raise IntegrationDivergedError(
-                f"prediction became non-finite at t={t_fail}", t=t_fail
-            )
-        if need_states:
+    for x, m in zip(ends, controls):
+        s = 0.0
+        for i in range(7):
+            e = x[i] - xref[i]
+            s += q_diag[i] * e * e
+        cost += ts * s
+        s = 0.0
+        for i in range(3):
+            s += r_diag[i] * m[i] * m[i]
+        cost += ts * s
+    return cost
+
+
+class _Problem:
+    """One horizon problem bound once: start state, field schedule, inertia, weights."""
+
+    def __init__(
+        self,
+        x0: AttitudeState,
+        t0: float,
+        field_at: Callable[[float], FieldSample],
+        cfg: MpcConfig,
+        inertia: InertiaTensor,
+        substeps: int,
+    ):
+        self.x0 = tuple(x0.as_array().tolist())
+        self.t0 = t0
+        self.ts = cfg.ts
+        self.b_list = _field_schedule(field_at, t0, cfg.ts, cfg.horizon)
+        self.inertia = inertia.as_tuple()
+        self.substeps = substeps
+        self.h = cfg.ts / substeps
+        self.weights = _weights(cfg)
+
+    def rollout(self, controls: list[tuple], record: bool = False):
+        """Predict over the horizon with each control held for one interval.
+
+        Returns the p+1 interval-end states (index 0 is the start state) and,
+        when `record` is set, the tape: per interval, the `_rk4_stages` result
+        of every substep (None otherwise; keeping it costs ~8% on cost-only
+        evaluations).
+        """
+        inertia, h = self.inertia, self.h
+        x = self.x0
+        states = [x]
+        tape = [] if record else None
+        for k, (mk, b) in enumerate(zip(controls, self.b_list)):
+            if record:
+                records = []
+                for _ in range(self.substeps):
+                    rec = _rk4_stages(x, mk, b, inertia, h)
+                    records.append(rec)
+                    x = rec[0]
+                tape.append(records)
+            else:
+                for _ in range(self.substeps):
+                    x = _rk4_stages(x, mk, b, inertia, h)[0]
+            if not all(math.isfinite(v) for v in x):
+                t_fail = self.t0 + (k + 1) * self.ts
+                raise IntegrationDivergedError(
+                    f"prediction became non-finite at t={t_fail}", t=t_fail
+                )
             states.append(x)
-        cost += ts * _state_cost(x, xref, q_diag)
-        cost += ts * _control_cost(mk, r_diag)
-    if not need_grad:
-        return cost, states, None
-    # backward sweep: adjoint of the state-tracking terms through the tape
-    two_ts = 2.0 * ts
-    grad = np.zeros(3 * p)
-    lam = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    for k in range(p - 1, -1, -1):
-        mk, b, tape_k = tape[k]
-        xe = ends[k]
-        lam = tuple(
-            lam[i] + two_ts * q_diag[i] * (xe[i] - xref[i]) for i in range(7)
-        )
-        gx = gy = gz = 0.0
-        for rec in reversed(tape_k):
-            lam, ubar = _substep_vjp((rec[1], rec[0], rec[2]), mk, b, inertia, h, lam)
-            gx += ubar[0]
-            gy += ubar[1]
-            gz += ubar[2]
-        col = 3 * k
-        grad[col] = gx + two_ts * r_diag[0] * mk[0]
-        grad[col + 1] = gy + two_ts * r_diag[1] * mk[1]
-        grad[col + 2] = gz + two_ts * r_diag[2] * mk[2]
-    return cost, states, grad
+        return states, tape
 
+    def cost(self, u: np.ndarray) -> float:
+        controls = _controls(u)
+        states, _ = self.rollout(controls)
+        return _horizon_cost(states[1:], controls, self.ts, self.weights)
 
-def _problem_arrays(cfg: MpcConfig, x0: AttitudeState, seq_or_none):
-    x0t = tuple(x0.as_array().tolist())
-    xref = tuple(cfg.x_ref.as_array().tolist())
-    q_diag = tuple(float(v) for v in cfg.q_diag)
-    r_diag = tuple(float(v) for v in cfg.r_diag)
-    u = None if seq_or_none is None else np.asarray(seq_or_none.dipoles, dtype=float)
-    return x0t, xref, q_diag, r_diag, u
+    def cost_grad(self, u: np.ndarray):
+        """Cost and its exact gradient w.r.t. the 3p control components (flat).
+
+        The gradient is the derivative of the discretized cost: one adjoint
+        vector is swept backward through the rollout's tape.
+        """
+        controls = _controls(u)
+        states, tape = self.rollout(controls, record=True)
+        cost = _horizon_cost(states[1:], controls, self.ts, self.weights)
+        xref, q_diag, r_diag = self.weights
+        two_ts = 2.0 * self.ts
+        grad = np.zeros(3 * len(controls))
+        lam = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        for k in range(len(controls) - 1, -1, -1):
+            mk, b, xe = controls[k], self.b_list[k], states[k + 1]
+            lam = tuple(
+                lam[i] + two_ts * q_diag[i] * (xe[i] - xref[i]) for i in range(7)
+            )
+            gx = gy = gz = 0.0
+            for rec in reversed(tape[k]):
+                lam, ubar = _substep_vjp(rec, mk, b, self.inertia, self.h, lam)
+                gx += ubar[0]
+                gy += ubar[1]
+                gz += ubar[2]
+            col = 3 * k
+            grad[col] = gx + two_ts * r_diag[0] * mk[0]
+            grad[col + 1] = gy + two_ts * r_diag[1] * mk[1]
+            grad[col + 2] = gz + two_ts * r_diag[2] * mk[2]
+        return cost, grad
 
 
 def predict(
@@ -372,12 +388,8 @@ def predict(
     """
     if len(seq) != cfg.horizon:
         raise ValueError(f"sequence length {len(seq)} does not match horizon {cfg.horizon}")
-    x0t, xref, q_diag, r_diag, u = _problem_arrays(cfg, x0, seq)
-    b_list = _field_schedule(field_at, t0, cfg.ts, cfg.horizon)
-    _, states, _ = _rollout(
-        x0t, u, b_list, cfg.ts, substeps, inertia.as_tuple(),
-        q_diag, r_diag, xref, t0, need_states=True,
-    )
+    prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
+    states, _ = prob.rollout(_controls(seq.dipoles))
     out = tuple(
         AttitudeState(q=np.array(s[0:4]), omega=np.array(s[4:7])) for s in states
     )
@@ -388,25 +400,16 @@ def predict(
 def total_cost(traj: PredictedTrajectory, seq: ControlSequence, cfg: MpcConfig) -> float:
     """Discrete tracking cost of a predicted trajectory and its control sequence.
 
-    Accumulated in the same order as the solver's internal rollout (state
-    term of x_{k+1}, then control term of u_k, per interval) so the two are
-    bitwise comparable.
+    Summed by the same helper as the solver's cost, so the two are bitwise
+    comparable.
     """
     p = cfg.horizon
     if len(seq) != p:
         raise ValueError(f"sequence length {len(seq)} does not match horizon {p}")
     if len(traj.states) != p + 1:
         raise ValueError(f"trajectory has {len(traj.states)} states, expected {p + 1}")
-    xref = tuple(cfg.x_ref.as_array().tolist())
-    q_diag = tuple(float(v) for v in cfg.q_diag)
-    r_diag = tuple(float(v) for v in cfg.r_diag)
-    cost = 0.0
-    for k in range(p):
-        xk = tuple(traj.states[k + 1].as_array().tolist())
-        mk = tuple(float(v) for v in seq.dipoles[k])
-        cost += cfg.ts * _state_cost(xk, xref, q_diag)
-        cost += cfg.ts * _control_cost(mk, r_diag)
-    return cost
+    ends = [tuple(s.as_array().tolist()) for s in traj.states[1:]]
+    return _horizon_cost(ends, _controls(seq.dipoles), cfg.ts, _weights(cfg))
 
 
 def gradient(
@@ -421,12 +424,7 @@ def gradient(
     """Exact gradient of the cost w.r.t. the 3p control components, shape (p, 3)."""
     if len(seq) != cfg.horizon:
         raise ValueError(f"sequence length {len(seq)} does not match horizon {cfg.horizon}")
-    x0t, xref, q_diag, r_diag, u = _problem_arrays(cfg, x0, seq)
-    b_list = _field_schedule(field_at, t0, cfg.ts, cfg.horizon)
-    _, _, grad = _rollout(
-        x0t, u, b_list, cfg.ts, substeps, inertia.as_tuple(),
-        q_diag, r_diag, xref, t0, need_grad=True,
-    )
+    _, grad = _Problem(x0, t0, field_at, cfg, inertia, substeps).cost_grad(seq.dipoles)
     return grad.reshape(cfg.horizon, 3)
 
 
@@ -484,23 +482,8 @@ def solve(
     """
     p = cfg.horizon
     u_max = cfg.u_max
-    x0t, xref, q_diag, r_diag, _ = _problem_arrays(cfg, x0, None)
-    b_list = _field_schedule(field_at, t0, cfg.ts, cfg.horizon)
-    it = inertia.as_tuple()
-
-    def cost_of(u_flat: np.ndarray) -> float:
-        c, _, _ = _rollout(
-            x0t, u_flat.reshape(p, 3), b_list, cfg.ts, substeps, it,
-            q_diag, r_diag, xref, t0,
-        )
-        return c
-
-    def cost_grad_of(u_flat: np.ndarray):
-        c, _, g = _rollout(
-            x0t, u_flat.reshape(p, 3), b_list, cfg.ts, substeps, it,
-            q_diag, r_diag, xref, t0, need_grad=True,
-        )
-        return c, g
+    prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
+    cost_of, cost_grad_of = prob.cost, prob.cost_grad
 
     zero = np.zeros(3 * p)
     zero_cost = cost_of(zero)
@@ -517,7 +500,7 @@ def solve(
         if warm_cost < best_cost:
             best_u, best_cost = w, warm_cost
 
-    for cand in _heuristic_candidates(x0, b_list[0], cfg):
+    for cand in _heuristic_candidates(x0, prob.b_list[0], cfg):
         cand_cost = cost_of(cand)
         if cand_cost < best_cost:
             best_u, best_cost = cand, cand_cost

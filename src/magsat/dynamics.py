@@ -22,9 +22,10 @@ constant over an integration window (zero-order hold) and rotated into the
 body frame at every internal stage with that stage's quaternion. The
 quaternion is renormalized after every step.
 
-The scalar-math helpers at the bottom are the single source of truth for the
-right-hand side; the MPC predicts with the same stepping code, so plant and
-prediction agree bit for bit at equal substep counts.
+`_deriv` is the only right-hand side and `body_field` the only
+orbital-to-body rotation; both work on plain float tuples. The plant
+(`propagate`) and the MPC prediction step with the same `_rk4_stages`, so
+they agree bit for bit at equal substep counts.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FrameError, IntegrationDivergedError
-from .orbit import BODY, ORBITAL, FieldSample
+from .orbit import ORBITAL, FieldSample
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,6 @@ class AttitudeState:
     def as_array(self) -> np.ndarray:
         """Pack into the 7-component vector (q1..q4, wx..wz)."""
         return np.concatenate([self.q, self.omega])
-
-    @classmethod
-    def from_array(cls, x: np.ndarray) -> "AttitudeState":
-        x = np.asarray(x, dtype=float)
-        return cls(q=x[0:4].copy(), omega=x[4:7].copy())
-
-    def normalized(self) -> "AttitudeState":
-        return AttitudeState(q=self.q / np.linalg.norm(self.q), omega=self.omega)
 
 
 @dataclass(frozen=True)
@@ -106,92 +99,6 @@ class DipoleCommand:
         object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class Torque:
-    """Torque vector in the body frame, N*m."""
-
-    tau: np.ndarray
-
-    def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=float)
-        if tau.shape != (3,):
-            raise ValueError(f"torque must have shape (3,), got {tau.shape}")
-        if not np.all(np.isfinite(tau)):
-            raise ValueError("torque has non-finite components")
-        object.__setattr__(self, "tau", tau)
-
-
-def quat_kinematics(state: AttitudeState) -> np.ndarray:
-    """Quaternion rate M(q) * omega; orthogonal to q for any input."""
-    q1, q2, q3, q4 = state.q
-    wx, wy, wz = state.omega
-    norm = math.sqrt(q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"quaternion norm {norm} is not unit within 1e-6")
-    return np.array(
-        [
-            0.5 * (q4 * wx - q3 * wy + q2 * wz),
-            0.5 * (q3 * wx + q4 * wy - q1 * wz),
-            0.5 * (-q2 * wx + q1 * wy + q4 * wz),
-            0.5 * (-q1 * wx - q2 * wy - q3 * wz),
-        ]
-    )
-
-
-def magnetic_torque(m: DipoleCommand, b_body: FieldSample) -> Torque:
-    """Magnetorquer torque m x B; requires a body-frame field sample."""
-    if b_body.frame != BODY:
-        raise FrameError(f"magnetic torque needs a body-frame field, got {b_body.frame!r}")
-    mx, my, mz = m.m
-    bx, by, bz = b_body.b
-    return Torque(
-        np.array([my * bz - mz * by, mz * bx - mx * bz, mx * by - my * bx])
-    )
-
-
-def euler_dynamics(state: AttitudeState, tau: Torque, inertia: InertiaTensor) -> np.ndarray:
-    """Angular acceleration from the gyroscopic term plus an applied torque."""
-    wx, wy, wz = state.omega
-    tx, ty, tz = tau.tau
-    ix, iy, iz = inertia.as_tuple()
-    return np.array(
-        [
-            ((iy - iz) * wy * wz + tx) / ix,
-            ((iz - ix) * wz * wx + ty) / iy,
-            ((ix - iy) * wx * wy + tz) / iz,
-        ]
-    )
-
-
-def step(
-    state: AttitudeState,
-    m: DipoleCommand,
-    field_at: Callable[[float], FieldSample],
-    t: float,
-    dt: float,
-    inertia: InertiaTensor,
-) -> AttitudeState:
-    """One RK4 step of the coupled kinematics/dynamics over [t, t + dt].
-
-    The orbital-frame field is sampled once at t and held for the step,
-    rotated into the body frame at each internal stage. The returned
-    quaternion is renormalized.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"step size must be positive, got {dt}")
-    sample = field_at(t)
-    if sample.frame != ORBITAL:
-        raise FrameError(f"expected an orbital-frame field sample, got {sample.frame!r}")
-    # .tolist() yields plain Python floats; the scalar core is fastest on those
-    x = _rk4(
-        tuple(state.as_array().tolist()), tuple(m.m.tolist()),
-        tuple(sample.b.tolist()), inertia.as_tuple(), dt,
-    )
-    if not all(math.isfinite(v) for v in x):
-        raise IntegrationDivergedError(f"state became non-finite at t={t}", t=t)
-    return AttitudeState(q=np.array(x[0:4]), omega=np.array(x[4:7]))
-
-
 def propagate(
     state: AttitudeState,
     m: DipoleCommand,
@@ -205,7 +112,9 @@ def propagate(
 
     The orbital-frame field is sampled once at t0 and held over the whole
     window (one controller interval in closed loop); each internal stage
-    still rotates it with the current quaternion.
+    still rotates it with the current quaternion. `substeps=1` is a single
+    RK4 step. A non-finite state raises IntegrationDivergedError carrying the
+    end time of the substep that produced it.
     """
     if duration <= 0.0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -220,7 +129,7 @@ def propagate(
     h = duration / substeps
     x = tuple(state.as_array().tolist())
     for j in range(substeps):
-        x = _rk4(x, mt, b, it, h)
+        x = _rk4_stages(x, mt, b, it, h)[0]
         if not all(math.isfinite(v) for v in x):
             raise IntegrationDivergedError(
                 f"state became non-finite at t={t0 + (j + 1) * h}", t=t0 + (j + 1) * h
@@ -231,8 +140,8 @@ def propagate(
 def body_field(q: tuple, b: tuple) -> tuple:
     """Rotate an orbital-frame vector into body axes with quaternion q.
 
-    Scalar-math twin of orbit.rotation_matrix; kept in this form for the
-    integrator hot path.
+    v_body = R(q) v_orbital with R the direction cosine matrix of the
+    orbital-to-body quaternion; the only implementation of that rotation.
     """
     q1, q2, q3, q4 = q
     bx, by, bz = b
@@ -268,11 +177,6 @@ def _deriv(x: tuple, m: tuple, b: tuple, inertia: tuple) -> tuple:
         ((iz - ix) * wz * wx + t2) / iy,
         ((ix - iy) * wx * wy + t3) / iz,
     )
-
-
-def _rk4(x: tuple, m: tuple, b: tuple, inertia: tuple, h: float) -> tuple:
-    """Classical RK4 step with post-step quaternion renormalization."""
-    return _rk4_stages(x, m, b, inertia, h)[0]
 
 
 def _rk4_stages(x: tuple, m: tuple, b: tuple, inertia: tuple, h: float):

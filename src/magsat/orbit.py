@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameError
-
 EARTH_MU_KM3_S2 = 398600.4418  # WGS-84
 EARTH_RADIUS_KM = 6378.137     # WGS-84
 GAUSS_CM3_TO_T_M3 = 1e-10
@@ -225,42 +223,3 @@ def field_function(elements: OrbitalElements, consts: DipoleConstants | None = N
         return field_at_time(elements, consts, t)
 
     return field_at
-
-
-def rotation_matrix(q: np.ndarray) -> np.ndarray:
-    """Direction cosine matrix of the orbital-to-body quaternion (scalar-last).
-
-    Rotates orbital-frame vectors into body components: v_body = R(q) @ v_orb.
-    """
-    q = np.asarray(q, dtype=float)
-    q1, q2, q3, q4 = q / math.sqrt(float(np.dot(q, q)))
-    return np.array(
-        [
-            [
-                q1 * q1 - q2 * q2 - q3 * q3 + q4 * q4,
-                2.0 * (q1 * q2 + q3 * q4),
-                2.0 * (q1 * q3 - q2 * q4),
-            ],
-            [
-                2.0 * (q1 * q2 - q3 * q4),
-                -q1 * q1 + q2 * q2 - q3 * q3 + q4 * q4,
-                2.0 * (q2 * q3 + q1 * q4),
-            ],
-            [
-                2.0 * (q1 * q3 + q2 * q4),
-                2.0 * (q2 * q3 - q1 * q4),
-                -q1 * q1 - q2 * q2 + q3 * q3 + q4 * q4,
-            ],
-        ]
-    )
-
-
-def to_body_frame(q: np.ndarray, sample: FieldSample) -> FieldSample:
-    """Rotate an orbital-frame sample into the body frame of quaternion q."""
-    if sample.frame != ORBITAL:
-        raise FrameError(f"expected an orbital-frame sample, got {sample.frame!r}")
-    q = np.asarray(q, dtype=float)
-    norm = float(np.linalg.norm(q))
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"quaternion norm {norm} is not unit within 1e-6")
-    return FieldSample(rotation_matrix(q) @ sample.b, BODY, sample.t)

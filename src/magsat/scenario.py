@@ -33,9 +33,10 @@ from .quantizer import quantize_vector
 RATE_THRESHOLD_DEG_S = 0.5  # operational meaning of "rates settled"
 
 # Controller-internal prediction substeps per sampling interval. The plant
-# integrates at cfg.substeps (default 20); at these slow, smooth rates a
-# 5-substep prediction matches a 20-substep one to ~1e-10 relative cost while
-# quartering the per-solve cost, so the closed loop is unchanged.
+# integrates at cfg.substeps (default 20). Measured against a 20-substep
+# prediction along the benchmark trajectories, the 5-substep horizon cost
+# differs by at most 2.0e-10 relative on detumble (Ts 2 s) and 1.1e-6 on the
+# attitude slew (Ts 30 s), at a quarter of the per-solve work.
 PREDICTION_SUBSTEPS = 5
 
 CSV_HEADER = (
@@ -145,7 +146,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     IntegrationDivergedError as `partial_log`.
     """
     field_at = field_function(cfg.elements)
-    steps = int(cfg.duration / cfg.mpc.ts)
+    # whole sampling intervals; the relative slack absorbs representation error
+    # (0.7 / 0.1 evaluates to 6.999999999999999, which is 7 intervals)
+    steps = math.floor(cfg.duration / cfg.mpc.ts * (1.0 + 1e-9))
     state = cfg.x0
     warm: Optional[ControlSequence] = None
     rows = _empty_rows()

@@ -10,10 +10,12 @@ from magsat import (
     FrameError,
     InertiaTensor,
     IntegrationDivergedError,
-    Torque,
 )
-from magsat.dynamics import _rk4, _rk4_stages, body_field
-from magsat.orbit import rotation_matrix
+from magsat.dynamics import _deriv, body_field
+
+IDENTITY = (0.0, 0.0, 0.0, 1.0)
+UNIT_INERTIA = (1.0, 1.0, 1.0)
+ZERO = (0.0, 0.0, 0.0)
 
 
 def constant_field(b):
@@ -28,6 +30,54 @@ def constant_field(b):
 def random_unit_quaternion(rng):
     q = rng.normal(size=4)
     return q / np.linalg.norm(q)
+
+
+def floats(v) -> tuple:
+    return tuple(np.asarray(v, dtype=float).tolist())
+
+
+def quaternion_rate(q, w) -> np.ndarray:
+    """Rows 0-3 of the right-hand side: the kinematics M(q) * omega."""
+    return np.array(_deriv(floats(q) + floats(w), ZERO, ZERO, UNIT_INERTIA)[0:4])
+
+
+def angular_acceleration(w, inertia: InertiaTensor) -> np.ndarray:
+    """Rows 4-6 of the right-hand side with zero dipole: torque-free Euler equations."""
+    x = IDENTITY + floats(w)
+    return np.array(_deriv(x, ZERO, (3e-5, -1e-5, 2e-5), inertia.as_tuple())[4:7])
+
+
+def torque(m, b) -> np.ndarray:
+    """m x B from the right-hand side: identity attitude, zero rate, unit inertia."""
+    return np.array(_deriv(IDENTITY + ZERO, floats(m), floats(b), UNIT_INERTIA)[4:7])
+
+
+def rotation_matrix(q: np.ndarray) -> np.ndarray:
+    """Direction cosine matrix of the orbital-to-body quaternion (scalar-last).
+
+    Independent numpy oracle for `body_field`: v_body = R(q) @ v_orbital.
+    """
+    q = np.asarray(q, dtype=float)
+    q1, q2, q3, q4 = q / np.linalg.norm(q)
+    return np.array(
+        [
+            [
+                q1 * q1 - q2 * q2 - q3 * q3 + q4 * q4,
+                2.0 * (q1 * q2 + q3 * q4),
+                2.0 * (q1 * q3 - q2 * q4),
+            ],
+            [
+                2.0 * (q1 * q2 - q3 * q4),
+                -q1 * q1 + q2 * q2 - q3 * q3 + q4 * q4,
+                2.0 * (q2 * q3 + q1 * q4),
+            ],
+            [
+                2.0 * (q1 * q3 + q2 * q4),
+                2.0 * (q2 * q3 - q1 * q4),
+                -q1 * q1 - q2 * q2 + q3 * q3 + q4 * q4,
+            ],
+        ]
+    )
 
 
 def kinetic_energy(state: AttitudeState, inertia: InertiaTensor) -> float:
@@ -74,16 +124,14 @@ def test_dipole_command_validation():
         DipoleCommand(np.zeros(4))
 
 
-# --- quaternion kinematics ----------------------------------------------------
+# --- quaternion kinematics (rows 0-3 of the right-hand side) -----------------
 
 def test_quat_kinematics_zero_rate():
-    state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3))
-    assert np.array_equal(ms.quat_kinematics(state), np.zeros(4))
+    assert np.array_equal(quaternion_rate(IDENTITY, np.zeros(3)), np.zeros(4))
 
 
 def test_quat_kinematics_identity_quaternion_half_rate():
-    state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.array([0.2, 0, 0]))
-    np.testing.assert_allclose(ms.quat_kinematics(state), [0.1, 0, 0, 0], atol=1e-16)
+    np.testing.assert_allclose(quaternion_rate(IDENTITY, [0.2, 0, 0]), [0.1, 0, 0, 0], atol=1e-16)
 
 
 def test_quat_kinematics_orthogonal_to_quaternion():
@@ -91,29 +139,19 @@ def test_quat_kinematics_orthogonal_to_quaternion():
     for _ in range(200):
         q = random_unit_quaternion(rng)
         w = rng.normal(size=3)
-        qdot = ms.quat_kinematics(AttitudeState(q=q, omega=w))
+        qdot = quaternion_rate(q, w)
         assert abs(float(np.dot(q, qdot))) < 1e-12
 
 
-def test_quat_kinematics_rejects_denormalized_quaternion():
-    state = AttitudeState(q=np.array([0, 0, 0, 2.0]), omega=np.zeros(3))
-    with pytest.raises(ValueError):
-        ms.quat_kinematics(state)
-
-
-# --- magnetic torque -----------------------------------------------------------
+# --- magnetic torque (right-hand side at identity, zero rate, unit inertia) ---
 
 def test_magnetic_torque_parallel_vectors_vanish():
     for c in (1.0, -3.5, 1e-4):
-        m = DipoleCommand(np.array([0.1, 0.0, 0.0]))
-        b = FieldSample(np.array([c * 0.1, 0.0, 0.0]), "body", 0.0)
-        assert np.array_equal(ms.magnetic_torque(m, b).tau, np.zeros(3))
+        assert np.array_equal(torque([0.1, 0.0, 0.0], [c * 0.1, 0.0, 0.0]), np.zeros(3))
 
 
 def test_magnetic_torque_unit_cross_product():
-    m = DipoleCommand(np.array([1.0, 0.0, 0.0]))
-    b = FieldSample(np.array([0.0, 1e-5, 0.0]), "body", 0.0)
-    np.testing.assert_array_equal(ms.magnetic_torque(m, b).tau, [0.0, 0.0, 1e-5])
+    np.testing.assert_array_equal(torque([1.0, 0.0, 0.0], [0.0, 1e-5, 0.0]), [0.0, 0.0, 1e-5])
 
 
 def test_magnetic_torque_hand_expansion():
@@ -121,9 +159,7 @@ def test_magnetic_torque_hand_expansion():
     #   (m_y*B_z - m_z*B_y, m_z*B_x - m_x*B_z, m_x*B_y - m_y*B_x)
     m = np.array([0.1, -0.05, 0.02])
     b = np.array([1e-5, 2e-5, -3e-5])
-    tau = ms.magnetic_torque(
-        DipoleCommand(m), FieldSample(b, "body", 0.0)
-    ).tau
+    tau = torque(m, b)
     np.testing.assert_allclose(tau, [1.1e-6, 3.2e-6, 2.5e-6], rtol=1e-12)
     scale = np.linalg.norm(tau) * np.linalg.norm(b)
     assert abs(float(np.dot(tau, b))) <= 1e-15 * scale
@@ -137,52 +173,38 @@ def test_magnetic_torque_perpendicularity_random():
     for _ in range(500):
         m = rng.normal(size=3) * 0.1
         b = rng.normal(size=3) * 1e-5
-        tau = ms.magnetic_torque(
-            DipoleCommand(m), FieldSample(b, "body", 0.0)
-        ).tau
+        tau = torque(m, b)
         scale = float(np.linalg.norm(m)) * float(np.linalg.norm(b)) ** 2
         assert abs(float(np.dot(tau, b))) <= 1e-15 * scale
 
 
-def test_magnetic_torque_rejects_orbital_frame():
-    m = DipoleCommand(np.array([0.1, 0.0, 0.0]))
-    b = FieldSample(np.array([0.0, 1e-5, 0.0]), ORBITAL, 0.0)
-    with pytest.raises(FrameError):
-        ms.magnetic_torque(m, b)
-
-
-# --- Euler dynamics -------------------------------------------------------------
+# --- Euler dynamics (rows 4-6 of the right-hand side, zero dipole) -------------
 
 def test_euler_dynamics_equilibrium(table_inertia):
-    state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3))
-    out = ms.euler_dynamics(state, Torque(np.zeros(3)), table_inertia)
-    assert np.array_equal(out, np.zeros(3))
+    assert np.array_equal(angular_acceleration(np.zeros(3), table_inertia), np.zeros(3))
 
 
 def test_euler_dynamics_spherical_inertia_no_gyroscopic():
     inertia = InertiaTensor(0.05, 0.05, 0.05)
     rng = np.random.default_rng(3)
     for _ in range(20):
-        w = rng.normal(size=3)
-        state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=w)
-        out = ms.euler_dynamics(state, Torque(np.zeros(3)), inertia)
+        out = angular_acceleration(rng.normal(size=3), inertia)
         np.testing.assert_allclose(out, np.zeros(3), atol=1e-15)
 
 
 def test_euler_dynamics_table_inertia_case(table_inertia):
     # substitute (Ix, Iy, Iz) = (0.020, 0.030, 0.040), w = (1, 1, 0), tau = 0:
     # wz_dot = (Ix - Iy) * wx * wy / Iz = (0.020 - 0.030) / 0.040 = -0.25
-    state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.array([1.0, 1.0, 0.0]))
-    out = ms.euler_dynamics(state, Torque(np.zeros(3)), table_inertia)
+    out = angular_acceleration([1.0, 1.0, 0.0], table_inertia)
     np.testing.assert_allclose(out, [0.0, 0.0, -0.25], rtol=1e-14)
 
 
-# --- integrator ------------------------------------------------------------------
+# --- integrator: one RK4 step is propagate(..., substeps=1, ...) ----------------
 
 def test_step_fixed_point(table_inertia):
     field_at = constant_field([2e-5, -1e-5, 3e-5])
     state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3))
-    out = ms.step(state, DipoleCommand(np.zeros(3)), field_at, 0.0, 0.1, table_inertia)
+    out = ms.propagate(state, DipoleCommand(np.zeros(3)), field_at, 0.0, 0.1, 1, table_inertia)
     np.testing.assert_allclose(out.q, state.q, atol=1e-15)
     np.testing.assert_allclose(out.omega, state.omega, atol=1e-15)
 
@@ -194,7 +216,7 @@ def test_step_torque_free_spherical_spin_conserves_rate():
     m = DipoleCommand(np.zeros(3))
     w0 = np.linalg.norm(state.omega)
     for k in range(1000):
-        state = ms.step(state, m, field_at, k * 0.1, 0.1, inertia)
+        state = ms.propagate(state, m, field_at, k * 0.1, 0.1, 1, inertia)
     assert abs(np.linalg.norm(state.omega) - w0) < 1e-10
 
 
@@ -209,7 +231,7 @@ def test_step_torque_free_axisymmetric_precession_conserves_rate():
     w0 = np.linalg.norm(state.omega)
     wz0 = state.omega[2]
     for k in range(2000):
-        state = ms.step(state, m, field_at, k * 0.1, 0.1, inertia)
+        state = ms.propagate(state, m, field_at, k * 0.1, 0.1, 1, inertia)
     assert abs(np.linalg.norm(state.omega) - w0) < 1e-10
     assert abs(state.omega[2] - wz0) < 1e-12
     # it did precess
@@ -222,7 +244,7 @@ def test_step_quaternion_renormalized(table_inertia):
     state = AttitudeState(q=random_unit_quaternion(rng), omega=rng.normal(size=3) * 0.1)
     m = DipoleCommand(rng.uniform(-0.1, 0.1, size=3))
     for k in range(100):
-        state = ms.step(state, m, field_at, k * 0.5, 0.5, table_inertia)
+        state = ms.propagate(state, m, field_at, k * 0.5, 0.5, 1, table_inertia)
         assert abs(np.linalg.norm(state.q) - 1.0) < 1e-12
 
 
@@ -233,15 +255,15 @@ def test_step_norm_drift_long_run(table_inertia):
     )
     m = DipoleCommand(np.array([0.1, -0.1, 0.1]))
     for k in range(2000):
-        state = ms.step(state, m, field_at, k * 0.1, 0.1, table_inertia)
+        state = ms.propagate(state, m, field_at, k * 0.1, 0.1, 1, table_inertia)
     assert abs(np.linalg.norm(state.q) - 1.0) < 1e-12
 
 
 def test_step_rejects_nonpositive_dt(table_inertia):
     state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3))
     with pytest.raises(ValueError):
-        ms.step(state, DipoleCommand(np.zeros(3)), constant_field([0, 0, 1e-5]),
-                0.0, 0.0, table_inertia)
+        ms.propagate(state, DipoleCommand(np.zeros(3)), constant_field([0, 0, 1e-5]),
+                     0.0, 0.0, 1, table_inertia)
 
 
 def test_step_rejects_body_frame_field(table_inertia):
@@ -251,16 +273,17 @@ def test_step_rejects_body_frame_field(table_inertia):
         return FieldSample(np.array([0, 0, 1e-5]), "body", t)
 
     with pytest.raises(FrameError):
-        ms.step(state, DipoleCommand(np.zeros(3)), body_tagged, 0.0, 0.1, table_inertia)
+        ms.propagate(state, DipoleCommand(np.zeros(3)), body_tagged, 0.0, 0.1, 1, table_inertia)
 
 
 def test_step_blowup_carries_time(table_inertia):
     # a 1e160 rad/s rate overflows the gyroscopic term within one step
     state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.array([1e160, 1e160, 0]))
     with pytest.raises(IntegrationDivergedError) as err:
-        ms.step(state, DipoleCommand(np.zeros(3)), constant_field([0, 0, 1e-5]),
-                12.5, 0.5, table_inertia)
-    assert err.value.t == 12.5
+        ms.propagate(state, DipoleCommand(np.zeros(3)), constant_field([0, 0, 1e-5]),
+                     12.5, 0.5, 1, table_inertia)
+    # the error carries the end time of the substep that went non-finite
+    assert err.value.t == 13.0
 
 
 def test_propagate_matches_repeated_steps(table_inertia):
@@ -271,7 +294,7 @@ def test_propagate_matches_repeated_steps(table_inertia):
     via_propagate = ms.propagate(state, m, field_at, 0.0, 2.0, 4, table_inertia)
     via_steps = state
     for k in range(4):
-        via_steps = ms.step(via_steps, m, field_at, k * 0.5, 0.5, table_inertia)
+        via_steps = ms.propagate(via_steps, m, field_at, k * 0.5, 0.5, 1, table_inertia)
     np.testing.assert_array_equal(via_propagate.q, via_steps.q)
     np.testing.assert_array_equal(via_propagate.omega, via_steps.omega)
 
@@ -292,7 +315,7 @@ def _smoke_trajectory_end(dt, steps, inertia):
     )
     m = DipoleCommand(np.array([0.1, 0.1, -0.1]))
     for k in range(steps):
-        state = ms.step(state, m, field_at, k * dt, dt, inertia)
+        state = ms.propagate(state, m, field_at, k * dt, dt, 1, inertia)
     return state.as_array()
 
 
@@ -324,12 +347,10 @@ def test_work_energy_consistency(table_inertia):
         h = dt / n_sub
         work = 0.0
         for k in range(n_sub):
-            b_body = ms.to_body_frame(state.q, field_at(k * h))
-            tau0 = ms.magnetic_torque(m, b_body).tau
+            tau0 = np.cross(m.m, body_field(tuple(state.q), tuple(field_at(k * h).b)))
             p0 = float(np.dot(tau0, state.omega))
-            state = ms.step(state, m, field_at, k * h, h, table_inertia)
-            b_body = ms.to_body_frame(state.q, field_at((k + 1) * h))
-            tau1 = ms.magnetic_torque(m, b_body).tau
+            state = ms.propagate(state, m, field_at, k * h, h, 1, table_inertia)
+            tau1 = np.cross(m.m, body_field(tuple(state.q), tuple(field_at((k + 1) * h).b)))
             p1 = float(np.dot(tau1, state.omega))
             work += 0.5 * h * (p0 + p1)
         return work, kinetic_energy(state, table_inertia)
@@ -345,17 +366,6 @@ def test_work_energy_consistency(table_inertia):
 
 
 # --- internal consistency ---------------------------------------------------------
-
-def test_rk4_matches_rk4_stages():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        q = random_unit_quaternion(rng)
-        x = tuple(np.concatenate([q, rng.normal(size=3) * 0.2]))
-        m = tuple(rng.uniform(-0.1, 0.1, size=3))
-        b = tuple(rng.normal(size=3) * 2e-5)
-        inertia = (0.02, 0.03, 0.04)
-        assert _rk4(x, m, b, inertia, 0.3) == _rk4_stages(x, m, b, inertia, 0.3)[0]
-
 
 def test_body_field_matches_rotation_matrix():
     rng = np.random.default_rng(13)

@@ -12,6 +12,7 @@ from magsat import (
     FrameError,
     OrbitalElements,
 )
+from magsat.dynamics import body_field
 
 TWO_PI = 2.0 * math.pi
 
@@ -239,19 +240,16 @@ def test_mean_motion_and_period(sso_elements):
     assert math.isclose(ms.orbital_period(sso_elements), TWO_PI / n, rel_tol=1e-15)
 
 
-# --- frame rotation -----------------------------------------------------------------
+# --- orbital-to-body rotation (dynamics.body_field) ---------------------------------
 
 def test_to_body_frame_identity():
-    sample = FieldSample(np.array([1e-5, -2e-5, 3e-5]), ORBITAL, 0.0)
-    out = ms.to_body_frame(np.array([0.0, 0.0, 0.0, 1.0]), sample)
-    np.testing.assert_allclose(out.b, sample.b, atol=1e-20)
-    assert out.frame == BODY
+    b = (1e-5, -2e-5, 3e-5)
+    np.testing.assert_allclose(body_field((0.0, 0.0, 0.0, 1.0), b), b, atol=1e-20)
 
 
 def test_to_body_frame_half_turn_about_z():
-    sample = FieldSample(np.array([1e-5, -2e-5, 3e-5]), ORBITAL, 0.0)
-    out = ms.to_body_frame(np.array([0.0, 0.0, 1.0, 0.0]), sample)
-    np.testing.assert_allclose(out.b, [-1e-5, 2e-5, 3e-5], atol=1e-20)
+    out = body_field((0.0, 0.0, 1.0, 0.0), (1e-5, -2e-5, 3e-5))
+    np.testing.assert_allclose(out, [-1e-5, 2e-5, 3e-5], atol=1e-20)
 
 
 def test_to_body_frame_preserves_norm():
@@ -260,8 +258,8 @@ def test_to_body_frame_preserves_norm():
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
         b = rng.normal(size=3) * 1e-5
-        out = ms.to_body_frame(q, FieldSample(b, ORBITAL, 0.0))
-        assert abs(np.linalg.norm(out.b) - np.linalg.norm(b)) < 1e-13 * np.linalg.norm(b) + 1e-21
+        out = np.array(body_field(tuple(q), tuple(b)))
+        assert abs(np.linalg.norm(out) - np.linalg.norm(b)) < 1e-13 * np.linalg.norm(b) + 1e-21
 
 
 def test_to_body_frame_inverted_by_conjugate():
@@ -270,30 +268,32 @@ def test_to_body_frame_inverted_by_conjugate():
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
         b = rng.normal(size=3) * 1e-5
-        fwd = ms.to_body_frame(q, FieldSample(b, ORBITAL, 0.0))
-        conj = np.array([-q[0], -q[1], -q[2], q[3]])
-        back = ms.rotation_matrix(conj) @ fwd.b
+        fwd = body_field(tuple(q), tuple(b))
+        conj = (-q[0], -q[1], -q[2], q[3])
+        back = body_field(conj, fwd)
         np.testing.assert_allclose(back, b, atol=1e-19, rtol=1e-12)
 
 
-def test_to_body_frame_rejects_body_sample():
-    sample = FieldSample(np.array([1e-5, 0, 0]), BODY, 0.0)
+def test_to_body_frame_rejects_body_sample(table_inertia):
+    # body_field takes bare vectors; the frame tag is checked where field
+    # samples enter the prediction, before anything is rotated
+    x0 = ms.AttitudeState(q=np.array([0.0, 0.0, 0.0, 1.0]), omega=np.zeros(3))
+    cfg = ms.MpcConfig(q_diag=np.ones(7), r_diag=np.ones(3), horizon=2, ts=1.0, u_max=0.1, x_ref=x0)
+
+    def body_tagged(t):
+        return FieldSample(np.array([1e-5, 0, 0]), BODY, t)
+
     with pytest.raises(FrameError):
-        ms.to_body_frame(np.array([0.0, 0.0, 0.0, 1.0]), sample)
-
-
-def test_to_body_frame_rejects_denormalized_quaternion():
-    sample = FieldSample(np.array([1e-5, 0, 0]), ORBITAL, 0.0)
-    with pytest.raises(ValueError):
-        ms.to_body_frame(np.array([0.0, 0.0, 0.0, 1.5]), sample)
+        ms.predict(x0, ms.ControlSequence(np.zeros((2, 3))), body_tagged, 0.0, cfg, table_inertia)
 
 
 def test_rotation_matrix_is_orthonormal():
+    # columns of the rotation matrix are the images of the orbital axes
     rng = np.random.default_rng(23)
     for _ in range(50):
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
-        r = ms.rotation_matrix(q)
+        r = np.column_stack([body_field(tuple(q), tuple(e)) for e in np.eye(3)])
         np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-14)
         assert math.isclose(float(np.linalg.det(r)), 1.0, abs_tol=1e-13)
 
