@@ -23,11 +23,8 @@ from .dynamics import (
     InertiaTensor,
     propagate,
 )
-from .errors import ConfigError, FrameError, IntegrationDivergedError
+from .errors import ConfigError, IntegrationDivergedError, SolverContractError
 from .orbit import (
-    BODY,
-    ORBITAL,
-    DipoleConstants,
     FieldSample,
     OrbitalElements,
     dipole_field,

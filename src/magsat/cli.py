@@ -5,7 +5,8 @@
     magsat presets list
 
 Exit status: 0 on success, 2 on configuration errors, 3 on integration
-blow-up (the partial log is still written).
+blow-up, 4 on a solver contract violation (a solve costing more than the zero
+or warm-start sequence). On 3 and 4 the rows logged so far are still written.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import sys
 from typing import Optional
 
 from . import presets
-from .errors import ConfigError, IntegrationDivergedError
+from .errors import ConfigError, IntegrationDivergedError, SolverContractError
 from .scenario import RunLog, load_config, run_scenario, summarize, with_overrides
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+EXIT_CONTRACT = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,11 +86,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         log = run_scenario(cfg)
     except IntegrationDivergedError as exc:
-        partial = getattr(exc, "partial_log", None)
-        if partial is not None:
-            _write_csv(partial, cfg.output_path)
+        _write_csv(exc.partial_log, cfg.output_path)
         print(f"magsat: integration diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except SolverContractError as exc:
+        _write_csv(exc.partial_log, cfg.output_path)
+        print(f"magsat: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
 
     _write_csv(log, cfg.output_path)
     summary = summarize(log, cfg)

@@ -38,8 +38,8 @@ from .dynamics import (
     _rk4_stages,
     body_field,
 )
-from .errors import FrameError, IntegrationDivergedError
-from .orbit import ORBITAL, FieldSample
+from .errors import IntegrationDivergedError
+from .orbit import FieldSample
 
 DEFAULT_SUBSTEPS = 20
 MAX_ITERATIONS = 200
@@ -234,21 +234,6 @@ def _substep_vjp(record, m: tuple, b: tuple, inertia: tuple, h: float, lam: tupl
     return lam_out, ubar
 
 
-def _field_schedule(
-    field_at: Callable[[float], FieldSample], t0: float, ts: float, p: int
-) -> list[tuple]:
-    """Orbital-frame field vectors at the p interval start times (zero-order hold)."""
-    bs = []
-    for k in range(p):
-        sample = field_at(t0 + k * ts)
-        if sample.frame != ORBITAL:
-            raise FrameError(
-                f"prediction needs orbital-frame field samples, got {sample.frame!r}"
-            )
-        bs.append(tuple(sample.b.tolist()))
-    return bs
-
-
 def _controls(u: np.ndarray) -> list[tuple]:
     """Control sequence (p, 3) or flat (3p,) as one float tuple per interval."""
     return [tuple(row) for row in np.reshape(u, (-1, 3)).tolist()]
@@ -299,7 +284,10 @@ class _Problem:
         self.x0 = tuple(x0.as_array().tolist())
         self.t0 = t0
         self.ts = cfg.ts
-        self.b_list = _field_schedule(field_at, t0, cfg.ts, cfg.horizon)
+        # orbital-frame field at the p interval start times (zero-order hold)
+        self.b_list = [
+            tuple(field_at(t0 + k * cfg.ts).b.tolist()) for k in range(cfg.horizon)
+        ]
         self.inertia = inertia.as_tuple()
         self.substeps = substeps
         self.h = cfg.ts / substeps

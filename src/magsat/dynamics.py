@@ -36,8 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FrameError, IntegrationDivergedError
-from .orbit import ORBITAL, FieldSample
+from .errors import IntegrationDivergedError
+from .orbit import FieldSample
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,7 @@ def propagate(
         raise ValueError(f"duration must be positive, got {duration}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    sample = field_at(t0)
-    if sample.frame != ORBITAL:
-        raise FrameError(f"expected an orbital-frame field sample, got {sample.frame!r}")
-    b = tuple(sample.b.tolist())
+    b = tuple(field_at(t0).b.tolist())
     mt = tuple(m.m.tolist())
     it = inertia.as_tuple()
     h = duration / substeps

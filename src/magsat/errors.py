@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class FrameError(ValueError):
-    """A field sample arrived tagged with the wrong reference frame."""
-
-
 class IntegrationDivergedError(RuntimeError):
     """The integrated state left the finite domain.
 
@@ -14,6 +10,10 @@ class IntegrationDivergedError(RuntimeError):
     def __init__(self, message: str, t: float):
         super().__init__(message)
         self.t = t
+
+
+class SolverContractError(RuntimeError):
+    """A solve returned a sequence costing more than the zero or warm-start candidate."""
 
 
 class ConfigError(ValueError):

@@ -24,46 +24,20 @@ import numpy as np
 EARTH_MU_KM3_S2 = 398600.4418  # WGS-84
 EARTH_RADIUS_KM = 6378.137     # WGS-84
 GAUSS_CM3_TO_T_M3 = 1e-10
+EARTH_DIPOLE_T_M3 = 8.1e25 * GAUSS_CM3_TO_T_M3  # 8.1e25 gauss*cm^3
 
 TWO_PI = 2.0 * math.pi
-
-ORBITAL = "orbital"
-BODY = "body"
-
-_FRAMES = (ORBITAL, BODY)
-
-
-@dataclass(frozen=True)
-class DipoleConstants:
-    """Physical constants of the field model and the two-body propagation.
-
-    ``me_t_m3`` is the Earth dipole strength in T*m^3; the conventional
-    gauss*cm^3 figure is converted once at this boundary (1 gauss*cm^3 =
-    1e-10 T*m^3) and all field math downstream stays in tesla and meters.
-    """
-
-    me_t_m3: float = 8.1e25 * GAUSS_CM3_TO_T_M3
-    mu_km3_s2: float = EARTH_MU_KM3_S2
-
-    def __post_init__(self):
-        if not (math.isfinite(self.me_t_m3) and self.me_t_m3 > 0.0):
-            raise ValueError(f"dipole strength must be positive, got {self.me_t_m3}")
-        if not (math.isfinite(self.mu_km3_s2) and self.mu_km3_s2 > 0.0):
-            raise ValueError(f"gravitational parameter must be positive, got {self.mu_km3_s2}")
 
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Geomagnetic field vector with its frame tag and timestamp.
+    """Geomagnetic field vector b in tesla, in the local orbital frame.
 
-    b: field vector in tesla, frame: "orbital" or "body", t: simulation
-    time in seconds. For valid LEO radii the magnitude lands in roughly
-    [1e-6, 1e-3] T; synthetic samples used in tests may fall outside.
+    For valid LEO radii the magnitude lands in roughly [1e-6, 1e-3] T;
+    synthetic samples used in tests may fall outside.
     """
 
     b: np.ndarray
-    frame: str
-    t: float
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
@@ -71,8 +45,6 @@ class FieldSample:
             raise ValueError(f"field vector must have shape (3,), got {b.shape}")
         if not np.all(np.isfinite(b)):
             raise ValueError("field vector has non-finite components")
-        if self.frame not in _FRAMES:
-            raise ValueError(f"unknown frame {self.frame!r}, expected one of {_FRAMES}")
         object.__setattr__(self, "b", b)
 
 
@@ -156,24 +128,17 @@ def orbit_radius(a_km: float, e: float, theta: float) -> float:
     return a_km * (1.0 - e * e) / (1.0 + e * math.cos(theta))
 
 
-def mean_motion(elements: OrbitalElements, consts: DipoleConstants | None = None) -> float:
+def mean_motion(elements: OrbitalElements) -> float:
     """Mean motion n = sqrt(mu / a^3) in rad/s."""
-    consts = consts if consts is not None else DipoleConstants()
-    return math.sqrt(consts.mu_km3_s2 / elements.a_km**3)
+    return math.sqrt(EARTH_MU_KM3_S2 / elements.a_km**3)
 
 
-def orbital_period(elements: OrbitalElements, consts: DipoleConstants | None = None) -> float:
+def orbital_period(elements: OrbitalElements) -> float:
     """Orbital period 2*pi/n in seconds."""
-    return TWO_PI / mean_motion(elements, consts)
+    return TWO_PI / mean_motion(elements)
 
 
-def dipole_field(
-    elements: OrbitalElements,
-    theta: float,
-    r_km: float,
-    consts: DipoleConstants | None = None,
-    t: float = 0.0,
-) -> FieldSample:
+def dipole_field(elements: OrbitalElements, theta: float, r_km: float) -> FieldSample:
     """Tilted-dipole field in the orbital frame at true anomaly theta, radius r.
 
     B = Dm * [ (3/2) sin(i) sin(2 eta),
@@ -183,9 +148,8 @@ def dipole_field(
     """
     if r_km <= 0.0:
         raise ValueError(f"orbit radius must be positive, got {r_km} km")
-    consts = consts if consts is not None else DipoleConstants()
     eta = theta + elements.argp
-    dm = -consts.me_t_m3 / (r_km * 1000.0) ** 3
+    dm = -EARTH_DIPOLE_T_M3 / (r_km * 1000.0) ** 3
     sin_i = math.sin(elements.inclination)
     b = np.array(
         [
@@ -194,32 +158,26 @@ def dipole_field(
             -dm * math.cos(elements.inclination),
         ]
     )
-    return FieldSample(b, ORBITAL, t)
+    return FieldSample(b)
 
 
-def field_at_time(
-    elements: OrbitalElements,
-    consts: DipoleConstants | None = None,
-    t: float = 0.0,
-) -> FieldSample:
+def field_at_time(elements: OrbitalElements, t: float) -> FieldSample:
     """Orbital-frame field at simulation time t.
 
     Composes mean motion, the Kepler solve, the true-anomaly conversion and
     the conic radius; deterministic and periodic in t with the orbital period.
     """
-    consts = consts if consts is not None else DipoleConstants()
-    m = elements.mean_anomaly + mean_motion(elements, consts) * t
+    m = elements.mean_anomaly + mean_motion(elements) * t
     big_e = solve_kepler(m, elements.e)
     theta = true_anomaly(big_e, elements.e)
     r_km = orbit_radius(elements.a_km, elements.e, theta)
-    return dipole_field(elements, theta, r_km, consts, t=t)
+    return dipole_field(elements, theta, r_km)
 
 
-def field_function(elements: OrbitalElements, consts: DipoleConstants | None = None):
-    """Bind elements and constants into a callable t -> orbital FieldSample."""
-    consts = consts if consts is not None else DipoleConstants()
+def field_function(elements: OrbitalElements):
+    """Bind elements into a callable t -> orbital-frame FieldSample."""
 
     def field_at(t: float) -> FieldSample:
-        return field_at_time(elements, consts, t)
+        return field_at_time(elements, t)
 
     return field_at

@@ -3,12 +3,10 @@
 Maps a smooth controller command onto the level grid
 {-u_max, -2u_max/3, -u_max/3, 0, u_max/3, 2u_max/3, u_max}, per axis.
 
-The brackets are half-open with the lower edge mapping up: a positive
-command returns the smallest level at or above it, a negative command in
-[-u_max, 0) returns the smallest level strictly above it, and anything
-outside [-u_max, u_max] saturates. An exactly-zero command returns zero
-(the literal bracket on (0, u_max/3) would otherwise never emit zero for a
-controller resting at its reference). The quantizer is stateless.
+A nonzero command returns the smallest level strictly above it, or u_max
+when there is none; an exact zero returns zero (the bracket rule alone would
+never emit zero for a controller resting at its reference). Commands below
+-u_max therefore saturate to -u_max. The quantizer is stateless.
 
 Level values are always computed as fractions of u_max at the point of use
 (never stored as rounded decimals), so the codomain is exact.

@@ -26,7 +26,7 @@ from .controller import (
     solve,
 )
 from .dynamics import AttitudeState, InertiaTensor, propagate
-from .errors import ConfigError, IntegrationDivergedError
+from .errors import ConfigError, IntegrationDivergedError, SolverContractError
 from .orbit import OrbitalElements, field_function
 from .quantizer import quantize_vector
 
@@ -142,8 +142,8 @@ def _build_log(rows: dict) -> RunLog:
 def run_scenario(cfg: ScenarioConfig) -> RunLog:
     """Run the closed loop for cfg.duration seconds.
 
-    On integration blow-up the partial log is attached to the raised
-    IntegrationDivergedError as `partial_log`.
+    On integration blow-up or a solver contract violation the rows logged so
+    far are attached to the raised error as `partial_log`.
     """
     field_at = field_function(cfg.elements)
     # whole sampling intervals; the relative slack absorbs representation error
@@ -163,7 +163,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
             if res.cost > res.zero_cost or (
                 res.warm_cost is not None and res.cost > res.warm_cost
             ):
-                raise RuntimeError(
+                raise SolverContractError(
                     f"solver contract violation at t={t}: cost {res.cost} exceeds "
                     f"a mandatory candidate (zero {res.zero_cost}, warm {res.warm_cost})"
                 )
@@ -183,7 +183,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                 state, m_applied, field_at, t, cfg.mpc.ts, cfg.substeps, cfg.inertia
             )
             warm = shift_warm_start(res.sequence)
-    except IntegrationDivergedError as err:
+    except (IntegrationDivergedError, SolverContractError) as err:
         err.partial_log = _build_log(rows)
         raise
     return _build_log(rows)
@@ -199,13 +199,13 @@ def _signed_error_angle_deg(q: np.ndarray, q_ref: np.ndarray) -> float:
     return math.degrees(2.0 * math.acos(dot))
 
 
-def settle_time(log: RunLog, threshold_deg_s: float = RATE_THRESHOLD_DEG_S):
-    """First logged time after which |omega| stays at or below the threshold.
+def settle_time(log: RunLog):
+    """First logged time after which |omega| stays at or below RATE_THRESHOLD_DEG_S.
 
     Returns None when the rate is above the threshold in the final row.
     """
     rates = np.degrees(np.linalg.norm(log.omega, axis=1))
-    below = rates <= threshold_deg_s
+    below = rates <= RATE_THRESHOLD_DEG_S
     if not below[-1]:
         return None
     idx = len(below) - 1

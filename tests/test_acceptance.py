@@ -5,6 +5,7 @@ conftest) and asserts its gate. The closed-loop fixtures run the shipped
 presets end to end, so this module is the slow part of the suite.
 """
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -23,9 +24,7 @@ from magsat import (
     QuantizerLevels,
 )
 from magsat.dynamics import _deriv
-from magsat.orbit import ORBITAL
 from magsat.scenario import (
-    RATE_THRESHOLD_DEG_S,
     _error_angle_deg,
     load_config,
     run_scenario,
@@ -47,12 +46,6 @@ def detumble_run():
 
 
 @pytest.fixture(scope="module")
-def detumble_run_repeat():
-    cfg = load_config("detumble-paper")
-    return cfg, run_scenario(cfg)
-
-
-@pytest.fixture(scope="module")
 def detumble_run_nopwm():
     cfg = with_overrides(load_config("detumble-paper"), pwm_enabled=False)
     return cfg, run_scenario(cfg)
@@ -60,12 +53,6 @@ def detumble_run_nopwm():
 
 @pytest.fixture(scope="module")
 def attitude_run():
-    cfg = load_config("attitude-paper")
-    return cfg, run_scenario(cfg)
-
-
-@pytest.fixture(scope="module")
-def attitude_run_repeat():
     cfg = load_config("attitude-paper")
     return cfg, run_scenario(cfg)
 
@@ -78,7 +65,7 @@ def rates_deg_s(log):
 
 def test_criterion_1_detumble_settles(detumble_run, recorder):
     cfg, log = detumble_run
-    settle = settle_time(log, RATE_THRESHOLD_DEG_S)
+    settle = settle_time(log)
     ok = settle is not None and settle <= SETTLE_GATE_S
     detail = (
         f"settle={settle if settle is None else round(settle, 1)} s, "
@@ -128,8 +115,8 @@ def test_criterion_3_pwm_comparison(detumble_run, detumble_run_nopwm, recorder):
     on_grid = all(
         any(v == lv for lv in levels) for row in log_on.m_applied for v in row
     )
-    settle_on = settle_time(log_on, RATE_THRESHOLD_DEG_S)
-    settle_off = settle_time(log_off, RATE_THRESHOLD_DEG_S)
+    settle_on = settle_time(log_on)
+    settle_off = settle_time(log_off)
     both_gate = (
         settle_on is not None and settle_on <= SETTLE_GATE_S
         and settle_off is not None and settle_off <= SETTLE_GATE_S
@@ -199,7 +186,7 @@ def test_criterion_5_dynamics_properties(recorder, table_inertia):
 
     def const_field(b):
         b = np.asarray(b, dtype=float)
-        return lambda t: FieldSample(b.copy(), ORBITAL, t)
+        return lambda t: FieldSample(b.copy())
 
     # (a) quaternion norm drift over 1e4 steps
     field_at = const_field([3e-5, -1e-5, 2e-5])
@@ -282,8 +269,8 @@ def test_criterion_6b_field_periodicity(recorder, sso_elements):
     period = ms.orbital_period(sso_elements)
     worst = 0.0
     for t in np.linspace(0.0, period, 257):
-        b1 = ms.field_at_time(sso_elements, t=float(t)).b
-        b2 = ms.field_at_time(sso_elements, t=float(t) + period).b
+        b1 = ms.field_at_time(sso_elements, float(t)).b
+        b2 = ms.field_at_time(sso_elements, float(t) + period).b
         worst = max(worst, float(np.max(np.abs(b1 - b2)) / np.max(np.abs(b1))))
     ok = worst < 1e-12
     detail = f"worst relative mismatch {worst:.2e} over one period (tol 1e-12)"
@@ -298,7 +285,7 @@ def test_criterion_6c_field_magnitude_band(recorder, sso_elements):
     period = ms.orbital_period(sso_elements)
     mags = np.array(
         [
-            float(np.linalg.norm(ms.field_at_time(sso_elements, t=float(t)).b))
+            float(np.linalg.norm(ms.field_at_time(sso_elements, float(t)).b))
             for t in np.linspace(0.0, period, 4096)
         ]
     )
@@ -406,10 +393,23 @@ def test_criterion_7c_single_step_grid_dominance(recorder, sso_elements, table_i
 
 # --- criterion 8: determinism ---------------------------------------------------------------------
 
-def test_criterion_8_determinism(detumble_run, detumble_run_repeat,
-                                 attitude_run, attitude_run_repeat, recorder):
-    det_equal = detumble_run[1].to_csv() == detumble_run_repeat[1].to_csv()
-    att_equal = attitude_run[1].to_csv() == attitude_run_repeat[1].to_csv()
+# SHA-256 of the full-length preset CSVs, recorded on x86-64 Linux with
+# CPython 3.11 and numpy 2.4 (the bytes depend on the platform's libm). A run
+# that is not deterministic cannot reproduce a recorded hash, so comparing
+# against it is at least as strict as comparing two runs in one process.
+PRESET_FULL_CSV_SHA256 = {
+    "detumble-paper": "c4bc3664a1dd942386a65f89bd432b1e6bc85b49b5a0218b33ddfe3f910323ed",
+    "attitude-paper": "b09aedf79d7ab2720772abcfa2edba5b0e86e49540bbe26fc322b99bbe890eba",
+}
+
+
+def csv_sha256(log):
+    return hashlib.sha256(log.to_csv().encode()).hexdigest()
+
+
+def test_criterion_8_determinism(detumble_run, attitude_run, recorder):
+    det_equal = csv_sha256(detumble_run[1]) == PRESET_FULL_CSV_SHA256["detumble-paper"]
+    att_equal = csv_sha256(attitude_run[1]) == PRESET_FULL_CSV_SHA256["attitude-paper"]
     ok = det_equal and att_equal
     detail = f"detumble byte-identical: {det_equal}; attitude byte-identical: {att_equal}"
     recorder("8", "byte-identical CSV across repeated preset runs", ok, detail)

@@ -3,11 +3,9 @@ import pytest
 
 import magsat as ms
 from magsat import (
-    ORBITAL,
     AttitudeState,
     DipoleCommand,
     FieldSample,
-    FrameError,
     InertiaTensor,
     IntegrationDivergedError,
 )
@@ -22,7 +20,7 @@ def constant_field(b):
     b = np.asarray(b, dtype=float)
 
     def field_at(t):
-        return FieldSample(b.copy(), ORBITAL, t)
+        return FieldSample(b.copy())
 
     return field_at
 
@@ -264,16 +262,6 @@ def test_step_rejects_nonpositive_dt(table_inertia):
     with pytest.raises(ValueError):
         ms.propagate(state, DipoleCommand(np.zeros(3)), constant_field([0, 0, 1e-5]),
                      0.0, 0.0, 1, table_inertia)
-
-
-def test_step_rejects_body_frame_field(table_inertia):
-    state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3))
-
-    def body_tagged(t):
-        return FieldSample(np.array([0, 0, 1e-5]), "body", t)
-
-    with pytest.raises(FrameError):
-        ms.propagate(state, DipoleCommand(np.zeros(3)), body_tagged, 0.0, 0.1, 1, table_inertia)
 
 
 def test_step_blowup_carries_time(table_inertia):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -5,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from magsat import ConfigError, IntegrationDivergedError
+from magsat import ConfigError, IntegrationDivergedError, solve
 from magsat.cli import main
 from magsat.quantizer import QuantizerLevels
 from magsat.scenario import (
@@ -428,6 +429,27 @@ def test_cli_blowup_exits_3_with_partial_csv(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(out_csv)]) == 3
     assert out_csv.read_text().splitlines()[0] == CSV_HEADER
     assert "diverged" in capsys.readouterr().err
+
+
+def test_cli_contract_violation_exits_4_with_partial_csv(tmp_path, monkeypatch, capsys):
+    steps = []
+
+    def solve_breaking_contract_at_step_2(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        steps.append(res)
+        if len(steps) == 3:
+            return dataclasses.replace(res, cost=res.zero_cost + 1.0)
+        return res
+
+    monkeypatch.setattr("magsat.scenario.solve", solve_breaking_contract_at_step_2)
+    path = tmp_path / "mini.json"
+    path.write_text(json.dumps(short_config(duration=10.0)))
+    out_csv = tmp_path / "partial.csv"
+    assert main(["run", str(path), "--out", str(out_csv)]) == 4
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 1 + 2
+    assert "contract violation" in capsys.readouterr().err
 
 
 def test_cli_pwm_override_toggles_quantizer(tmp_path):
