@@ -36,7 +36,7 @@ from .orbit import (
     solve_kepler,
     true_anomaly,
 )
-from .quantizer import QuantizerLevels, quantize, quantize_vector
+from .quantizer import quantize, quantize_vector
 from .scenario import (
     RunLog,
     ScenarioConfig,

@@ -15,27 +15,10 @@ Level values are always computed as fractions of u_max at the point of use
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import DipoleCommand
-
-
-@dataclass(frozen=True)
-class QuantizerLevels:
-    """The ordered seven-level output grid for a given dipole bound."""
-
-    u_max: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.u_max) and self.u_max > 0.0):
-            raise ValueError(f"u_max must be positive, got {self.u_max}")
-
-    @property
-    def levels(self) -> tuple[float, ...]:
-        u = self.u_max
-        return (-u, -(2.0 * u / 3.0), -(u / 3.0), 0.0, u / 3.0, 2.0 * u / 3.0, u)
 
 
 def quantize(u_mpc: float, u_max: float) -> float:

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import presets
 from .controller import (
+    PREDICTION_SUBSTEPS,  # noqa: F401  re-exported: bench/layers.py imports it from here
     ControlSequence,
     MpcConfig,
-    SolveResult,
     shift_warm_start,
     solve,
 )
@@ -32,12 +32,10 @@ from .quantizer import quantize_vector
 
 RATE_THRESHOLD_DEG_S = 0.5  # operational meaning of "rates settled"
 
-# Controller-internal prediction substeps per sampling interval. The plant
-# integrates at cfg.substeps (default 20). Measured against a 20-substep
-# prediction along the benchmark trajectories, the 5-substep horizon cost
-# differs by at most 2.0e-10 relative on detumble (Ts 2 s) and 1.1e-6 on the
-# attitude slew (Ts 30 s), at a quarter of the per-solve work.
-PREDICTION_SUBSTEPS = 5
+# Most work a config may ask for (MAX_STEPS counts whole sampling intervals).
+MAX_HORIZON = 100
+MAX_SUBSTEPS = 10_000
+MAX_STEPS = 1_000_000
 
 CSV_HEADER = (
     "t,q1,q2,q3,q4,wx,wy,wz,"
@@ -71,9 +69,19 @@ class ScenarioConfig:
                 f"duration must be at least one sampling interval "
                 f"({self.mpc.ts} s), got {self.duration}"
             )
-        if int(self.substeps) != self.substeps or self.substeps < 1:
-            raise ConfigError(f"substeps must be an integer >= 1, got {self.substeps}")
+        # the ratio test keeps `steps` from flooring an overflowed quotient
+        if self.duration / self.mpc.ts > MAX_STEPS + 1 or self.steps > MAX_STEPS:
+            raise ConfigError(f"duration {self.duration} s exceeds {MAX_STEPS} sampling intervals")
+        if self.mpc.horizon > MAX_HORIZON:
+            raise ConfigError(f"horizon {self.mpc.horizon} exceeds {MAX_HORIZON}")
+        if int(self.substeps) != self.substeps or not 1 <= self.substeps <= MAX_SUBSTEPS:
+            raise ConfigError(f"substeps {self.substeps} is not an integer in 1..{MAX_SUBSTEPS}")
         object.__setattr__(self, "substeps", int(self.substeps))
+
+    @property
+    def steps(self) -> int:
+        """Whole sampling intervals in the duration; the slack makes 0.7 / 0.1 count as 7."""
+        return math.floor(self.duration / self.mpc.ts * (1.0 + 1e-9))
 
 
 @dataclass(frozen=True)
@@ -146,20 +154,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     far are attached to the raised error as `partial_log`.
     """
     field_at = field_function(cfg.elements)
-    # whole sampling intervals; the relative slack absorbs representation error
-    # (0.7 / 0.1 evaluates to 6.999999999999999, which is 7 intervals)
-    steps = math.floor(cfg.duration / cfg.mpc.ts * (1.0 + 1e-9))
     state = cfg.x0
     warm: Optional[ControlSequence] = None
     rows = _empty_rows()
     try:
-        for k in range(steps):
+        for k in range(cfg.steps):
             t = k * cfg.mpc.ts
             b_orb = field_at(t)
-            res: SolveResult = solve(
-                state, t, field_at, cfg.mpc, cfg.inertia,
-                warm=warm, substeps=PREDICTION_SUBSTEPS,
-            )
+            res = solve(state, t, field_at, cfg.mpc, cfg.inertia, warm=warm)
             if res.cost > res.zero_cost or (
                 res.warm_cost is not None and res.cost > res.warm_cost
             ):
@@ -274,9 +276,13 @@ def _require(d: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is an integer too large for a float") from None
+    if not math.isfinite(x):
         raise ConfigError(f"{where} must be finite, got {value!r}")
-    return float(value)
+    return x
 
 
 def _vector(value, n: int, where: str) -> np.ndarray:

@@ -13,6 +13,11 @@ import magsat as ms
 _ACCEPTANCE_LINES: list[str] = []
 
 
+def grid_levels(u: float) -> tuple[float, ...]:
+    """The quantizer's seven output levels for bound u, written out independently of the code."""
+    return (-u, -(2.0 * u / 3.0), -(u / 3.0), 0.0, u / 3.0, 2.0 * u / 3.0, u)
+
+
 def record_criterion(number: str, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import grid_levels
 
 import magsat as ms
 from magsat import (
@@ -21,7 +22,6 @@ from magsat import (
     FieldSample,
     InertiaTensor,
     MpcConfig,
-    QuantizerLevels,
 )
 from magsat.dynamics import _deriv
 from magsat.scenario import (
@@ -111,7 +111,7 @@ def test_criterion_3_pwm_comparison(detumble_run, detumble_run_nopwm, recorder):
     cfg_off, log_off = detumble_run_nopwm
     assert cfg_on.pwm_enabled and not cfg_off.pwm_enabled
 
-    levels = QuantizerLevels(cfg_on.mpc.u_max).levels
+    levels = grid_levels(cfg_on.mpc.u_max)
     on_grid = all(
         any(v == lv for lv in levels) for row in log_on.m_applied for v in row
     )
@@ -141,7 +141,7 @@ def quantizer_oracle(u, u_max):
     # the smallest level strictly above the input, saturating at the top
     if u == 0.0:
         return 0.0
-    above = [lv for lv in QuantizerLevels(u_max).levels if lv > u]
+    above = [lv for lv in grid_levels(u_max) if lv > u]
     return min(above) if above else u_max
 
 
@@ -379,7 +379,7 @@ def test_criterion_7c_single_step_grid_dominance(recorder, sso_elements, table_i
         t0 = float(rng.uniform(0.0, 5400.0))
         res = ms.solve(x0, t0, field_at, cfg, table_inertia, substeps=5)
         best_grid = math.inf
-        for m in itertools.product(QuantizerLevels(cfg.u_max).levels, repeat=3):
+        for m in itertools.product(grid_levels(cfg.u_max), repeat=3):
             seq = ControlSequence(np.array(m).reshape(1, 3))
             traj = ms.predict(x0, seq, field_at, t0, cfg, table_inertia, substeps=5)
             best_grid = min(best_grid, ms.total_cost(traj, seq, cfg))

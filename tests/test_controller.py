@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import grid_levels
 
 import magsat as ms
 from magsat import (
@@ -10,7 +11,6 @@ from magsat import (
     ControlSequence,
     DipoleCommand,
     MpcConfig,
-    QuantizerLevels,
 )
 from magsat.controller import shift_warm_start
 
@@ -314,13 +314,15 @@ def test_solve_detumble_first_step_reduces_rates(field_at, detumble_cfg, table_i
     assert np.linalg.norm(traj.states[-1].omega) < np.linalg.norm(x0.omega)
 
 
-def test_solve_degraded_flag_when_capped(field_at, detumble_cfg, table_inertia):
+def test_solve_degraded_flag_when_capped(field_at, detumble_cfg, table_inertia,
+                                        monkeypatch):
     x0 = AttitudeState(
         q=np.array([0, 0, 0, 1.0]),
         omega=np.radians([4.0, 3.0, -3.0]),
     )
-    res = ms.solve(x0, 0.0, field_at, detumble_cfg, table_inertia, substeps=5,
-                   max_iterations=1)
+    monkeypatch.setattr("magsat.controller.MAX_ITERATIONS", 1)
+    res = ms.solve(x0, 0.0, field_at, detumble_cfg, table_inertia, substeps=5)
+    assert res.iterations == 1
     assert res.degraded
     assert res.cost <= res.zero_cost
 
@@ -346,7 +348,7 @@ def test_solve_single_step_beats_quantizer_grid(field_at, table_inertia):
     for _ in range(5):
         x0, cfg, t0 = random_instance(rng, horizon=1)
         res = ms.solve(x0, t0, field_at, cfg, table_inertia, substeps=5)
-        levels = QuantizerLevels(cfg.u_max).levels
+        levels = grid_levels(cfg.u_max)
         best_grid = math.inf
         for m in itertools.product(levels, repeat=3):
             seq = ControlSequence(np.array(m).reshape(1, 3))

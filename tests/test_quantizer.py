@@ -2,23 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from conftest import grid_levels
 
-from magsat import DipoleCommand, QuantizerLevels, quantize, quantize_vector
+from magsat import DipoleCommand, quantize, quantize_vector
 
 
 def test_levels_are_seven_symmetric_uniform():
-    levels = QuantizerLevels(0.3).levels
+    # the outputs over a dense sweep of [-2u, 2u] are the seven grid levels
+    u_max = 0.3
+    outputs = {quantize(float(v), u_max) for v in np.linspace(-2 * u_max, 2 * u_max, 4001)}
+    levels = sorted(outputs)
     assert len(levels) == 7
     np.testing.assert_allclose(levels, -np.asarray(levels)[::-1], atol=0)
     diffs = np.diff(levels)
-    np.testing.assert_allclose(diffs, 0.3 / 3.0, rtol=1e-12)
-
-
-def test_levels_reject_bad_bound():
-    with pytest.raises(ValueError):
-        QuantizerLevels(0.0)
-    with pytest.raises(ValueError):
-        QuantizerLevels(-1.0)
+    np.testing.assert_allclose(diffs, u_max / 3.0, rtol=1e-12)
 
 
 def test_quantize_upper_branch():
@@ -64,7 +61,7 @@ def test_quantize_bracket_edges():
 def test_quantize_codomain_random():
     rng = np.random.default_rng(31)
     u_max = 0.1
-    levels = QuantizerLevels(u_max).levels
+    levels = grid_levels(u_max)
     for _ in range(10000):
         v = float(rng.uniform(-2 * u_max, 2 * u_max))
         out = quantize(v, u_max)
@@ -100,7 +97,7 @@ def test_quantize_positive_is_grid_ceiling():
     # off bracket edges, positive inputs land on the smallest level >= input
     rng = np.random.default_rng(47)
     u_max = 0.1
-    levels = np.asarray(QuantizerLevels(u_max).levels)
+    levels = np.asarray(grid_levels(u_max))
     for _ in range(5000):
         v = float(rng.uniform(1e-12, u_max))
         out = quantize(v, u_max)
@@ -112,7 +109,7 @@ def test_quantize_negative_is_strict_grid_ceiling():
     # negative inputs in [-u_max, 0) land on the smallest level strictly above
     rng = np.random.default_rng(53)
     u_max = 0.1
-    levels = np.asarray(QuantizerLevels(u_max).levels)
+    levels = np.asarray(grid_levels(u_max))
     for _ in range(5000):
         v = float(rng.uniform(-u_max, -1e-12))
         out = quantize(v, u_max)
@@ -144,7 +141,7 @@ def test_quantize_vector_zero():
 def test_quantize_vector_codomain():
     rng = np.random.default_rng(59)
     u_max = 0.1
-    levels = QuantizerLevels(u_max).levels
+    levels = grid_levels(u_max)
     for _ in range(500):
         m = rng.uniform(-2 * u_max, 2 * u_max, size=3)
         out = quantize_vector(DipoleCommand(m), u_max)

@@ -2,15 +2,20 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from conftest import grid_levels
 
-from magsat import ConfigError, IntegrationDivergedError, solve
+from magsat import ConfigError, IntegrationDivergedError, field_function, solve
 from magsat.cli import main
-from magsat.quantizer import QuantizerLevels
+from magsat.presets import SSO_ELEMENTS
 from magsat.scenario import (
     CSV_HEADER,
+    MAX_HORIZON,
+    MAX_STEPS,
+    MAX_SUBSTEPS,
     RunLog,
     load_config,
     run_scenario,
@@ -187,6 +192,70 @@ def test_config_rejects_bad_reference_quaternion():
         scenario_from_dict(doc)
 
 
+HUGE_INT = 10**400  # a 401-digit JSON integer, beyond the float range
+
+
+def set_at(doc, path, value):
+    for part in path[:-1]:
+        doc = doc[part]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, key", [
+    (("duration",), "duration"),
+    (("mpc", "ts"), "mpc.ts"),
+    (("mpc", "u_max"), "mpc.u_max"),
+    (("mpc", "r_diag", 2), "mpc.r_diag[2]"),
+    (("elements", "a_km"), "elements.a_km"),
+    (("inertia", "iz"), "inertia.iz"),
+    (("x0", "q", 0), "x0.q[0]"),
+])
+def test_config_rejects_integer_beyond_float_range(path, key):
+    doc = short_config(elements=dict(SSO_ELEMENTS))
+    set_at(doc, path, HUGE_INT)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        scenario_from_dict(doc)
+
+
+def test_cli_integer_beyond_float_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(short_config(duration=HUGE_INT)))
+    assert main(["run", str(path)]) == 2
+    assert "duration" in capsys.readouterr().err
+
+
+def test_config_work_limits_are_inclusive():
+    doc = short_config(duration=MAX_STEPS * 2.0, substeps=MAX_SUBSTEPS)
+    doc["mpc"]["horizon"] = MAX_HORIZON
+    cfg = scenario_from_dict(doc)
+    assert cfg.steps == MAX_STEPS
+
+
+@pytest.mark.parametrize("path, value, match", [
+    (("mpc", "horizon"), MAX_HORIZON + 1, "horizon"),
+    (("mpc", "horizon"), 10**9, "horizon"),
+    (("substeps",), MAX_SUBSTEPS + 1, "substeps"),
+    (("substeps",), 10**12, "substeps"),
+    (("duration",), (MAX_STEPS + 1) * 2.0, "duration"),
+    (("duration",), 1e15, "duration"),
+    (("mpc", "ts"), 5e-324, "duration"),  # duration / ts overflows to inf
+])
+def test_config_rejects_unbounded_work(path, value, match):
+    # only constructs the config; a run of it would never finish
+    doc = short_config()
+    set_at(doc, path, value)
+    with pytest.raises(ConfigError, match=match):
+        scenario_from_dict(doc)
+
+
+def test_with_overrides_rejects_unbounded_duration():
+    cfg = scenario_from_dict(short_config())
+    with pytest.raises(ConfigError, match="duration"):
+        with_overrides(cfg, duration=1e15)
+    with pytest.raises(ConfigError, match="duration"):
+        with_overrides(cfg, duration=(MAX_STEPS + 1) * cfg.mpc.ts)
+
+
 def test_with_overrides_validates():
     cfg = scenario_from_dict(short_config())
     assert with_overrides(cfg).duration == 20.0
@@ -236,6 +305,16 @@ def test_run_counts_whole_intervals_despite_representation_error():
     assert len(run_scenario(scenario_from_dict(doc))) == 2
 
 
+def test_readme_solve_example_matches_the_loop():
+    # the README's "drive the pieces directly" example, with no substeps,
+    # solves the same problem as step 0 of the closed loop
+    cfg = load_config("detumble-paper")
+    res = solve(cfg.x0, 0.0, field_function(cfg.elements), cfg.mpc, cfg.inertia)
+    log = run_scenario(with_overrides(cfg, duration=cfg.mpc.ts))
+    assert res.cost == log.cost[0]
+    np.testing.assert_array_equal(res.command.m, log.m_raw[0])
+
+
 # SHA-256 of RunLog.to_csv() for shortened preset runs, recorded before the
 # dynamics and controller were refactored (x86-64 Linux, CPython 3.11,
 # numpy 2.4). Any change to a floating-point operation of the closed loop
@@ -256,7 +335,7 @@ def test_preset_csv_bytes_are_stable():
 def test_run_with_quantizer_snaps_to_levels():
     cfg = scenario_from_dict(short_config(duration=12.0, pwm=True))
     log = run_scenario(cfg)
-    levels = QuantizerLevels(cfg.mpc.u_max).levels
+    levels = grid_levels(cfg.mpc.u_max)
     for row in log.m_applied:
         for v in row:
             assert any(v == lv for lv in levels)
@@ -459,7 +538,7 @@ def test_cli_pwm_override_toggles_quantizer(tmp_path):
                  "--pwm", "on"]) == 0
     assert main(["run", "detumble-paper", "--duration", "8", "--out", str(out_off),
                  "--pwm", "off"]) == 0
-    levels = QuantizerLevels(0.1).levels
+    levels = grid_levels(0.1)
 
     def applied(path):
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
