@@ -19,6 +19,11 @@ of the discrete prediction, computed in reverse mode: an adjoint 7-vector is
 pulled backward through the same RK4 stages (and the quaternion
 renormalization) that generated the trajectory.
 
+Each control sequence the solver evaluates is rolled out once, and the
+rollout keeps its tape (the recorded RK4 stages). The gradient at an
+accepted point - the winning start candidate or an accepted line-search
+trial - is pulled from that point's own tape, so no point is rolled out twice.
+
 Everything here is deterministic: identical inputs produce identical
 outputs, bit for bit.
 """
@@ -224,13 +229,33 @@ def _substep_vjp(record, m: tuple, b: tuple, inertia: tuple, h: float, lam: tupl
     # y = x + (h/6)(k1 + 2 k2 + 2 k3 + k4), stages unwound in reverse
     kb4 = (h6 * lr[0], h6 * lr[1], h6 * lr[2], h6 * lr[3], h6 * lr[4], h6 * lr[5], h6 * lr[6])
     s4b, u4 = _stage_vjp(s4, m, b, inertia, kb4)
-    kb3 = tuple(h3 * lr[i] + h * s4b[i] for i in range(7))
+    kb3 = (
+        h3 * lr[0] + h * s4b[0], h3 * lr[1] + h * s4b[1], h3 * lr[2] + h * s4b[2],
+        h3 * lr[3] + h * s4b[3], h3 * lr[4] + h * s4b[4], h3 * lr[5] + h * s4b[5],
+        h3 * lr[6] + h * s4b[6],
+    )
     s3b, u3 = _stage_vjp(s3, m, b, inertia, kb3)
-    kb2 = tuple(h3 * lr[i] + h2 * s3b[i] for i in range(7))
+    kb2 = (
+        h3 * lr[0] + h2 * s3b[0], h3 * lr[1] + h2 * s3b[1], h3 * lr[2] + h2 * s3b[2],
+        h3 * lr[3] + h2 * s3b[3], h3 * lr[4] + h2 * s3b[4], h3 * lr[5] + h2 * s3b[5],
+        h3 * lr[6] + h2 * s3b[6],
+    )
     s2b, u2 = _stage_vjp(s2, m, b, inertia, kb2)
-    kb1 = tuple(h6 * lr[i] + h2 * s2b[i] for i in range(7))
+    kb1 = (
+        h6 * lr[0] + h2 * s2b[0], h6 * lr[1] + h2 * s2b[1], h6 * lr[2] + h2 * s2b[2],
+        h6 * lr[3] + h2 * s2b[3], h6 * lr[4] + h2 * s2b[4], h6 * lr[5] + h2 * s2b[5],
+        h6 * lr[6] + h2 * s2b[6],
+    )
     s1b, u1 = _stage_vjp(s1, m, b, inertia, kb1)
-    lam_out = tuple(lr[i] + s1b[i] + s2b[i] + s3b[i] + s4b[i] for i in range(7))
+    lam_out = (
+        lr[0] + s1b[0] + s2b[0] + s3b[0] + s4b[0],
+        lr[1] + s1b[1] + s2b[1] + s3b[1] + s4b[1],
+        lr[2] + s1b[2] + s2b[2] + s3b[2] + s4b[2],
+        lr[3] + s1b[3] + s2b[3] + s3b[3] + s4b[3],
+        lr[4] + s1b[4] + s2b[4] + s3b[4] + s4b[4],
+        lr[5] + s1b[5] + s2b[5] + s3b[5] + s4b[5],
+        lr[6] + s1b[6] + s2b[6] + s3b[6] + s4b[6],
+    )
     ubar = (
         u1[0] + u2[0] + u3[0] + u4[0],
         u1[1] + u2[1] + u3[1] + u4[1],
@@ -275,7 +300,12 @@ def _horizon_cost(ends, controls, ts: float, weights: tuple) -> float:
 
 
 class _Problem:
-    """One horizon problem bound once: start state, field schedule, inertia, weights."""
+    """One horizon problem bound once: start state, field schedule, inertia, weights.
+
+    `evaluate` rolls a control sequence out once and returns its cost with a
+    record of the rollout; `grad` sweeps the adjoint backward over such a
+    record, so the gradient at an evaluated point needs no second rollout.
+    """
 
     def __init__(
         self,
@@ -298,59 +328,59 @@ class _Problem:
         self.h = cfg.ts / substeps
         self.weights = _weights(cfg)
 
-    def rollout(self, controls: list[tuple], record: bool = False):
+    def rollout(self, controls: list[tuple]):
         """Predict over the horizon with each control held for one interval.
 
-        Returns the p+1 interval-end states (index 0 is the start state) and,
-        when `record` is set, the tape: per interval, the `_rk4_stages` result
-        of every substep (None otherwise; keeping it costs ~8% on cost-only
-        evaluations).
+        Returns the p+1 interval-end states (index 0 is the start state) and
+        the tape: per interval, the `_rk4_stages` result of every substep.
         """
         inertia, h = self.inertia, self.h
         x = self.x0
         states = [x]
-        tape = [] if record else None
+        tape = []
         for k, (mk, b) in enumerate(zip(controls, self.b_list)):
-            if record:
-                records = []
-                for _ in range(self.substeps):
-                    rec = _rk4_stages(x, mk, b, inertia, h)
-                    records.append(rec)
-                    x = rec[0]
-                tape.append(records)
-            else:
-                for _ in range(self.substeps):
-                    x = _rk4_stages(x, mk, b, inertia, h)[0]
+            records = []
+            for _ in range(self.substeps):
+                rec = _rk4_stages(x, mk, b, inertia, h)
+                records.append(rec)
+                x = rec[0]
             if not all(math.isfinite(v) for v in x):
                 t_fail = self.t0 + (k + 1) * self.ts
                 raise IntegrationDivergedError(
                     f"prediction became non-finite at t={t_fail}", t=t_fail
                 )
             states.append(x)
+            tape.append(records)
         return states, tape
 
-    def cost(self, u: np.ndarray) -> float:
+    def evaluate(self, u: np.ndarray):
+        """Cost of a control sequence and the record `(controls, states, tape)` of its rollout."""
         controls = _controls(u)
-        states, _ = self.rollout(controls)
-        return _horizon_cost(states[1:], controls, self.ts, self.weights)
+        states, tape = self.rollout(controls)
+        cost = _horizon_cost(states[1:], controls, self.ts, self.weights)
+        return cost, (controls, states, tape)
 
-    def cost_grad(self, u: np.ndarray):
-        """Cost and its exact gradient w.r.t. the 3p control components (flat).
+    def grad(self, record) -> np.ndarray:
+        """Exact cost gradient w.r.t. the 3p control components (flat) at an evaluated point.
 
         The gradient is the derivative of the discretized cost: one adjoint
-        vector is swept backward through the rollout's tape.
+        vector is swept backward through the tape in `record`.
         """
-        controls = _controls(u)
-        states, tape = self.rollout(controls, record=True)
-        cost = _horizon_cost(states[1:], controls, self.ts, self.weights)
+        controls, states, tape = record
         xref, q_diag, r_diag = self.weights
         two_ts = 2.0 * self.ts
         grad = np.zeros(3 * len(controls))
         lam = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         for k in range(len(controls) - 1, -1, -1):
             mk, b, xe = controls[k], self.b_list[k], states[k + 1]
-            lam = tuple(
-                lam[i] + two_ts * q_diag[i] * (xe[i] - xref[i]) for i in range(7)
+            lam = (
+                lam[0] + two_ts * q_diag[0] * (xe[0] - xref[0]),
+                lam[1] + two_ts * q_diag[1] * (xe[1] - xref[1]),
+                lam[2] + two_ts * q_diag[2] * (xe[2] - xref[2]),
+                lam[3] + two_ts * q_diag[3] * (xe[3] - xref[3]),
+                lam[4] + two_ts * q_diag[4] * (xe[4] - xref[4]),
+                lam[5] + two_ts * q_diag[5] * (xe[5] - xref[5]),
+                lam[6] + two_ts * q_diag[6] * (xe[6] - xref[6]),
             )
             gx = gy = gz = 0.0
             for rec in reversed(tape[k]):
@@ -362,7 +392,7 @@ class _Problem:
             grad[col] = gx + two_ts * r_diag[0] * mk[0]
             grad[col + 1] = gy + two_ts * r_diag[1] * mk[1]
             grad[col + 2] = gz + two_ts * r_diag[2] * mk[2]
-        return cost, grad
+        return grad
 
 
 def predict(
@@ -417,8 +447,8 @@ def gradient(
     """Exact gradient of the cost w.r.t. the 3p control components, shape (p, 3)."""
     if len(seq) != cfg.horizon:
         raise ValueError(f"sequence length {len(seq)} does not match horizon {cfg.horizon}")
-    _, grad = _Problem(x0, t0, field_at, cfg, inertia, substeps).cost_grad(seq.dipoles)
-    return grad.reshape(cfg.horizon, 3)
+    prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
+    return prob.grad(prob.evaluate(seq.dipoles)[1]).reshape(cfg.horizon, 3)
 
 
 def _converged(u: np.ndarray, grad: np.ndarray, cost: float, u_max: float) -> bool:
@@ -466,17 +496,19 @@ def solve(
     """Minimize the horizon cost over the box-constrained dipole sequence.
 
     One scan scores the start candidates in order: the all-zero sequence, the
-    warm start (when given) and a few deterministic magnetic-control
-    heuristics. The cheapest wins, the earliest on ties, so the returned cost
-    never exceeds the zero or warm-start cost. Projected gradient descent
-    with Barzilai-Borwein steps and Armijo backtracking runs from it until
-    the projected-gradient norm drops below 1e-8 * (1 + |J|); stopping on
-    the MAX_ITERATIONS cap, a stall or a failed line search sets the
-    degraded flag instead.
+    warm start (when given) and those deterministic magnetic-control
+    heuristics that differ from every earlier candidate. The cheapest wins,
+    the earliest on ties, so the returned cost never exceeds the zero or
+    warm-start cost. Projected gradient descent with Barzilai-Borwein steps
+    and Armijo backtracking runs from it until the projected-gradient norm
+    drops below 1e-8 * (1 + |J|); stopping on the MAX_ITERATIONS cap, a
+    stall or a failed line search sets the degraded flag instead. Every
+    candidate and trial is rolled out once; the gradient at the winning
+    start and at each accepted trial comes from that rollout's tape.
     """
     p, u_max = cfg.horizon, cfg.u_max
     prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
-    cost_of, cost_grad_of = prob.cost, prob.cost_grad
+    evaluate, grad_of = prob.evaluate, prob.grad
 
     starts = [np.zeros(3 * p)]
     if warm is not None:
@@ -486,13 +518,24 @@ def solve(
         if np.max(np.abs(w)) > u_max:
             raise ValueError("warm start violates the dipole bound")
         starts.append(w)
-    starts += _heuristic_candidates(x0, prob.b_list[0], cfg)
-    costs = [cost_of(start) for start in starts]
-    best_cost = min(costs)
-    best_u = starts[costs.index(best_cost)]
+    # gains that saturate the box give the same sequence; score it once
+    seen = {tuple(start.tolist()) for start in starts}
+    for start in _heuristic_candidates(x0, prob.b_list[0], cfg):
+        key = tuple(start.tolist())
+        if key not in seen:
+            seen.add(key)
+            starts.append(start)
+    # the same choice as min(): the earliest cheapest start wins; only its
+    # record is kept, for the first gradient
+    costs = []
+    for start in starts:
+        c, rec = evaluate(start)
+        costs.append(c)
+        if len(costs) == 1 or c < best_cost:
+            best_cost, best_u, best_rec = c, start, rec
 
     u = best_u.copy()
-    cost, grad = cost_grad_of(u)
+    cost, grad = best_cost, grad_of(best_rec)
     converged = _converged(u, grad, cost, u_max)
     gmax = float(np.max(np.abs(grad)))
     alpha = u_max / gmax if gmax > 0.0 else 1.0
@@ -507,7 +550,7 @@ def solve(
             if not np.any(d):
                 break  # every direction pinned by the box
             gd = float(grad @ d)
-            new_cost = cost_of(u_new)
+            new_cost, new_rec = evaluate(u_new)
             if new_cost <= cost + ARMIJO_C1 * gd:
                 accepted = True
                 break
@@ -516,7 +559,7 @@ def solve(
             break
         prev_u, prev_grad, prev_cost = u, grad, cost
         u = u_new
-        cost, grad = cost_grad_of(u)
+        cost, grad = new_cost, grad_of(new_rec)
         if cost < best_cost:
             best_u, best_cost = u.copy(), cost
         converged = _converged(u, grad, cost, u_max)

@@ -424,9 +424,15 @@ def load_config(source: str | Path) -> ScenarioConfig:
     if not path.is_file():
         raise ConfigError(f"no such config file or preset: {source!r}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{source}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past Python's int-conversion digit limit, or
+        # nesting deeper than the decoder's recursion limit
+        raise ConfigError(f"{source}: unreadable JSON: {exc}") from exc
     return scenario_from_dict(doc, name=path.stem)
 
 

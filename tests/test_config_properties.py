@@ -1,17 +1,21 @@
-"""Property test of the config boundary: bad input only ever raises ConfigError.
+"""Property tests of the config boundary: bad input only ever raises ConfigError,
+and `ScenarioConfig.steps` agrees with exact rational arithmetic.
 
 Needs `hypothesis` (the `[test]` extra); skipped without it. Derandomized and
 without an example database, so every run draws the same examples.
 """
 
+import math
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from magsat import ConfigError, presets  # noqa: E402
-from magsat.scenario import scenario_from_dict  # noqa: E402
+from magsat.scenario import MAX_STEPS, scenario_from_dict  # noqa: E402
 
 
 def preset_document() -> dict:
@@ -54,3 +58,39 @@ def test_single_key_replacement_raises_only_config_error(path, value):
         scenario_from_dict(doc)
     except ConfigError:
         pass
+
+
+def config_with(duration: float, ts: float):
+    doc = preset_document()
+    doc["duration"] = duration
+    doc["mpc"]["ts"] = ts
+    return scenario_from_dict(doc)
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=2**12),
+    j=st.integers(min_value=0, max_value=12),
+    n=st.integers(min_value=1, max_value=MAX_STEPS),
+)
+def test_steps_counts_exact_dyadic_multiples(k, j, n):
+    ts = k * 2.0**-j
+    duration = n * ts
+    assume(Fraction(duration) == n * Fraction(ts))  # n*ts is exactly representable
+    assert config_with(duration, ts).steps == n
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(
+    ts=st.floats(min_value=1e-3, max_value=100.0),
+    quotient=st.floats(min_value=1.0, max_value=float(MAX_STEPS)),
+)
+def test_steps_floors_the_exact_quotient(ts, quotient):
+    duration = quotient * ts
+    exact = Fraction(duration) / Fraction(ts)
+    assume(1 <= exact <= MAX_STEPS)
+    # `steps` adds a relative slack of 1e-9, so away from an integer means
+    # at least 1e-6 and at least twice that slack
+    gap = min(exact - math.floor(exact), math.ceil(exact) - exact)
+    assume(gap >= max(Fraction(1, 10**6), 2 * Fraction(1, 10**9) * exact))
+    assert config_with(duration, ts).steps == math.floor(exact)

@@ -12,7 +12,9 @@ from magsat import (
     DipoleCommand,
     MpcConfig,
 )
+from magsat import controller
 from magsat.controller import shift_warm_start
+from magsat.scenario import load_config
 
 
 @pytest.fixture(scope="module")
@@ -374,3 +376,35 @@ def test_solve_warm_start_chain(field_at, detumble_cfg, table_inertia):
             assert res.cost <= res.warm_cost
         state = ms.propagate(state, res.command, field_at, t, 2.0, 20, table_inertia)
         warm = shift_warm_start(res.sequence)
+
+
+# --- one rollout per evaluated point ----------------------------------------------------
+
+def test_solve_rolls_out_each_sequence_once(monkeypatch):
+    # each evaluated point keeps its tape: the first gradient comes from the
+    # winning start's rollout and every later one from the accepted trial's
+    cfg = load_config("attitude-paper")
+    seen = []
+    rollout = controller._Problem.rollout
+
+    def spy(self, controls):
+        seen.append(np.array(controls).tobytes())
+        return rollout(self, controls)
+
+    monkeypatch.setattr(controller._Problem, "rollout", spy)
+    res = ms.solve(cfg.x0, 0.0, ms.field_function(cfg.elements), cfg.mpc, cfg.inertia)
+    assert res.iterations > 0  # accepted line-search trials were rolled out
+    assert len(seen) > res.iterations
+    assert len(set(seen)) == len(seen)
+
+
+def test_gradient_is_grad_of_evaluate_record(field_at, table_inertia):
+    rng = np.random.default_rng(107)
+    x0, cfg, t0 = random_instance(rng, horizon=3)
+    seq = ControlSequence(rng.uniform(-0.09, 0.09, size=(3, 3)))
+    prob = controller._Problem(x0, t0, field_at, cfg, table_inertia, 5)
+    cost, record = prob.evaluate(seq.dipoles)
+    traj = ms.predict(x0, seq, field_at, t0, cfg, table_inertia, substeps=5)
+    assert cost == ms.total_cost(traj, seq, cfg)
+    g = ms.gradient(x0, seq, t0, field_at, cfg, table_inertia, substeps=5)
+    np.testing.assert_array_equal(g, prob.grad(record).reshape(3, 3))

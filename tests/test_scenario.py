@@ -224,6 +224,29 @@ def test_cli_integer_beyond_float_range_exits_2(tmp_path, capsys):
     assert "duration" in capsys.readouterr().err
 
 
+def test_cli_integer_past_digit_limit_exits_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError past Python's int-conversion limit
+    path = tmp_path / "digits.json"
+    path.write_text('{"duration": 1' + "0" * 5000 + "}")
+    assert main(["run", str(path)]) == 2
+    assert "digits.json" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["run", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_cli_deeply_nested_config_exits_2(tmp_path, capsys):
+    # nesting past the decoder's recursion limit raises RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["run", str(path)]) == 2
+    assert "deep.json" in capsys.readouterr().err
+
+
 def test_config_work_limits_are_inclusive():
     doc = short_config(duration=MAX_STEPS * 2.0, substeps=MAX_SUBSTEPS)
     doc["mpc"]["horizon"] = MAX_HORIZON
