@@ -7,6 +7,8 @@
 Exit status: 0 on success, 2 on configuration errors, 3 on integration
 blow-up, 4 on a solver contract violation (a solve costing more than the zero
 or warm-start sequence). On 3 and 4 the rows logged so far are still written.
+A missing directory for the CSV or summary path is a configuration error,
+reported before the run.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+from pathlib import Path
 from typing import Optional
 
 from . import presets
 from .errors import ConfigError, IntegrationDivergedError, SolverContractError
-from .scenario import RunLog, load_config, run_scenario, summarize, with_overrides
+from .scenario import load_config, run_scenario, summarize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,13 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(log: RunLog, path: Optional[str]) -> None:
-    if path is None:
-        sys.stdout.write(log.to_csv())
-    else:
-        log.write_csv(path)
-
-
 def _print_summary(summary: dict) -> None:
     settle = summary["settle_time_s"]
     settle_txt = "never" if settle is None else f"{settle:.1f} s"
@@ -73,34 +70,35 @@ def _print_summary(summary: dict) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    pwm = None if args.pwm is None else args.pwm == "on"
+    overrides = {"duration": args.duration, "pwm_enabled": pwm, "output_path": args.out}
     try:
         cfg = load_config(args.config)
-        pwm = None if args.pwm is None else (args.pwm == "on")
-        cfg = with_overrides(
-            cfg, duration=args.duration, pwm_enabled=pwm, output_path=args.out
-        )
+        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+        for path in (cfg.output_path, args.summary):
+            if path is not None and not Path(path).parent.is_dir():
+                raise ConfigError(f"the directory of {path!r} does not exist")
     except ConfigError as exc:
         print(f"magsat: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        log = run_scenario(cfg)
-    except IntegrationDivergedError as exc:
-        _write_csv(exc.partial_log, cfg.output_path)
-        print(f"magsat: integration diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except SolverContractError as exc:
-        _write_csv(exc.partial_log, cfg.output_path)
-        print(f"magsat: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
+        log, failure = run_scenario(cfg), None
+    except (IntegrationDivergedError, SolverContractError) as exc:
+        log, failure = exc.partial_log, exc
+    if cfg.output_path is None:
+        sys.stdout.write(log.to_csv())
+    else:
+        log.write_csv(cfg.output_path)
+    if failure is not None:
+        diverged = isinstance(failure, IntegrationDivergedError)
+        print(f"magsat: {'integration diverged: ' if diverged else ''}{failure}", file=sys.stderr)
+        return EXIT_DIVERGED if diverged else EXIT_CONTRACT
 
-    _write_csv(log, cfg.output_path)
     summary = summarize(log, cfg)
     _print_summary(summary)
     if args.summary is not None:
-        with open(args.summary, "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        Path(args.summary).write_text(json.dumps(summary, indent=2) + "\n")
     return EXIT_OK
 
 

@@ -1,17 +1,21 @@
-"""Closed-loop scenario runner: plant, field model, MPC and quantizer wired together.
+"""Scenario configs and the closed-loop runner (plant, field model, MPC and quantizer).
 
-Per controller step: sample the orbital-frame field, solve the MPC (warm
-started with the previous solution shifted by one), quantize the first
-control when the quantizer is enabled, hold that dipole over the sampling
-interval while the plant integrates, log a row. Runs are deterministic end
-to end; identical configs produce byte-identical CSV.
+`scenario_from_dict` and `load_config` turn a JSON config document or a
+built-in preset into a validated `ScenarioConfig`; every bad document raises
+`ConfigError`. Per controller step `run_scenario` samples the orbital-frame
+field, solves the MPC (warm started with the previous solution shifted by
+one), quantizes the first control when the quantizer is enabled, holds that
+dipole over the sampling interval while the plant integrates, and logs one
+row in CSV column order. Runs are deterministic end to end; identical configs
+produce byte-identical CSV.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -80,8 +84,12 @@ class ScenarioConfig:
 
     @property
     def steps(self) -> int:
-        """Whole sampling intervals in the duration; the slack makes 0.7 / 0.1 count as 7."""
-        return math.floor(self.duration / self.mpc.ts * (1.0 + 1e-9))
+        """Whole sampling intervals in the duration.
+
+        The slack absorbs only float rounding: 0.7 / 0.1 counts as 7, while
+        1999999.999 / 2 still counts as 999999.
+        """
+        return math.floor(self.duration / self.mpc.ts * (1.0 + 4 * sys.float_info.epsilon))
 
 
 @dataclass(frozen=True)
@@ -106,44 +114,30 @@ class RunLog:
         return self.t.shape[0]
 
     def to_csv(self) -> str:
+        floats = np.column_stack(
+            [self.t, self.q, self.omega, self.m_applied, self.m_raw, self.b_orbital, self.cost]
+        ).astype(float)
         lines = [CSV_HEADER]
-        for i in range(len(self)):
-            vals = [
-                self.t[i],
-                *self.q[i],
-                *self.omega[i],
-                *self.m_applied[i],
-                *self.m_raw[i],
-                *self.b_orbital[i],
-                self.cost[i],
-            ]
-            cells = [repr(float(v)) for v in vals]
-            cells.append("1" if self.degraded[i] else "0")
-            lines.append(",".join(cells))
+        for row, degraded in zip(floats.tolist(), self.degraded):
+            lines.append(",".join([*map(repr, row), "1" if degraded else "0"]))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path: str | Path) -> None:
         Path(path).write_text(self.to_csv())
 
 
-def _empty_rows() -> dict:
-    return {
-        "t": [], "q": [], "omega": [], "m_applied": [],
-        "m_raw": [], "b_orbital": [], "cost": [], "degraded": [],
-    }
-
-
-def _build_log(rows: dict) -> RunLog:
-    n = len(rows["t"])
+def _build_log(rows: list) -> RunLog:
+    """RunLog of rows (t, q, omega, m_applied, m_raw, B, J, degraded), 19 floats each."""
+    a = np.array(rows, dtype=float).reshape(len(rows), 19)
     return RunLog(
-        t=np.array(rows["t"], dtype=float),
-        q=np.array(rows["q"], dtype=float).reshape(n, 4),
-        omega=np.array(rows["omega"], dtype=float).reshape(n, 3),
-        m_applied=np.array(rows["m_applied"], dtype=float).reshape(n, 3),
-        m_raw=np.array(rows["m_raw"], dtype=float).reshape(n, 3),
-        b_orbital=np.array(rows["b_orbital"], dtype=float).reshape(n, 3),
-        cost=np.array(rows["cost"], dtype=float),
-        degraded=np.array(rows["degraded"], dtype=bool),
+        t=a[:, 0],
+        q=a[:, 1:5],
+        omega=a[:, 5:8],
+        m_applied=a[:, 8:11],
+        m_raw=a[:, 11:14],
+        b_orbital=a[:, 14:17],
+        cost=a[:, 17],
+        degraded=a[:, 18] != 0.0,
     )
 
 
@@ -156,7 +150,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     field_at = field_function(cfg.elements)
     state = cfg.x0
     warm: Optional[ControlSequence] = None
-    rows = _empty_rows()
+    rows = []
     try:
         for k in range(cfg.steps):
             t = k * cfg.mpc.ts
@@ -173,14 +167,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
             m_applied = (
                 quantize_vector(m_raw, cfg.mpc.u_max) if cfg.pwm_enabled else m_raw
             )
-            rows["t"].append(t)
-            rows["q"].append(state.q.copy())
-            rows["omega"].append(state.omega.copy())
-            rows["m_applied"].append(m_applied.m.copy())
-            rows["m_raw"].append(m_raw.m.copy())
-            rows["b_orbital"].append(b_orb.b.copy())
-            rows["cost"].append(res.cost)
-            rows["degraded"].append(res.degraded)
+            rows.append((
+                t, *state.q, *state.omega, *m_applied.m, *m_raw.m, *b_orb.b,
+                res.cost, res.degraded,
+            ))
             state = propagate(
                 state, m_applied, field_at, t, cfg.mpc.ts, cfg.substeps, cfg.inertia
             )
@@ -254,17 +244,21 @@ _TOP_KEYS = {
 }
 _MPC_KEYS = {"q_diag", "r_diag", "horizon", "ts", "u_max", "x_ref"}
 _STATE_KEYS = {"q", "omega", "omega_deg"}
-_INERTIA_KEYS = {"ix", "iy", "iz"}
+_INERTIA_KEYS = ("ix", "iy", "iz")  # InertiaTensor argument order
 _ELEMENT_ANGLES = ("i", "raan", "argp", "mean_anomaly")
 _ELEMENT_KEYS = {"a_km", "e"} | {
     k for base in _ELEMENT_ANGLES for k in (base, f"{base}_deg")
 }
+_RAD_PER_DEG = math.pi / 180.0  # the factor math.radians and np.radians apply
 
 
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    unknown = set(d) - allowed
+def _object(value, allowed, where: str, what: str = "an object") -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be {what}")
+    unknown = set(value).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    return value
 
 
 def _require(d: dict, key: str, where: str):
@@ -285,100 +279,87 @@ def _number(value, where: str) -> float:
     return x
 
 
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer")
+    return value
+
+
 def _vector(value, n: int, where: str) -> np.ndarray:
     if not isinstance(value, (list, tuple)) or len(value) != n:
         raise ConfigError(f"{where} must be a list of {n} numbers")
     return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
 
-def _angle_rad(d: dict, base: str, where: str) -> float:
+def _read(d: dict, key: str, where: str, n: Optional[int] = None):
+    """Required key of section `where` as a number, or as a list of n numbers when n is given."""
+    value = _require(d, key, where)
+    return _number(value, f"{where}.{key}") if n is None else _vector(value, n, f"{where}.{key}")
+
+
+def _angle(d: dict, base: str, where: str, n: Optional[int] = None):
+    """The radian key `base` or its `_deg` twin, never both, read in radians."""
     deg_key = f"{base}_deg"
     if base in d and deg_key in d:
         raise ConfigError(f"{where} sets both {base!r} and {deg_key!r}")
-    if base in d:
-        return _number(d[base], f"{where}.{base}")
-    if deg_key in d:
-        return math.radians(_number(d[deg_key], f"{where}.{deg_key}"))
-    raise ConfigError(f"missing key {base!r} (or {deg_key!r}) in {where}")
+    key = deg_key if deg_key in d else base
+    if key not in d:
+        raise ConfigError(f"missing key {base!r} (or {deg_key!r}) in {where}")
+    value = _read(d, key, where, n)
+    return value * _RAD_PER_DEG if key == deg_key else value
+
+
+def _validated(where: str, build):
+    """build(), with a validated type's ValueError reported as a ConfigError of `where`."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_elements(value, where: str = "elements") -> OrbitalElements:
     if isinstance(value, str):
-        if value in presets.ELEMENT_PRESETS:
-            value = presets.get_element_preset(value)
-        else:
+        if value not in presets.ELEMENT_PRESETS:
             raise ConfigError(f"unknown elements preset {value!r}")
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a preset name or an object")
-    _reject_unknown(value, _ELEMENT_KEYS, where)
-    try:
-        return OrbitalElements(
-            a_km=_number(_require(value, "a_km", where), f"{where}.a_km"),
-            e=_number(_require(value, "e", where), f"{where}.e"),
-            inclination=_angle_rad(value, "i", where),
-            raan=_angle_rad(value, "raan", where),
-            argp=_angle_rad(value, "argp", where),
-            mean_anomaly=_angle_rad(value, "mean_anomaly", where),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        value = presets.get_element_preset(value)
+    d = _object(value, _ELEMENT_KEYS, where, "a preset name or an object")
+    return _validated(where, lambda: OrbitalElements(
+        a_km=_read(d, "a_km", where),
+        e=_read(d, "e", where),
+        inclination=_angle(d, "i", where),
+        raan=_angle(d, "raan", where),
+        argp=_angle(d, "argp", where),
+        mean_anomaly=_angle(d, "mean_anomaly", where),
+    ))
 
 
 def _parse_state(value, where: str) -> tuple[np.ndarray, np.ndarray]:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object with 'q' and 'omega'")
-    _reject_unknown(value, _STATE_KEYS, where)
-    q = _vector(_require(value, "q", where), 4, f"{where}.q")
-    if "omega" in value and "omega_deg" in value:
-        raise ConfigError(f"{where} sets both 'omega' and 'omega_deg'")
-    if "omega_deg" in value:
-        omega = np.radians(_vector(value["omega_deg"], 3, f"{where}.omega_deg"))
-    else:
-        omega = _vector(_require(value, "omega", where), 3, f"{where}.omega")
-    return q, omega
+    d = _object(value, _STATE_KEYS, where, "an object with 'q' and 'omega'")
+    return _read(d, "q", where, n=4), _angle(d, "omega", where, n=3)
 
 
 def _parse_inertia(value, where: str = "inertia") -> InertiaTensor:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object with ix, iy, iz")
-    _reject_unknown(value, _INERTIA_KEYS, where)
-    try:
-        return InertiaTensor(
-            ix=_number(_require(value, "ix", where), f"{where}.ix"),
-            iy=_number(_require(value, "iy", where), f"{where}.iy"),
-            iz=_number(_require(value, "iz", where), f"{where}.iz"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    d = _object(value, _INERTIA_KEYS, where, "an object with ix, iy, iz")
+    return _validated(where, lambda: InertiaTensor(*(_read(d, k, where) for k in _INERTIA_KEYS)))
 
 
 def _parse_mpc(value, where: str = "mpc") -> MpcConfig:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object")
-    _reject_unknown(value, _MPC_KEYS, where)
-    q_ref, omega_ref = _parse_state(_require(value, "x_ref", where), f"{where}.x_ref")
-    horizon = _require(value, "horizon", where)
-    if isinstance(horizon, bool) or not isinstance(horizon, int):
-        raise ConfigError(f"{where}.horizon must be an integer")
-    try:
-        x_ref = AttitudeState(q=q_ref, omega=omega_ref)
-        return MpcConfig(
-            q_diag=_vector(_require(value, "q_diag", where), 7, f"{where}.q_diag"),
-            r_diag=_vector(_require(value, "r_diag", where), 3, f"{where}.r_diag"),
-            horizon=horizon,
-            ts=_number(_require(value, "ts", where), f"{where}.ts"),
-            u_max=_number(_require(value, "u_max", where), f"{where}.u_max"),
-            x_ref=x_ref,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    d = _object(value, _MPC_KEYS, where)
+    q_ref, omega_ref = _parse_state(_require(d, "x_ref", where), f"{where}.x_ref")
+    horizon = _integer(_require(d, "horizon", where), f"{where}.horizon")
+    return _validated(where, lambda: MpcConfig(
+        q_diag=_read(d, "q_diag", where, n=7),
+        r_diag=_read(d, "r_diag", where, n=3),
+        horizon=horizon,
+        ts=_read(d, "ts", where),
+        u_max=_read(d, "u_max", where),
+        x_ref=AttitudeState(q=q_ref, omega=omega_ref),
+    ))
 
 
 def scenario_from_dict(d: dict, name: str = "") -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a parsed config document."""
-    if not isinstance(d, dict):
-        raise ConfigError("config document must be a JSON object")
-    _reject_unknown(d, _TOP_KEYS, "config")
+    d = _object(d, _TOP_KEYS, "config", "a JSON object")
     elements = _parse_elements(_require(d, "elements", "config"))
     inertia = _parse_inertia(_require(d, "inertia", "config"))
     mpc = _parse_mpc(_require(d, "mpc", "config"))
@@ -390,9 +371,7 @@ def scenario_from_dict(d: dict, name: str = "") -> ScenarioConfig:
     pwm = d.get("pwm", False)
     if not isinstance(pwm, bool):
         raise ConfigError("'pwm' must be a boolean")
-    substeps = d.get("substeps", 20)
-    if isinstance(substeps, bool) or not isinstance(substeps, int):
-        raise ConfigError("'substeps' must be an integer")
+    substeps = _integer(d.get("substeps", 20), "substeps")
     output = d.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("'output' must be a string path or null")
@@ -434,20 +413,3 @@ def load_config(source: str | Path) -> ScenarioConfig:
         # nesting deeper than the decoder's recursion limit
         raise ConfigError(f"{source}: unreadable JSON: {exc}") from exc
     return scenario_from_dict(doc, name=path.stem)
-
-
-def with_overrides(
-    cfg: ScenarioConfig,
-    duration: Optional[float] = None,
-    pwm_enabled: Optional[bool] = None,
-    output_path: Optional[str] = None,
-) -> ScenarioConfig:
-    """Apply CLI-style overrides, re-running validation."""
-    changes = {}
-    if duration is not None:
-        changes["duration"] = duration
-    if pwm_enabled is not None:
-        changes["pwm_enabled"] = pwm_enabled
-    if output_path is not None:
-        changes["output_path"] = output_path
-    return replace(cfg, **changes) if changes else cfg

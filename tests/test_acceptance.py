@@ -5,6 +5,7 @@ conftest) and asserts its gate. The closed-loop fixtures run the shipped
 presets end to end, so this module is the slow part of the suite.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -30,7 +31,6 @@ from magsat.scenario import (
     run_scenario,
     settle_time,
     summarize,
-    with_overrides,
 )
 
 SETTLE_CLEAN_S = 25.0 * 60.0
@@ -47,7 +47,7 @@ def detumble_run():
 
 @pytest.fixture(scope="module")
 def detumble_run_nopwm():
-    cfg = with_overrides(load_config("detumble-paper"), pwm_enabled=False)
+    cfg = dataclasses.replace(load_config("detumble-paper"), pwm_enabled=False)
     return cfg, run_scenario(cfg)
 
 

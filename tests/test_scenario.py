@@ -22,7 +22,6 @@ from magsat.scenario import (
     scenario_from_dict,
     settle_time,
     summarize,
-    with_overrides,
 )
 
 
@@ -271,21 +270,21 @@ def test_config_rejects_unbounded_work(path, value, match):
         scenario_from_dict(doc)
 
 
-def test_with_overrides_rejects_unbounded_duration():
+def test_replace_rejects_unbounded_duration():
     cfg = scenario_from_dict(short_config())
     with pytest.raises(ConfigError, match="duration"):
-        with_overrides(cfg, duration=1e15)
+        dataclasses.replace(cfg, duration=1e15)
     with pytest.raises(ConfigError, match="duration"):
-        with_overrides(cfg, duration=(MAX_STEPS + 1) * cfg.mpc.ts)
+        dataclasses.replace(cfg, duration=(MAX_STEPS + 1) * cfg.mpc.ts)
 
 
-def test_with_overrides_validates():
+def test_replace_revalidates():
     cfg = scenario_from_dict(short_config())
-    assert with_overrides(cfg).duration == 20.0
-    assert with_overrides(cfg, duration=40.0).duration == 40.0
-    assert with_overrides(cfg, pwm_enabled=True).pwm_enabled
+    assert dataclasses.replace(cfg).duration == 20.0
+    assert dataclasses.replace(cfg, duration=40.0).duration == 40.0
+    assert dataclasses.replace(cfg, pwm_enabled=True).pwm_enabled
     with pytest.raises(ConfigError):
-        with_overrides(cfg, duration=0.5)
+        dataclasses.replace(cfg, duration=0.5)
 
 
 # --- closed loop ------------------------------------------------------------------------
@@ -333,7 +332,7 @@ def test_readme_solve_example_matches_the_loop():
     # solves the same problem as step 0 of the closed loop
     cfg = load_config("detumble-paper")
     res = solve(cfg.x0, 0.0, field_function(cfg.elements), cfg.mpc, cfg.inertia)
-    log = run_scenario(with_overrides(cfg, duration=cfg.mpc.ts))
+    log = run_scenario(dataclasses.replace(cfg, duration=cfg.mpc.ts))
     assert res.cost == log.cost[0]
     np.testing.assert_array_equal(res.command.m, log.m_raw[0])
 
@@ -351,7 +350,7 @@ PRESET_CSV_SHA256 = {
 
 def test_preset_csv_bytes_are_stable():
     for (name, duration), digest in PRESET_CSV_SHA256.items():
-        log = run_scenario(with_overrides(load_config(name), duration=duration))
+        log = run_scenario(dataclasses.replace(load_config(name), duration=duration))
         assert hashlib.sha256(log.to_csv().encode()).hexdigest() == digest, name
 
 
@@ -520,6 +519,32 @@ def test_cli_invalid_config_file_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(short_config(duration=0.5)))
     assert main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("duration", ["1e15", "1"])
+def test_cli_duration_override_beyond_limits_exits_2(duration, capsys):
+    # past MAX_STEPS sampling intervals, and below one 2 s interval
+    assert main(["run", "detumble-paper", "--duration", duration]) == 2
+    assert "duration" in capsys.readouterr().err
+
+
+def test_cli_missing_output_directory_exits_2_before_running(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("magsat.cli.run_scenario", None)  # must not be reached
+    out_csv = tmp_path / "absent" / "run.csv"
+    assert main(["run", "detumble-paper", "--duration", "4", "--out", str(out_csv)]) == 2
+    assert "absent" in capsys.readouterr().err
+    assert not out_csv.parent.exists()
+
+
+def test_cli_missing_summary_directory_exits_2_before_running(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("magsat.cli.run_scenario", None)  # must not be reached
+    out_csv = tmp_path / "run.csv"
+    out_json = tmp_path / "absent" / "summary.json"
+    code = main(["run", "detumble-paper", "--duration", "4", "--out", str(out_csv),
+                 "--summary", str(out_json)])
+    assert code == 2
+    assert "absent" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_cli_blowup_exits_3_with_partial_csv(tmp_path, capsys):
