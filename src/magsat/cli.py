@@ -7,8 +7,8 @@
 Exit status: 0 on success, 2 on configuration errors, 3 on integration
 blow-up, 4 on a solver contract violation (a solve costing more than the zero
 or warm-start sequence). On 3 and 4 the rows logged so far are still written.
-A missing directory for the CSV or summary path is a configuration error,
-reported before the run.
+A CSV or summary path whose directory is missing, or that names an existing
+directory, is a configuration error, reported before the run.
 """
 
 from __future__ import annotations
@@ -76,8 +76,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cfg = load_config(args.config)
         cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         for path in (cfg.output_path, args.summary):
-            if path is not None and not Path(path).parent.is_dir():
+            if path is None:
+                continue
+            if not Path(path).parent.is_dir():
                 raise ConfigError(f"the directory of {path!r} does not exist")
+            if Path(path).is_dir():
+                raise ConfigError(f"{path!r} is a directory, not a file path")
     except ConfigError as exc:
         print(f"magsat: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,18 +11,25 @@ componentwise quaternion difference - no double-cover correction), and
 minimizes it over the dipole sequence subject to the per-axis box
 |m_i| <= u_max.
 
-The optimizer is projected gradient descent with spectral (Barzilai-Borwein)
-step lengths and a backtracking Armijo line search. The all-zero sequence
-and the warm start are always evaluated as candidates, and the returned
-sequence is never worse than either of them. Gradients are exact derivatives
-of the discrete prediction, computed in reverse mode: an adjoint 7-vector is
-pulled backward through the same RK4 stages (and the quaternion
-renormalization) that generated the trajectory.
+The cost is a sum of squares, J = r'r with the residual
+
+    r = [sqrt(Ts Q) (x_k - x_ref) for k=1..p ; sqrt(Ts R) u_k for k=0..p-1],
+
+so the optimizer is box-constrained Gauss-Newton with Levenberg-Marquardt
+damping. The residual Jacobian comes from forward sensitivities: the
+Jacobians of the right-hand side at every recorded RK4 stage are built in one
+vectorized pass, composed into each substep's Jacobian (including the
+quaternion renormalization) and chained over the substeps and intervals into
+the state Jacobian dx/du. The gradient is 2 J'r and the Gauss-Newton Hessian
+2 J'J. Each step minimizes the damped quadratic model exactly over the box
+with a primal active-set method, and is accepted by an Armijo test on the
+true cost. The all-zero sequence and the warm start are always evaluated as
+candidates, and the returned sequence is never worse than either of them.
 
 Each control sequence the solver evaluates is rolled out once, and the
-rollout keeps its tape (the recorded RK4 stages). The gradient at an
-accepted point - the winning start candidate or an accepted line-search
-trial - is pulled from that point's own tape, so no point is rolled out twice.
+rollout keeps its tape (the recorded RK4 stages). The Jacobian at an accepted
+point - the winning start candidate or an accepted trial - is built from that
+point's own tape, so no point is rolled out twice.
 
 Everything here is deterministic: identical inputs produce identical
 outputs, bit for bit.
@@ -52,18 +59,13 @@ from .orbit import FieldSample
 # differs by at most 2.0e-10 relative on detumble (Ts 2 s) and 1.1e-6 on the
 # attitude slew (Ts 30 s), at a quarter of the per-solve work.
 PREDICTION_SUBSTEPS = 5
-MAX_ITERATIONS = 200
+MAX_ITERATIONS = 50
 CONVERGENCE_RTOL = 1e-8
 ARMIJO_C1 = 1e-4
-MAX_BACKTRACKS = 60
-# Futility guard: with the tiny control weights used here the cost surface
-# has near-flat directions (condition number ~1e7), and the projected
-# gradient can plateau a few times above the convergence tolerance while
-# accepted steps improve the cost only at the 1e-11 relative level. Stop
-# once that many consecutive iterations gain less than STALL_RTOL relative;
-# the result still carries the degraded flag since the tolerance was not met.
-STALL_RTOL = 1e-10
-STALL_ITERATIONS = 10
+MAX_BACKTRACKS = 60  # rejected trials (damping increases) per iteration
+# Levenberg-Marquardt damping: the step's model Hessian is H + lam * diag(H).
+# Every solve starts lam here; it then follows Nielsen's update.
+_DAMPING0 = 1e-3
 
 
 @dataclass(frozen=True)
@@ -139,9 +141,9 @@ class SolveResult:
     """Outcome of one receding-horizon solve.
 
     `degraded` is set when the optimizer stopped without certifying the
-    projected-gradient tolerance (iteration cap or a stalled line search);
-    the result is still the best candidate found and still satisfies the
-    zero/warm-start dominance contract.
+    projected-gradient tolerance (iteration cap, or no trial step passed the
+    Armijo test); the result is still the cheapest point found and still
+    satisfies the zero/warm-start dominance contract.
     """
 
     command: DipoleCommand
@@ -159,109 +161,82 @@ def shift_warm_start(seq: ControlSequence) -> ControlSequence:
     return ControlSequence(np.vstack([d[1:], d[-1:]]))
 
 
-def _stage_vjp(x: tuple, m: tuple, b: tuple, inertia: tuple, v: tuple):
-    """Vector-Jacobian products of the right-hand side at one RK4 stage.
+def _stage_jacobians(xs: np.ndarray, m: np.ndarray, b: np.ndarray, inertia: tuple) -> np.ndarray:
+    """Jacobians [df/dx | df/dm] of the right-hand side, shape (..., 7, 10).
 
-    Given the adjoint vector v, returns (df/dx)^T v and (df/du)^T v in scalar
-    math. The quaternion feeds back into the torque through the body-frame
-    field, so the quaternion rows pick up field-derivative terms whenever the
-    dipole command is nonzero.
+    xs holds stage states (..., 7); m and b (dipole and orbital-frame field,
+    (..., 3)) broadcast against them. The quaternion feeds back into the
+    torque through the body-frame field, so the rate rows pick up
+    field-derivative terms whenever the dipole is nonzero.
     """
-    q1, q2, q3, q4, wx, wy, wz = x
-    mx, my, mz = m
-    bx, by, bz = b
+    q1, q2, q3, q4, wx, wy, wz = (xs[..., i] for i in range(7))
+    mx, my, mz = (m[..., i] for i in range(3))
+    bx, by, bz = (b[..., i] for i in range(3))
     ix, iy, iz = inertia
-    vq1, vq2, vq3, vq4, vw1, vw2, vw3 = v
-    f1, f2, f3 = body_field((q1, q2, q3, q4), b)
-    # quaternion partials of the body-frame field (d f_i / d q_j, aliased rows)
-    dva = 2.0 * (q1 * bx + q2 * by + q3 * bz)    # df1/dq1 = df2/dq2 = df3/dq3
+    v1, v2, v3 = body_field((q1, q2, q3, q4), (bx, by, bz))
+    # quaternion partials of the body-frame field, dv[i][j] = d v_i / d q_j
+    dva = 2.0 * (q1 * bx + q2 * by + q3 * bz)
     dv12 = 2.0 * (-q2 * bx + q1 * by - q4 * bz)
-    dv13 = 2.0 * (-q3 * bx + q4 * by + q1 * bz)  # also df2/dq4
-    dv14 = 2.0 * (q4 * bx + q3 * by - q2 * bz)   # also df3/dq2
-    dv21 = 2.0 * (q2 * bx - q1 * by + q4 * bz)   # also df3/dq4
+    dv13 = 2.0 * (-q3 * bx + q4 * by + q1 * bz)
+    dv14 = 2.0 * (q4 * bx + q3 * by - q2 * bz)
+    dv21 = 2.0 * (q2 * bx - q1 * by + q4 * bz)
     dv23 = 2.0 * (-q4 * bx - q3 * by + q2 * bz)
     dv31 = 2.0 * (q3 * bx - q4 * by - q1 * bz)
-    # inertia-scaled angular-velocity adjoint and its cross products
-    sx = vw1 / ix
-    sy = vw2 / iy
-    sz = vw3 / iz
-    e1 = sy * mz - sz * my   # (s x m), contracts the torque's field dependence
-    e2 = sz * mx - sx * mz
-    e3 = sx * my - sy * mx
-    gx = (iy - iz) / ix
-    gy = (iz - ix) / iy
-    gz = (ix - iy) / iz
-    xbar = (
-        0.5 * (-wz * vq2 + wy * vq3 - wx * vq4) + dva * e1 + dv21 * e2 + dv31 * e3,
-        0.5 * (wz * vq1 - wx * vq3 - wy * vq4) + dv12 * e1 + dva * e2 + dv14 * e3,
-        0.5 * (-wy * vq1 + wx * vq2 - wz * vq4) + dv13 * e1 + dv23 * e2 + dva * e3,
-        0.5 * (wx * vq1 + wy * vq2 + wz * vq3) + dv14 * e1 + dv13 * e2 + dv21 * e3,
-        0.5 * (q4 * vq1 + q3 * vq2 - q2 * vq3 - q1 * vq4) + gy * wz * vw2 + gz * wy * vw3,
-        0.5 * (-q3 * vq1 + q4 * vq2 + q1 * vq3 - q2 * vq4) + gx * wz * vw1 + gz * wx * vw3,
-        0.5 * (q2 * vq1 - q1 * vq2 + q4 * vq3 - q3 * vq4) + gx * wy * vw1 + gy * wx * vw2,
-    )
-    ubar = (f2 * sz - f3 * sy, f3 * sx - f1 * sz, f1 * sy - f2 * sx)
-    return xbar, ubar
+    dv = ((dva, dv12, dv13, dv14), (dv21, dva, dv23, dv13), (dv31, dv14, dva, dv21))
+    jac = np.zeros(np.shape(q1) + (7, 10))
+    # kinematics: qdot = M(q) omega, whose entries are state components times +-1/2
+    half, neg = 0.5 * xs, -0.5 * xs
+    hq1, hq2, hq3, hq4, hwx, hwy, hwz = (half[..., i] for i in range(7))
+    nq1, nq2, nq3, _, nwx, nwy, nwz = (neg[..., i] for i in range(7))
+    jac[..., 0, 1], jac[..., 0, 2], jac[..., 0, 3] = hwz, nwy, hwx
+    jac[..., 1, 0], jac[..., 1, 2], jac[..., 1, 3] = nwz, hwx, hwy
+    jac[..., 2, 0], jac[..., 2, 1], jac[..., 2, 3] = hwy, nwx, hwz
+    jac[..., 3, 0], jac[..., 3, 1], jac[..., 3, 2] = nwx, nwy, nwz
+    jac[..., 0, 4], jac[..., 0, 5], jac[..., 0, 6] = hq4, nq3, hq2
+    jac[..., 1, 4], jac[..., 1, 5], jac[..., 1, 6] = hq3, hq4, nq1
+    jac[..., 2, 4], jac[..., 2, 5], jac[..., 2, 6] = nq2, hq1, hq4
+    jac[..., 3, 4], jac[..., 3, 5], jac[..., 3, 6] = nq1, nq2, nq3
+    # Euler's equations: the torque m x v through the attitude, the
+    # gyroscopic term through the rates, and the dipole itself
+    for j in range(4):
+        jac[..., 4, j] = (my * dv[2][j] - mz * dv[1][j]) / ix
+        jac[..., 5, j] = (mz * dv[0][j] - mx * dv[2][j]) / iy
+        jac[..., 6, j] = (mx * dv[1][j] - my * dv[0][j]) / iz
+    gx, gy, gz = (iy - iz) / ix, (iz - ix) / iy, (ix - iy) / iz
+    jac[..., 4, 5], jac[..., 4, 6] = gx * wz, gx * wy
+    jac[..., 5, 4], jac[..., 5, 6] = gy * wz, gy * wx
+    jac[..., 6, 4], jac[..., 6, 5] = gz * wy, gz * wx
+    jac[..., 4, 8], jac[..., 4, 9] = v3 / ix, -v2 / ix
+    jac[..., 5, 7], jac[..., 5, 9] = -v3 / iy, v1 / iy
+    jac[..., 6, 7], jac[..., 6, 8] = v2 / iz, -v1 / iz
+    return jac
 
 
-def _substep_vjp(record, m: tuple, b: tuple, inertia: tuple, h: float, lam: tuple):
-    """Pull the adjoint vector backward through one recorded RK4 substep.
+def _substep_jacobians(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, h: float) -> np.ndarray:
+    """Jacobians of every recorded RK4 substep w.r.t. (start state, dipole), shape (p, S, 7, 10).
 
-    `record` is the forward pass's `_rk4_stages` result: the renormalized new
-    state, the four stage states and the pre-renormalization quaternion norm.
-    Returns the adjoint at the substep start and the control-gradient
-    contribution.
+    `tape` holds per interval the `_rk4_stages` records of its S substeps; m
+    and b are the interval dipoles and fields, shape (p, 3). The four stage
+    Jacobians of every substep are built at once and composed with batched
+    matmuls, then the rows of the quaternion go through the renormalization
+    q <- q/|q|, whose Jacobian is (I - n n')/|q|.
     """
-    x_new, (s1, s2, s3, s4), norm = record
-    # chain rule through q <- q/|q| ((I - n n^T)/|q| is symmetric)
-    n1, n2, n3, n4 = x_new[0], x_new[1], x_new[2], x_new[3]
-    dot = n1 * lam[0] + n2 * lam[1] + n3 * lam[2] + n4 * lam[3]
-    lr = (
-        (lam[0] - n1 * dot) / norm,
-        (lam[1] - n2 * dot) / norm,
-        (lam[2] - n3 * dot) / norm,
-        (lam[3] - n4 * dot) / norm,
-        lam[4], lam[5], lam[6],
-    )
-    h2 = 0.5 * h
-    h3 = h / 3.0
-    h6 = h / 6.0
-    # y = x + (h/6)(k1 + 2 k2 + 2 k3 + k4), stages unwound in reverse
-    kb4 = (h6 * lr[0], h6 * lr[1], h6 * lr[2], h6 * lr[3], h6 * lr[4], h6 * lr[5], h6 * lr[6])
-    s4b, u4 = _stage_vjp(s4, m, b, inertia, kb4)
-    kb3 = (
-        h3 * lr[0] + h * s4b[0], h3 * lr[1] + h * s4b[1], h3 * lr[2] + h * s4b[2],
-        h3 * lr[3] + h * s4b[3], h3 * lr[4] + h * s4b[4], h3 * lr[5] + h * s4b[5],
-        h3 * lr[6] + h * s4b[6],
-    )
-    s3b, u3 = _stage_vjp(s3, m, b, inertia, kb3)
-    kb2 = (
-        h3 * lr[0] + h2 * s3b[0], h3 * lr[1] + h2 * s3b[1], h3 * lr[2] + h2 * s3b[2],
-        h3 * lr[3] + h2 * s3b[3], h3 * lr[4] + h2 * s3b[4], h3 * lr[5] + h2 * s3b[5],
-        h3 * lr[6] + h2 * s3b[6],
-    )
-    s2b, u2 = _stage_vjp(s2, m, b, inertia, kb2)
-    kb1 = (
-        h6 * lr[0] + h2 * s2b[0], h6 * lr[1] + h2 * s2b[1], h6 * lr[2] + h2 * s2b[2],
-        h6 * lr[3] + h2 * s2b[3], h6 * lr[4] + h2 * s2b[4], h6 * lr[5] + h2 * s2b[5],
-        h6 * lr[6] + h2 * s2b[6],
-    )
-    s1b, u1 = _stage_vjp(s1, m, b, inertia, kb1)
-    lam_out = (
-        lr[0] + s1b[0] + s2b[0] + s3b[0] + s4b[0],
-        lr[1] + s1b[1] + s2b[1] + s3b[1] + s4b[1],
-        lr[2] + s1b[2] + s2b[2] + s3b[2] + s4b[2],
-        lr[3] + s1b[3] + s2b[3] + s3b[3] + s4b[3],
-        lr[4] + s1b[4] + s2b[4] + s3b[4] + s4b[4],
-        lr[5] + s1b[5] + s2b[5] + s3b[5] + s4b[5],
-        lr[6] + s1b[6] + s2b[6] + s3b[6] + s4b[6],
-    )
-    ubar = (
-        u1[0] + u2[0] + u3[0] + u4[0],
-        u1[1] + u2[1] + u3[1] + u4[1],
-        u1[2] + u2[2] + u3[2] + u4[2],
-    )
-    return lam_out, ubar
+    p, substeps = len(tape), len(tape[0])
+    recs = [rec for records in tape for rec in records]
+    stages = np.array([rec[1] for rec in recs]).reshape(p, substeps, 4, 7)
+    jac = _stage_jacobians(stages, m[:, None, None, :], b[:, None, None, :], inertia)
+    a = jac[..., :7]
+    k1 = jac[:, :, 0]
+    k2 = jac[:, :, 1] + (0.5 * h) * (a[:, :, 1] @ k1)
+    k3 = jac[:, :, 2] + (0.5 * h) * (a[:, :, 2] @ k2)
+    k4 = jac[:, :, 3] + h * (a[:, :, 3] @ k3)
+    phi = (h / 6.0) * (k1 + k4 + 2.0 * (k2 + k3))
+    phi[..., :7] += np.eye(7)
+    n = np.array([rec[0][0:4] for rec in recs]).reshape(p, substeps, 4)
+    norm = np.array([rec[2] for rec in recs]).reshape(p, substeps, 1, 1)
+    rows = phi[..., :4, :]
+    phi[..., :4, :] = (rows - n[..., :, None] * (n[..., None, :] @ rows)) / norm
+    return phi
 
 
 def _controls(u: np.ndarray) -> list[tuple]:
@@ -303,8 +278,9 @@ class _Problem:
     """One horizon problem bound once: start state, field schedule, inertia, weights.
 
     `evaluate` rolls a control sequence out once and returns its cost with a
-    record of the rollout; `grad` sweeps the adjoint backward over such a
-    record, so the gradient at an evaluated point needs no second rollout.
+    record of the rollout; `linearize` builds the residual and its Jacobian
+    from such a record, so the derivatives at an evaluated point need no
+    second rollout.
     """
 
     def __init__(
@@ -327,6 +303,9 @@ class _Problem:
         self.substeps = substeps
         self.h = cfg.ts / substeps
         self.weights = _weights(cfg)
+        self.x_ref = cfg.x_ref.as_array()
+        self.q_scale = np.sqrt(cfg.ts * cfg.q_diag)
+        self.r_scale = np.tile(np.sqrt(cfg.ts * cfg.r_diag), cfg.horizon)
 
     def rollout(self, controls: list[tuple]):
         """Predict over the horizon with each control held for one interval.
@@ -360,39 +339,42 @@ class _Problem:
         cost = _horizon_cost(states[1:], controls, self.ts, self.weights)
         return cost, (controls, states, tape)
 
-    def grad(self, record) -> np.ndarray:
-        """Exact cost gradient w.r.t. the 3p control components (flat) at an evaluated point.
+    def state_jacobian(self, record) -> np.ndarray:
+        """d(x_1..x_p)/du at an evaluated point, shape (7p, 3p), from its tape.
 
-        The gradient is the derivative of the discretized cost: one adjoint
-        vector is swept backward through the tape in `record`.
+        The substep Jacobians are chained within each interval into the
+        interval's (7, 10) map of (start state, dipole), and the intervals are
+        chained into the block lower-triangular sensitivity of every
+        interval-end state to every control.
         """
-        controls, states, tape = record
-        xref, q_diag, r_diag = self.weights
-        two_ts = 2.0 * self.ts
-        grad = np.zeros(3 * len(controls))
-        lam = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        for k in range(len(controls) - 1, -1, -1):
-            mk, b, xe = controls[k], self.b_list[k], states[k + 1]
-            lam = (
-                lam[0] + two_ts * q_diag[0] * (xe[0] - xref[0]),
-                lam[1] + two_ts * q_diag[1] * (xe[1] - xref[1]),
-                lam[2] + two_ts * q_diag[2] * (xe[2] - xref[2]),
-                lam[3] + two_ts * q_diag[3] * (xe[3] - xref[3]),
-                lam[4] + two_ts * q_diag[4] * (xe[4] - xref[4]),
-                lam[5] + two_ts * q_diag[5] * (xe[5] - xref[5]),
-                lam[6] + two_ts * q_diag[6] * (xe[6] - xref[6]),
-            )
-            gx = gy = gz = 0.0
-            for rec in reversed(tape[k]):
-                lam, ubar = _substep_vjp(rec, mk, b, self.inertia, self.h, lam)
-                gx += ubar[0]
-                gy += ubar[1]
-                gz += ubar[2]
-            col = 3 * k
-            grad[col] = gx + two_ts * r_diag[0] * mk[0]
-            grad[col + 1] = gy + two_ts * r_diag[1] * mk[1]
-            grad[col + 2] = gz + two_ts * r_diag[2] * mk[2]
-        return grad
+        controls, _, tape = record
+        p = len(controls)
+        phi = _substep_jacobians(
+            tape, np.array(controls), np.array(self.b_list), self.inertia, self.h
+        )
+        interval = phi[:, 0].copy()
+        for j in range(1, self.substeps):
+            interval = phi[:, j, :, :7] @ interval
+            interval[..., 7:] += phi[:, j, :, 7:]
+        sens = np.zeros((p, 7, 3 * p))
+        sens[0, :, 0:3] = interval[0, :, 7:]
+        for k in range(1, p):
+            sens[k, :, : 3 * k] = interval[k, :, :7] @ sens[k - 1, :, : 3 * k]
+            sens[k, :, 3 * k : 3 * k + 3] = interval[k, :, 7:]
+        return sens.reshape(7 * p, 3 * p)
+
+    def linearize(self, record):
+        """Residual r (J = r'r) and its Jacobian dr/du at an evaluated point."""
+        controls, states, _ = record
+        u = np.array(controls).reshape(-1)
+        q_rows = (np.array(states[1:]) - self.x_ref) * self.q_scale
+        r = np.concatenate([q_rows.reshape(-1), self.r_scale * u])
+        jac = np.vstack([
+            (self.state_jacobian(record).reshape(-1, 7, u.size) * self.q_scale[:, None])
+            .reshape(-1, u.size),
+            np.diag(self.r_scale),
+        ])
+        return r, jac
 
 
 def predict(
@@ -444,11 +426,12 @@ def gradient(
     inertia: InertiaTensor,
     substeps: int = PREDICTION_SUBSTEPS,
 ) -> np.ndarray:
-    """Exact gradient of the cost w.r.t. the 3p control components, shape (p, 3)."""
+    """Exact gradient 2 J'r of the cost w.r.t. the 3p control components, shape (p, 3)."""
     if len(seq) != cfg.horizon:
         raise ValueError(f"sequence length {len(seq)} does not match horizon {cfg.horizon}")
     prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
-    return prob.grad(prob.evaluate(seq.dipoles)[1]).reshape(cfg.horizon, 3)
+    r, jac = prob.linearize(prob.evaluate(seq.dipoles)[1])
+    return (2.0 * (jac.T @ r)).reshape(cfg.horizon, 3)
 
 
 def _converged(u: np.ndarray, grad: np.ndarray, cost: float, u_max: float) -> bool:
@@ -457,13 +440,55 @@ def _converged(u: np.ndarray, grad: np.ndarray, cost: float, u_max: float) -> bo
     return float(np.linalg.norm(u - step)) < CONVERGENCE_RTOL * (1.0 + abs(cost))
 
 
+def _box_qp(g: np.ndarray, hess: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Minimize g'd + d'Hd/2 over lo <= d <= hi exactly (H positive definite, lo <= 0 <= hi).
+
+    Primal active-set method from d = 0, holding the components that already
+    sit on the bound the gradient pushes them against: minimize over the
+    free components with the others held at their bounds; if a bound blocks
+    the way, step to it and hold it; otherwise release the held bound whose
+    multiplier has the wrong sign by the most, or stop when none has.
+    Returns d and the side each component is held at (+1 upper, -1 lower,
+    0 free).
+    """
+    d = np.zeros(g.size)
+    side = np.where((hi == 0.0) & (g < 0.0), 1, 0) - np.where((lo == 0.0) & (g > 0.0), 1, 0)
+    # finite in exact arithmetic; the cap only stops a rounding-driven cycle,
+    # and every iterate is feasible and lowers the model
+    for _ in range(4 * g.size + 4):
+        free = side == 0
+        target = d.copy()
+        if free.any():
+            rhs = g[free] + hess[np.ix_(free, ~free)] @ d[~free]
+            target[free] = -np.linalg.solve(hess[np.ix_(free, free)], rhs)
+        step = target - d
+        with np.errstate(all="ignore"):
+            room = np.where(
+                step > 0.0, (hi - d) / step, np.where(step < 0.0, (lo - d) / step, np.inf)
+            )
+        i = int(np.argmin(room))
+        if room[i] < 1.0:
+            d = d + room[i] * step
+            side[i] = 1 if step[i] > 0.0 else -1
+            d[i] = hi[i] if side[i] > 0 else lo[i]
+            continue
+        d = target
+        # > 0: a wrong-signed multiplier, the model descends off that bound
+        wrong = side * (g + hess @ d)
+        i = int(np.argmax(wrong))
+        if wrong[i] <= 0.0:
+            break
+        side[i] = 0
+    return d, side
+
+
 def _heuristic_candidates(x0: AttitudeState, b0: tuple, cfg: MpcConfig) -> list[np.ndarray]:
-    """Deterministic extra starting candidates for the descent.
+    """Deterministic extra starting candidates for the solve.
 
     Constant-over-horizon dipoles from two classic magnetic-control shapes:
     rate damping perpendicular to the field (a b-cross law) and steering the
     quaternion error about the field direction. A few fixed gains each; the
-    projected-gradient descent then refines whichever candidate scores best.
+    Gauss-Newton iteration then refines whichever candidate scores best.
     """
     p = cfg.horizon
     u_max = cfg.u_max
@@ -499,16 +524,20 @@ def solve(
     warm start (when given) and those deterministic magnetic-control
     heuristics that differ from every earlier candidate. The cheapest wins,
     the earliest on ties, so the returned cost never exceeds the zero or
-    warm-start cost. Projected gradient descent with Barzilai-Borwein steps
-    and Armijo backtracking runs from it until the projected-gradient norm
-    drops below 1e-8 * (1 + |J|); stopping on the MAX_ITERATIONS cap, a
-    stall or a failed line search sets the degraded flag instead. Every
-    candidate and trial is rolled out once; the gradient at the winning
+    warm-start cost. Damped Gauss-Newton runs from it: each iteration solves
+    the box-constrained quadratic model with Levenberg-Marquardt damping and
+    accepts the step by an Armijo test on the true cost, raising the damping
+    on a rejection (at most MAX_BACKTRACKS times) and adjusting it by the
+    gain ratio on acceptance. It stops when the projected-gradient norm
+    drops below 1e-8 * (1 + |J|); stopping on the MAX_ITERATIONS cap or
+    without an acceptable step sets the degraded flag instead. Every
+    accepted step lowers the cost, so the last iterate is returned. Every
+    candidate and trial is rolled out once; the Jacobian at the winning
     start and at each accepted trial comes from that rollout's tape.
     """
     p, u_max = cfg.horizon, cfg.u_max
     prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
-    evaluate, grad_of = prob.evaluate, prob.grad
+    evaluate, linearize = prob.evaluate, prob.linearize
 
     starts = [np.zeros(3 * p)]
     if warm is not None:
@@ -526,62 +555,58 @@ def solve(
             seen.add(key)
             starts.append(start)
     # the same choice as min(): the earliest cheapest start wins; only its
-    # record is kept, for the first gradient
+    # record is kept, for the first Jacobian
     costs = []
     for start in starts:
         c, rec = evaluate(start)
         costs.append(c)
-        if len(costs) == 1 or c < best_cost:
-            best_cost, best_u, best_rec = c, start, rec
+        if len(costs) == 1 or c < cost:
+            cost, u, record = c, start.copy(), rec
 
-    u = best_u.copy()
-    cost, grad = best_cost, grad_of(best_rec)
+    r, jac = linearize(record)
+    grad = 2.0 * (jac.T @ r)
     converged = _converged(u, grad, cost, u_max)
-    gmax = float(np.max(np.abs(grad)))
-    alpha = u_max / gmax if gmax > 0.0 else 1.0
-    iterations = stall_count = 0
+    lam, nu = _DAMPING0, 2.0
+    iterations = 0
 
     while not converged and iterations < MAX_ITERATIONS:
         iterations += 1
-        accepted = False
+        hess = 2.0 * (jac.T @ jac)
+        damping = np.diag(np.diag(hess))
+        accepted, rejected = False, None
         for _ in range(MAX_BACKTRACKS):
-            u_new = np.clip(u - alpha * grad, -u_max, u_max)
+            d, side = _box_qp(grad, hess + lam * damping, -u_max - u, u_max - u)
+            u_new = np.clip(u + d, -u_max, u_max)
+            u_new[side > 0], u_new[side < 0] = u_max, -u_max
             d = u_new - u
             if not np.any(d):
-                break  # every direction pinned by the box
-            gd = float(grad @ d)
-            new_cost, new_rec = evaluate(u_new)
-            if new_cost <= cost + ARMIJO_C1 * gd:
-                accepted = True
-                break
-            alpha *= 0.5
+                break  # every direction pinned by the box, or damped to nothing
+            # more damping can leave a step on the same box corner; that
+            # trial has failed already
+            if rejected is None or not np.array_equal(u_new, rejected):
+                gd = float(grad @ d)
+                new_cost, new_rec = evaluate(u_new)
+                if new_cost <= cost + ARMIJO_C1 * gd:
+                    accepted = True
+                    break
+                rejected = u_new
+            lam, nu = lam * nu, 2.0 * nu
         if not accepted:
             break
-        prev_u, prev_grad, prev_cost = u, grad, cost
-        u = u_new
-        cost, grad = new_cost, grad_of(new_rec)
-        if cost < best_cost:
-            best_u, best_cost = u.copy(), cost
+        # Nielsen's update from the gain ratio against the undamped model
+        predicted = -(gd + 0.5 * float(d @ hess @ d))
+        rho = (cost - new_cost) / predicted if predicted > 0.0 else 0.0
+        lam, nu = lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+        u, cost = u_new, new_cost
+        r, jac = linearize(new_rec)
+        grad = 2.0 * (jac.T @ r)
         converged = _converged(u, grad, cost, u_max)
-        if converged:
-            break
-        if prev_cost - cost <= STALL_RTOL * (1.0 + abs(cost)):
-            stall_count += 1
-            if stall_count >= STALL_ITERATIONS:
-                break
-        else:
-            stall_count = 0
-        s = u - prev_u
-        y = grad - prev_grad
-        sty = float(s @ y)
-        alpha = float(s @ s) / sty if sty > 0.0 else alpha * 2.0
-        alpha = min(max(alpha, 1e-30), 1e30)
 
-    seq = ControlSequence(best_u.reshape(p, 3).copy())
+    seq = ControlSequence(u.reshape(p, 3).copy())
     return SolveResult(
         command=DipoleCommand(seq.dipoles[0].copy()),
         sequence=seq,
-        cost=best_cost,
+        cost=cost,
         degraded=not converged,
         iterations=iterations,
         zero_cost=costs[0],

@@ -364,10 +364,18 @@ def scenario_from_dict(d: dict, name: str = "") -> ScenarioConfig:
     inertia = _parse_inertia(_require(d, "inertia", "config"))
     mpc = _parse_mpc(_require(d, "mpc", "config"))
     q0, omega0 = _parse_state(_require(d, "x0", "config"), "x0")
-    norm_before = float(np.linalg.norm(q0))
-    if norm_before <= 0.0 or not math.isfinite(norm_before):
-        raise ConfigError(f"x0.q norm {norm_before} cannot be normalized")
-    x0 = AttitudeState(q=q0 / norm_before, omega=omega0)
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(q0))
+    if (norm == 0.0 or math.isinf(norm)) and np.any(q0):
+        # the sum of squares overflowed or underflowed: normalize the
+        # quaternion divided by its largest entry instead
+        scale = float(np.max(np.abs(q0)))
+        q0 = q0 / scale
+        norm = float(np.linalg.norm(q0))
+    if norm <= 0.0:
+        raise ConfigError(f"x0.q norm {norm} cannot be normalized")
+    x0 = AttitudeState(q=q0 / norm, omega=omega0)
     pwm = d.get("pwm", False)
     if not isinstance(pwm, bool):
         raise ConfigError("'pwm' must be a boolean")
@@ -384,7 +392,7 @@ def scenario_from_dict(d: dict, name: str = "") -> ScenarioConfig:
         pwm_enabled=pwm,
         substeps=substeps,
         output_path=output,
-        x0_quat_norm_before=norm_before,
+        x0_quat_norm_before=scale * norm,
         name=name,
     )
 

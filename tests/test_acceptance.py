@@ -394,12 +394,13 @@ def test_criterion_7c_single_step_grid_dominance(recorder, sso_elements, table_i
 # --- criterion 8: determinism ---------------------------------------------------------------------
 
 # SHA-256 of the full-length preset CSVs, recorded on x86-64 Linux with
-# CPython 3.11 and numpy 2.4 (the bytes depend on the platform's libm). A run
+# CPython 3.11 and numpy 2.4 (the bytes depend on the platform's libm and
+# BLAS); two independent runs of each preset produced the same bytes. A run
 # that is not deterministic cannot reproduce a recorded hash, so comparing
 # against it is at least as strict as comparing two runs in one process.
 PRESET_FULL_CSV_SHA256 = {
-    "detumble-paper": "c4bc3664a1dd942386a65f89bd432b1e6bc85b49b5a0218b33ddfe3f910323ed",
-    "attitude-paper": "b09aedf79d7ab2720772abcfa2edba5b0e86e49540bbe26fc322b99bbe890eba",
+    "detumble-paper": "662c29f406436f5cf325a1c1082a8dd2df2de87b1af9243e40ff6637824f0948",
+    "attitude-paper": "f27689fdc80dfbd3be59f539485861fbd9248d700e0dc38853e24038ce5e6098",
 }
 
 

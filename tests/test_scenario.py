@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,20 @@ def test_config_rejects_bad_reference_quaternion():
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("q, unit, norm", [
+    ([1e300, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1e-300], 1e300),
+    ([0.0, 3e-200, 0.0, 4e-200], [0.0, 0.6, 0.0, 0.8], 5e-200),
+])
+def test_config_normalizes_quaternion_whose_sum_of_squares_leaves_float_range(q, unit, norm):
+    doc = short_config()
+    doc["x0"]["q"] = q
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = scenario_from_dict(doc)
+    np.testing.assert_allclose(cfg.x0.q, unit, rtol=1e-15, atol=0.0)
+    assert math.isclose(cfg.x0_quat_norm_before, norm, rel_tol=1e-15)
+
+
 HUGE_INT = 10**400  # a 401-digit JSON integer, beyond the float range
 
 
@@ -337,14 +352,14 @@ def test_readme_solve_example_matches_the_loop():
     np.testing.assert_array_equal(res.command.m, log.m_raw[0])
 
 
-# SHA-256 of RunLog.to_csv() for shortened preset runs, recorded before the
-# dynamics and controller were refactored (x86-64 Linux, CPython 3.11,
-# numpy 2.4). Any change to a floating-point operation of the closed loop
-# changes these bytes. The attitude run hits the solver's iteration cap, so
-# it covers the gradient path too.
+# SHA-256 of RunLog.to_csv() for shortened preset runs, recorded with the
+# Gauss-Newton solver (x86-64 Linux, CPython 3.11, numpy 2.4); two
+# independent runs produced the same bytes. Any change to a floating-point
+# operation of the closed loop changes these bytes. The attitude solves take
+# tens of Gauss-Newton iterations, so they cover the Jacobian path too.
 PRESET_CSV_SHA256 = {
-    ("detumble-paper", 60.0): "368bec60072c8aa127427fdc39d1d9ee75fe2b4160e4583fde62cf6008e2ba46",
-    ("attitude-paper", 120.0): "71e03b7d555399d3efc7ec0ea0834f14204c35be096d742ba551714d21d18794",
+    ("detumble-paper", 60.0): "38de2e244fa2d2cc7affe2edc36ad51b24d0db6b9ec08abf5e7cbe243d963e91",
+    ("attitude-paper", 120.0): "5cd492a1ffe0ceb84a236b57f9818902c3967b641a9e098327fcd91a71505acb",
 }
 
 
@@ -544,6 +559,22 @@ def test_cli_missing_summary_directory_exits_2_before_running(tmp_path, monkeypa
                  "--summary", str(out_json)])
     assert code == 2
     assert "absent" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_cli_output_path_naming_a_directory_exits_2_before_running(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("magsat.cli.run_scenario", None)  # must not be reached
+    assert main(["run", "detumble-paper", "--duration", "4", "--out", str(tmp_path)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+
+
+def test_cli_summary_path_naming_a_directory_exits_2_before_running(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("magsat.cli.run_scenario", None)  # must not be reached
+    out_csv = tmp_path / "run.csv"
+    code = main(["run", "detumble-paper", "--duration", "4", "--out", str(out_csv),
+                 "--summary", str(tmp_path)])
+    assert code == 2
+    assert "is a directory" in capsys.readouterr().err
     assert not out_csv.exists()
 
 

@@ -1,10 +1,11 @@
-"""Property test of the solver contracts on random small problems.
+"""Property tests of the solver contracts on random small problems.
 
 The returned sequence respects the dipole bound, never costs more than the
 zero or warm-start sequence, and two calls on the same input agree bit for
-bit. Needs `hypothesis` (the `[test]` extra); skipped without it.
-Derandomized and without an example database, so every run draws the same
-examples.
+bit. The box-constrained quadratic step solver returns a point that is
+feasible, satisfies the KKT conditions and is bitwise repeatable. Needs
+`hypothesis` (the `[test]` extra); skipped without it. Derandomized and
+without an example database, so every run draws the same examples.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import magsat as ms  # noqa: E402
-from magsat import AttitudeState, ControlSequence, MpcConfig  # noqa: E402
+from magsat import AttitudeState, ControlSequence, MpcConfig, controller  # noqa: E402
 
 
 def reals(lo: float, hi: float):
@@ -72,3 +73,37 @@ def test_solve_bound_dominance_and_determinism(sso_elements, table_inertia, prob
         second.cost, second.zero_cost, second.warm_cost
     )
     assert (first.iterations, first.degraded) == (second.iterations, second.degraded)
+
+
+@st.composite
+def box_qps(draw):
+    """A positive definite H, a gradient and a box lo <= 0 <= hi, n <= 12.
+
+    Some bounds are drawn at 0, as for a control already on the dipole bound.
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    a = np.array(draw(vectors(n * n, -1.0, 1.0))).reshape(n, n)
+    hess = a.T @ a + draw(reals(1e-3, 1.0)) * np.eye(n)
+    g = np.array(draw(vectors(n, -2.0, 2.0)))
+    lo = -np.array(draw(vectors(n, 0.0, 1.0)))
+    hi = np.array(draw(vectors(n, 0.0, 1.0)))
+    return g, hess, lo, hi
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(qp=box_qps())
+def test_box_qp_bounds_kkt_and_determinism(qp):
+    g, hess, lo, hi = qp
+    d, side = controller._box_qp(g, hess, lo, hi)
+    again = controller._box_qp(g, hess, lo, hi)
+    assert d.tobytes() == again[0].tobytes() and side.tobytes() == again[1].tobytes()
+    assert np.all(lo <= d) and np.all(d <= hi)
+    np.testing.assert_array_equal(d[side > 0], hi[side > 0])
+    np.testing.assert_array_equal(d[side < 0], lo[side < 0])
+    # KKT: zero model gradient on the free components, and multipliers of
+    # the right sign on the held ones (the model must not descend past a bound)
+    grad = g + hess @ d
+    tol = 1e-9 * (1.0 + np.max(np.abs(g)) + np.max(np.abs(hess)))
+    assert np.all(np.abs(grad[side == 0]) <= tol)
+    assert np.all(grad[side > 0] <= tol)
+    assert np.all(grad[side < 0] >= -tol)
