@@ -11,25 +11,26 @@ componentwise quaternion difference - no double-cover correction), and
 minimizes it over the dipole sequence subject to the per-axis box
 |m_i| <= u_max.
 
-The cost is a sum of squares, J = r'r with the residual
+The cost is a sum of squares and is defined once, as J = r'r of the
+residual
 
-    r = [sqrt(Ts Q) (x_k - x_ref) for k=1..p ; sqrt(Ts R) u_k for k=0..p-1],
+    r = [sqrt(Ts Q) (x_k - x_ref) for k=1..p ; sqrt(Ts R) u_k for k=0..p-1];
 
-so the optimizer is box-constrained Gauss-Newton with Levenberg-Marquardt
-damping. The residual Jacobian comes from forward sensitivities: the
-Jacobians of the right-hand side at every recorded RK4 stage are built in one
-vectorized pass, composed into each substep's Jacobian (including the
-quaternion renormalization) and chained over the substeps and intervals into
-the state Jacobian dx/du. The gradient is 2 J'r and the Gauss-Newton Hessian
+the solver and `total_cost` both evaluate it that way. The optimizer is
+box-constrained Gauss-Newton with Levenberg-Marquardt damping. The residual
+Jacobian comes from forward sensitivities: the Jacobians of the right-hand
+side at every recorded RK4 stage are built in one vectorized pass, composed
+into each substep's Jacobian (including the quaternion renormalization) and
+chained over the substeps and intervals into the state Jacobian dx/du. The gradient is 2 J'r and the Gauss-Newton Hessian
 2 J'J. Each step minimizes the damped quadratic model exactly over the box
 with a primal active-set method, and is accepted by an Armijo test on the
-true cost. The all-zero sequence and the warm start are always evaluated as
-candidates, and the returned sequence is never worse than either of them.
+true cost. Each solve starts from the cheaper of the all-zero sequence and
+the warm start, so the returned sequence is never worse than either of them.
 
 Each control sequence the solver evaluates is rolled out once, and the
-rollout keeps its tape (the recorded RK4 stages). The Jacobian at an accepted
-point - the winning start candidate or an accepted trial - is built from that
-point's own tape, so no point is rolled out twice.
+rollout keeps its tape (the recorded RK4 stages) and its residual. The
+Jacobian at an accepted point - the winning start or an accepted trial - is
+built from that point's own tape, so no point is rolled out twice.
 
 Everything here is deterministic: identical inputs produce identical
 outputs, bit for bit.
@@ -244,43 +245,25 @@ def _controls(u: np.ndarray) -> list[tuple]:
     return [tuple(row) for row in np.reshape(u, (-1, 3)).tolist()]
 
 
-def _weights(cfg: MpcConfig) -> tuple:
-    """Reference state and the Q and R diagonals as float tuples."""
-    return (
-        tuple(cfg.x_ref.as_array().tolist()),
-        tuple(float(v) for v in cfg.q_diag),
-        tuple(float(v) for v in cfg.r_diag),
-    )
+def _residual(ends, u: np.ndarray, cfg: MpcConfig) -> np.ndarray:
+    """Residual r of the horizon cost J = r'r, shape (10p,).
 
-
-def _horizon_cost(ends, controls, ts: float, weights: tuple) -> float:
-    """Discrete tracking cost of the interval-end states x_1..x_p and controls u_0..u_{p-1}.
-
-    Summed per interval, state term of x_{k+1} then control term of u_k; the
-    solver and `total_cost` both go through here, so they agree bit for bit.
+    `ends` holds the interval-end states x_1..x_p and u the controls
+    u_0..u_{p-1}, shape (p, 3) or flat. The solver and `total_cost` both
+    build the cost here, so they agree bit for bit.
     """
-    xref, q_diag, r_diag = weights
-    cost = 0.0
-    for x, m in zip(ends, controls):
-        s = 0.0
-        for i in range(7):
-            e = x[i] - xref[i]
-            s += q_diag[i] * e * e
-        cost += ts * s
-        s = 0.0
-        for i in range(3):
-            s += r_diag[i] * m[i] * m[i]
-        cost += ts * s
-    return cost
+    q_rows = (np.asarray(ends) - cfg.x_ref.as_array()) * np.sqrt(cfg.ts * cfg.q_diag)
+    r_rows = np.reshape(u, (-1, 3)) * np.sqrt(cfg.ts * cfg.r_diag)
+    return np.concatenate([q_rows.reshape(-1), r_rows.reshape(-1)])
 
 
 class _Problem:
     """One horizon problem bound once: start state, field schedule, inertia, weights.
 
     `evaluate` rolls a control sequence out once and returns its cost with a
-    record of the rollout; `linearize` builds the residual and its Jacobian
-    from such a record, so the derivatives at an evaluated point need no
-    second rollout.
+    record of the rollout and its residual; `linearize` builds the residual's
+    Jacobian from such a record, so the derivatives at an evaluated point
+    need no second rollout.
     """
 
     def __init__(
@@ -294,7 +277,7 @@ class _Problem:
     ):
         self.x0 = tuple(x0.as_array().tolist())
         self.t0 = t0
-        self.ts = cfg.ts
+        self.cfg = cfg
         # orbital-frame field at the p interval start times (zero-order hold)
         self.b_list = [
             tuple(field_at(t0 + k * cfg.ts).b.tolist()) for k in range(cfg.horizon)
@@ -302,10 +285,9 @@ class _Problem:
         self.inertia = inertia.as_tuple()
         self.substeps = substeps
         self.h = cfg.ts / substeps
-        self.weights = _weights(cfg)
-        self.x_ref = cfg.x_ref.as_array()
+        # row scales of the residual's Jacobian, as `_residual` applies them
         self.q_scale = np.sqrt(cfg.ts * cfg.q_diag)
-        self.r_scale = np.tile(np.sqrt(cfg.ts * cfg.r_diag), cfg.horizon)
+        self.r_jac = np.diag(np.tile(np.sqrt(cfg.ts * cfg.r_diag), cfg.horizon))
 
     def rollout(self, controls: list[tuple]):
         """Predict over the horizon with each control held for one interval.
@@ -324,7 +306,7 @@ class _Problem:
                 records.append(rec)
                 x = rec[0]
             if not all(math.isfinite(v) for v in x):
-                t_fail = self.t0 + (k + 1) * self.ts
+                t_fail = self.t0 + (k + 1) * self.cfg.ts
                 raise IntegrationDivergedError(
                     f"prediction became non-finite at t={t_fail}", t=t_fail
                 )
@@ -333,11 +315,11 @@ class _Problem:
         return states, tape
 
     def evaluate(self, u: np.ndarray):
-        """Cost of a control sequence and the record `(controls, states, tape)` of its rollout."""
+        """Cost r'r of a control sequence and the record `(controls, tape, r)` of its rollout."""
         controls = _controls(u)
         states, tape = self.rollout(controls)
-        cost = _horizon_cost(states[1:], controls, self.ts, self.weights)
-        return cost, (controls, states, tape)
+        r = _residual(states[1:], u, self.cfg)
+        return float(r @ r), (controls, tape, r)
 
     def state_jacobian(self, record) -> np.ndarray:
         """d(x_1..x_p)/du at an evaluated point, shape (7p, 3p), from its tape.
@@ -347,7 +329,7 @@ class _Problem:
         chained into the block lower-triangular sensitivity of every
         interval-end state to every control.
         """
-        controls, _, tape = record
+        controls, tape, _ = record
         p = len(controls)
         phi = _substep_jacobians(
             tape, np.array(controls), np.array(self.b_list), self.inertia, self.h
@@ -364,17 +346,14 @@ class _Problem:
         return sens.reshape(7 * p, 3 * p)
 
     def linearize(self, record):
-        """Residual r (J = r'r) and its Jacobian dr/du at an evaluated point."""
-        controls, states, _ = record
-        u = np.array(controls).reshape(-1)
-        q_rows = (np.array(states[1:]) - self.x_ref) * self.q_scale
-        r = np.concatenate([q_rows.reshape(-1), self.r_scale * u])
+        """Residual r (J = r'r) of an evaluated point, from its record, and its Jacobian dr/du."""
+        n = self.r_jac.shape[0]
         jac = np.vstack([
-            (self.state_jacobian(record).reshape(-1, 7, u.size) * self.q_scale[:, None])
-            .reshape(-1, u.size),
-            np.diag(self.r_scale),
+            (self.state_jacobian(record).reshape(-1, 7, n) * self.q_scale[:, None])
+            .reshape(-1, n),
+            self.r_jac,
         ])
-        return r, jac
+        return record[2], jac
 
 
 def predict(
@@ -403,9 +382,9 @@ def predict(
 
 
 def total_cost(traj: PredictedTrajectory, seq: ControlSequence, cfg: MpcConfig) -> float:
-    """Discrete tracking cost of a predicted trajectory and its control sequence.
+    """Discrete tracking cost r'r of a predicted trajectory and its control sequence.
 
-    Summed by the same helper as the solver's cost, so the two are bitwise
+    Built from the same residual as the solver's cost, so the two are bitwise
     comparable.
     """
     p = cfg.horizon
@@ -413,8 +392,8 @@ def total_cost(traj: PredictedTrajectory, seq: ControlSequence, cfg: MpcConfig) 
         raise ValueError(f"sequence length {len(seq)} does not match horizon {p}")
     if len(traj.states) != p + 1:
         raise ValueError(f"trajectory has {len(traj.states)} states, expected {p + 1}")
-    ends = [tuple(s.as_array().tolist()) for s in traj.states[1:]]
-    return _horizon_cost(ends, _controls(seq.dipoles), cfg.ts, _weights(cfg))
+    r = _residual([s.as_array() for s in traj.states[1:]], seq.dipoles, cfg)
+    return float(r @ r)
 
 
 def gradient(
@@ -482,33 +461,6 @@ def _box_qp(g: np.ndarray, hess: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return d, side
 
 
-def _heuristic_candidates(x0: AttitudeState, b0: tuple, cfg: MpcConfig) -> list[np.ndarray]:
-    """Deterministic extra starting candidates for the solve.
-
-    Constant-over-horizon dipoles from two classic magnetic-control shapes:
-    rate damping perpendicular to the field (a b-cross law) and steering the
-    quaternion error about the field direction. A few fixed gains each; the
-    Gauss-Newton iteration then refines whichever candidate scores best.
-    """
-    p = cfg.horizon
-    u_max = cfg.u_max
-    v = np.array(body_field(tuple(x0.q.tolist()), b0))
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return []
-    bhat = v / norm
-    out = []
-    damp = -np.cross(x0.omega, bhat)
-    for gain in (1e3, 1e5):
-        m = np.clip(gain * damp, -u_max, u_max)
-        out.append(np.tile(m, p))
-    steer = np.cross((x0.q - cfg.x_ref.q)[0:3], bhat)
-    for gain in (0.5, 5.0):
-        m = np.clip(gain * steer, -u_max, u_max)
-        out.append(np.tile(m, p))
-    return out
-
-
 def solve(
     x0: AttitudeState,
     t0: float,
@@ -520,48 +472,37 @@ def solve(
 ) -> SolveResult:
     """Minimize the horizon cost over the box-constrained dipole sequence.
 
-    One scan scores the start candidates in order: the all-zero sequence, the
-    warm start (when given) and those deterministic magnetic-control
-    heuristics that differ from every earlier candidate. The cheapest wins,
-    the earliest on ties, so the returned cost never exceeds the zero or
-    warm-start cost. Damped Gauss-Newton runs from it: each iteration solves
+    The cost is r'r of the residual (see the module docstring). The solve
+    starts from the all-zero sequence or, when it costs strictly less, the
+    warm start, so the returned cost never exceeds the zero or warm-start
+    cost. Damped Gauss-Newton runs from there: each iteration solves
     the box-constrained quadratic model with Levenberg-Marquardt damping and
     accepts the step by an Armijo test on the true cost, raising the damping
     on a rejection (at most MAX_BACKTRACKS times) and adjusting it by the
     gain ratio on acceptance. It stops when the projected-gradient norm
     drops below 1e-8 * (1 + |J|); stopping on the MAX_ITERATIONS cap or
     without an acceptable step sets the degraded flag instead. Every
-    accepted step lowers the cost, so the last iterate is returned. Every
-    candidate and trial is rolled out once; the Jacobian at the winning
+    accepted step lowers the cost, so the last iterate is returned. Both
+    starts and every trial are rolled out once; the Jacobian at the winning
     start and at each accepted trial comes from that rollout's tape.
     """
     p, u_max = cfg.horizon, cfg.u_max
     prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
     evaluate, linearize = prob.evaluate, prob.linearize
 
-    starts = [np.zeros(3 * p)]
     if warm is not None:
         if len(warm) != p:
             raise ValueError(f"warm start length {len(warm)} does not match horizon {p}")
         w = warm.dipoles.reshape(3 * p).astype(float)
         if np.max(np.abs(w)) > u_max:
             raise ValueError("warm start violates the dipole bound")
-        starts.append(w)
-    # gains that saturate the box give the same sequence; score it once
-    seen = {tuple(start.tolist()) for start in starts}
-    for start in _heuristic_candidates(x0, prob.b_list[0], cfg):
-        key = tuple(start.tolist())
-        if key not in seen:
-            seen.add(key)
-            starts.append(start)
-    # the same choice as min(): the earliest cheapest start wins; only its
-    # record is kept, for the first Jacobian
-    costs = []
-    for start in starts:
-        c, rec = evaluate(start)
-        costs.append(c)
-        if len(costs) == 1 or c < cost:
-            cost, u, record = c, start.copy(), rec
+    u = np.zeros(3 * p)
+    zero_cost, record = evaluate(u)
+    cost, warm_cost = zero_cost, None
+    if warm is not None:
+        warm_cost, warm_record = evaluate(w)
+        if warm_cost < cost:  # the zero sequence wins ties
+            u, cost, record = w, warm_cost, warm_record
 
     r, jac = linearize(record)
     grad = 2.0 * (jac.T @ r)
@@ -609,6 +550,6 @@ def solve(
         cost=cost,
         degraded=not converged,
         iterations=iterations,
-        zero_cost=costs[0],
-        warm_cost=costs[1] if warm is not None else None,
+        zero_cost=zero_cost,
+        warm_cost=warm_cost,
     )

@@ -399,8 +399,8 @@ def test_criterion_7c_single_step_grid_dominance(recorder, sso_elements, table_i
 # that is not deterministic cannot reproduce a recorded hash, so comparing
 # against it is at least as strict as comparing two runs in one process.
 PRESET_FULL_CSV_SHA256 = {
-    "detumble-paper": "662c29f406436f5cf325a1c1082a8dd2df2de87b1af9243e40ff6637824f0948",
-    "attitude-paper": "f27689fdc80dfbd3be59f539485861fbd9248d700e0dc38853e24038ce5e6098",
+    "detumble-paper": "5781dab9069a86fb4da17477d110e545b7228483bcb9d3dd8c6d51357cf6b376",
+    "attitude-paper": "a8ae1043ec2bcc8ddb41e40f2c904c0c349dfa52e31a99705005067a74bdce6a",
 }
 
 

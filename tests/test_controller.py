@@ -380,25 +380,38 @@ def test_solve_warm_start_chain(field_at, detumble_cfg, table_inertia):
 
 def test_solve_rolls_out_each_sequence_once(monkeypatch):
     # each evaluated point keeps its tape: the first Jacobian comes from the
-    # winning start's rollout and every later one from the accepted trial's
+    # winning start's rollout and every later one from the accepted trial's.
+    # The starts are the zero sequence and the warm start, in that order,
+    # and nothing else is rolled out before the first Jacobian
     cfg = load_config("attitude-paper")
-    seen = []
-    rollout = controller._Problem.rollout
+    events = []
+    rollout, linearize = controller._Problem.rollout, controller._Problem.linearize
 
-    def spy(self, controls):
-        seen.append(np.array(controls).tobytes())
+    def spy_rollout(self, controls):
+        events.append(np.array(controls).tobytes())
         return rollout(self, controls)
 
-    monkeypatch.setattr(controller._Problem, "rollout", spy)
-    res = ms.solve(cfg.x0, 0.0, ms.field_function(cfg.elements), cfg.mpc, cfg.inertia)
+    def spy_linearize(self, record):
+        events.append("linearize")
+        return linearize(self, record)
+
+    monkeypatch.setattr(controller._Problem, "rollout", spy_rollout)
+    monkeypatch.setattr(controller._Problem, "linearize", spy_linearize)
+    p = cfg.mpc.horizon
+    warm = ControlSequence(np.full((p, 3), 0.5 * cfg.mpc.u_max))
+    res = ms.solve(cfg.x0, 0.0, ms.field_function(cfg.elements), cfg.mpc, cfg.inertia,
+                   warm=warm)
+    assert events[:3] == [np.zeros((p, 3)).tobytes(), warm.dipoles.tobytes(), "linearize"]
     assert res.iterations > 0  # accepted trials were rolled out
-    assert len(seen) > res.iterations
+    seen = [e for e in events if e != "linearize"]
+    assert len(seen) >= res.iterations + 2  # both starts and each accepted trial
     assert len(set(seen)) == len(seen)
 
 
 def test_gradient_is_grad_of_evaluate_record(field_at, table_inertia):
-    # the public gradient is 2 J'r, with the residual and its Jacobian built
-    # from the tape that `evaluate` recorded; r'r is the cost
+    # the public gradient is 2 J'r, with the residual and its Jacobian taken
+    # from the record that `evaluate` kept; one residual defines the cost, so
+    # r'r is the cost exactly
     rng = np.random.default_rng(107)
     x0, cfg, t0 = random_instance(rng, horizon=3)
     seq = ControlSequence(rng.uniform(-0.09, 0.09, size=(3, 3)))
@@ -408,7 +421,7 @@ def test_gradient_is_grad_of_evaluate_record(field_at, table_inertia):
     assert cost == ms.total_cost(traj, seq, cfg)
     r, jac = prob.linearize(record)
     assert jac.shape == (30, 9)
-    assert math.isclose(float(r @ r), cost, rel_tol=1e-12)
+    assert float(r @ r) == cost
     g = ms.gradient(x0, seq, t0, field_at, cfg, table_inertia, substeps=5)
     np.testing.assert_array_equal(g, (2.0 * (jac.T @ r)).reshape(3, 3))
 

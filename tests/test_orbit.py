@@ -60,6 +60,16 @@ def test_solve_kepler_residual_random():
         assert abs(kepler_residual(big_e, e, m)) < 1e-12
 
 
+def test_solve_kepler_residual_high_eccentricity():
+    # seeded at E = M, Newton failed to converge for these near M = 0
+    ms_grid = [0.0616, 0.061575216010359944, 0.0132, 1e-9, TWO_PI - 1e-9]
+    ms_grid += [float(m) for m in np.linspace(0.0, TWO_PI, 2001)]
+    for e in (0.8, 0.9, 0.99, 0.999, 1.0 - 1e-9):
+        for m in ms_grid:
+            big_e = ms.solve_kepler(m, e)
+            assert abs(kepler_residual(big_e, e, m % TWO_PI)) < 1e-12, (e, m)
+
+
 def test_solve_kepler_reduces_large_mean_anomaly():
     m = 12345.678
     big_e = ms.solve_kepler(m, 0.2)

@@ -353,13 +353,13 @@ def test_readme_solve_example_matches_the_loop():
 
 
 # SHA-256 of RunLog.to_csv() for shortened preset runs, recorded with the
-# Gauss-Newton solver (x86-64 Linux, CPython 3.11, numpy 2.4); two
+# Gauss-Newton solver and the r'r cost (x86-64 Linux, CPython 3.11, numpy 2.4); two
 # independent runs produced the same bytes. Any change to a floating-point
 # operation of the closed loop changes these bytes. The attitude solves take
 # tens of Gauss-Newton iterations, so they cover the Jacobian path too.
 PRESET_CSV_SHA256 = {
-    ("detumble-paper", 60.0): "38de2e244fa2d2cc7affe2edc36ad51b24d0db6b9ec08abf5e7cbe243d963e91",
-    ("attitude-paper", 120.0): "5cd492a1ffe0ceb84a236b57f9818902c3967b641a9e098327fcd91a71505acb",
+    ("detumble-paper", 60.0): "728f120a9e6b59cf000d48f112cc3a6c1c0d46376276b37d457c390e0994a1ed",
+    ("attitude-paper", 120.0): "7843e17e494c3491d6625c9f029fec5ebcfeda61fa23573b744e8dc23396f0a8",
 }
 
 
@@ -523,6 +523,17 @@ def test_cli_run_stdout_when_no_output(tmp_path, capsys):
     assert main(["run", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith(CSV_HEADER)
+
+
+def test_cli_runs_highly_eccentric_orbit(tmp_path, capsys):
+    # the orbit's first field sample needs a Kepler solve at e = 0.99 near M = 0
+    elements = {"a_km": 1000000.0, "e": 0.99, "i_deg": 97.0, "raan_deg": 0.0,
+                "argp_deg": 0.0, "mean_anomaly_deg": 3.528}
+    path = tmp_path / "eccentric.json"
+    path.write_text(json.dumps(short_config(duration=4.0, elements=elements)))
+    out_csv = tmp_path / "run.csv"
+    assert main(["run", str(path), "--out", str(out_csv)]) == 0
+    assert len(out_csv.read_text().splitlines()) == 3
 
 
 def test_cli_unknown_config_exits_2(capsys):
