@@ -6,7 +6,8 @@
 
 Exit status: 0 on success, 2 on configuration errors, 3 on integration
 blow-up, 4 on a solver contract violation (a solve costing more than the zero
-or warm-start sequence). On 3 and 4 the rows logged so far are still written.
+or warm-start sequence), 130 when the run is interrupted (Ctrl-C). On 3, 4
+and 130 the rows logged so far are still written.
 A CSV or summary path whose directory is missing, or that names an existing
 directory, is a configuration error, reported before the run.
 """
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_CONTRACT = 4
+EXIT_INTERRUPTED = 130
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,12 +90,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     try:
         log, failure = run_scenario(cfg), None
-    except (IntegrationDivergedError, SolverContractError) as exc:
+    except (IntegrationDivergedError, SolverContractError, KeyboardInterrupt) as exc:
         log, failure = exc.partial_log, exc
     if cfg.output_path is None:
         sys.stdout.write(log.to_csv())
     else:
         log.write_csv(cfg.output_path)
+    if isinstance(failure, KeyboardInterrupt):
+        print("magsat: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     if failure is not None:
         diverged = isinstance(failure, IntegrationDivergedError)
         print(f"magsat: {'integration diverged: ' if diverged else ''}{failure}", file=sys.stderr)

@@ -18,19 +18,20 @@ residual
 
 the solver and `total_cost` both evaluate it that way. The optimizer is
 box-constrained Gauss-Newton with Levenberg-Marquardt damping. The residual
-Jacobian comes from forward sensitivities: the Jacobians of the right-hand
-side at every recorded RK4 stage are built in one vectorized pass, composed
-into each substep's Jacobian (including the quaternion renormalization) and
-chained over the substeps and intervals into the state Jacobian dx/du. The gradient is 2 J'r and the Gauss-Newton Hessian
-2 J'J. Each step minimizes the damped quadratic model exactly over the box
-with a primal active-set method, and is accepted by an Armijo test on the
-true cost. Each solve starts from the cheaper of the all-zero sequence and
-the warm start, so the returned sequence is never worse than either of them.
+Jacobian comes from forward sensitivities: `dynamics.interval_jacobians`
+turns each interval's tape into its Jacobian w.r.t. (start state, dipole),
+and those are chained over the intervals into the state Jacobian dx/du.
+The gradient is 2 J'r and the Gauss-Newton Hessian 2 J'J. Each step
+minimizes the damped quadratic model exactly over the box with a primal
+active-set method, and is accepted by an Armijo test on the true cost. Each
+solve starts from the cheaper of the all-zero sequence and the warm start,
+so the returned sequence is never worse than either of them.
 
-Each control sequence the solver evaluates is rolled out once, and the
-rollout keeps its tape (the recorded RK4 stages) and its residual. The
-Jacobian at an accepted point - the winning start or an accepted trial - is
-built from that point's own tape, so no point is rolled out twice.
+Each control sequence the solver evaluates is rolled out once, through the
+plant's integrator `dynamics.integrate`, and the rollout keeps its tape (the
+recorded RK4 stages) and its residual. The Jacobian at an accepted point -
+the winning start or an accepted trial - is built from that point's own
+tape, so no point is rolled out twice.
 
 Everything here is deterministic: identical inputs produce identical
 outputs, bit for bit.
@@ -48,10 +49,9 @@ from .dynamics import (
     AttitudeState,
     DipoleCommand,
     InertiaTensor,
-    _rk4_stages,
-    body_field,
+    integrate,
+    interval_jacobians,
 )
-from .errors import IntegrationDivergedError
 from .orbit import FieldSample
 
 # Prediction substeps per sampling interval. The plant integrates at the
@@ -162,84 +162,6 @@ def shift_warm_start(seq: ControlSequence) -> ControlSequence:
     return ControlSequence(np.vstack([d[1:], d[-1:]]))
 
 
-def _stage_jacobians(xs: np.ndarray, m: np.ndarray, b: np.ndarray, inertia: tuple) -> np.ndarray:
-    """Jacobians [df/dx | df/dm] of the right-hand side, shape (..., 7, 10).
-
-    xs holds stage states (..., 7); m and b (dipole and orbital-frame field,
-    (..., 3)) broadcast against them. The quaternion feeds back into the
-    torque through the body-frame field, so the rate rows pick up
-    field-derivative terms whenever the dipole is nonzero.
-    """
-    q1, q2, q3, q4, wx, wy, wz = (xs[..., i] for i in range(7))
-    mx, my, mz = (m[..., i] for i in range(3))
-    bx, by, bz = (b[..., i] for i in range(3))
-    ix, iy, iz = inertia
-    v1, v2, v3 = body_field((q1, q2, q3, q4), (bx, by, bz))
-    # quaternion partials of the body-frame field, dv[i][j] = d v_i / d q_j
-    dva = 2.0 * (q1 * bx + q2 * by + q3 * bz)
-    dv12 = 2.0 * (-q2 * bx + q1 * by - q4 * bz)
-    dv13 = 2.0 * (-q3 * bx + q4 * by + q1 * bz)
-    dv14 = 2.0 * (q4 * bx + q3 * by - q2 * bz)
-    dv21 = 2.0 * (q2 * bx - q1 * by + q4 * bz)
-    dv23 = 2.0 * (-q4 * bx - q3 * by + q2 * bz)
-    dv31 = 2.0 * (q3 * bx - q4 * by - q1 * bz)
-    dv = ((dva, dv12, dv13, dv14), (dv21, dva, dv23, dv13), (dv31, dv14, dva, dv21))
-    jac = np.zeros(np.shape(q1) + (7, 10))
-    # kinematics: qdot = M(q) omega, whose entries are state components times +-1/2
-    half, neg = 0.5 * xs, -0.5 * xs
-    hq1, hq2, hq3, hq4, hwx, hwy, hwz = (half[..., i] for i in range(7))
-    nq1, nq2, nq3, _, nwx, nwy, nwz = (neg[..., i] for i in range(7))
-    jac[..., 0, 1], jac[..., 0, 2], jac[..., 0, 3] = hwz, nwy, hwx
-    jac[..., 1, 0], jac[..., 1, 2], jac[..., 1, 3] = nwz, hwx, hwy
-    jac[..., 2, 0], jac[..., 2, 1], jac[..., 2, 3] = hwy, nwx, hwz
-    jac[..., 3, 0], jac[..., 3, 1], jac[..., 3, 2] = nwx, nwy, nwz
-    jac[..., 0, 4], jac[..., 0, 5], jac[..., 0, 6] = hq4, nq3, hq2
-    jac[..., 1, 4], jac[..., 1, 5], jac[..., 1, 6] = hq3, hq4, nq1
-    jac[..., 2, 4], jac[..., 2, 5], jac[..., 2, 6] = nq2, hq1, hq4
-    jac[..., 3, 4], jac[..., 3, 5], jac[..., 3, 6] = nq1, nq2, nq3
-    # Euler's equations: the torque m x v through the attitude, the
-    # gyroscopic term through the rates, and the dipole itself
-    for j in range(4):
-        jac[..., 4, j] = (my * dv[2][j] - mz * dv[1][j]) / ix
-        jac[..., 5, j] = (mz * dv[0][j] - mx * dv[2][j]) / iy
-        jac[..., 6, j] = (mx * dv[1][j] - my * dv[0][j]) / iz
-    gx, gy, gz = (iy - iz) / ix, (iz - ix) / iy, (ix - iy) / iz
-    jac[..., 4, 5], jac[..., 4, 6] = gx * wz, gx * wy
-    jac[..., 5, 4], jac[..., 5, 6] = gy * wz, gy * wx
-    jac[..., 6, 4], jac[..., 6, 5] = gz * wy, gz * wx
-    jac[..., 4, 8], jac[..., 4, 9] = v3 / ix, -v2 / ix
-    jac[..., 5, 7], jac[..., 5, 9] = -v3 / iy, v1 / iy
-    jac[..., 6, 7], jac[..., 6, 8] = v2 / iz, -v1 / iz
-    return jac
-
-
-def _substep_jacobians(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, h: float) -> np.ndarray:
-    """Jacobians of every recorded RK4 substep w.r.t. (start state, dipole), shape (p, S, 7, 10).
-
-    `tape` holds per interval the `_rk4_stages` records of its S substeps; m
-    and b are the interval dipoles and fields, shape (p, 3). The four stage
-    Jacobians of every substep are built at once and composed with batched
-    matmuls, then the rows of the quaternion go through the renormalization
-    q <- q/|q|, whose Jacobian is (I - n n')/|q|.
-    """
-    p, substeps = len(tape), len(tape[0])
-    recs = [rec for records in tape for rec in records]
-    stages = np.array([rec[1] for rec in recs]).reshape(p, substeps, 4, 7)
-    jac = _stage_jacobians(stages, m[:, None, None, :], b[:, None, None, :], inertia)
-    a = jac[..., :7]
-    k1 = jac[:, :, 0]
-    k2 = jac[:, :, 1] + (0.5 * h) * (a[:, :, 1] @ k1)
-    k3 = jac[:, :, 2] + (0.5 * h) * (a[:, :, 2] @ k2)
-    k4 = jac[:, :, 3] + h * (a[:, :, 3] @ k3)
-    phi = (h / 6.0) * (k1 + k4 + 2.0 * (k2 + k3))
-    phi[..., :7] += np.eye(7)
-    n = np.array([rec[0][0:4] for rec in recs]).reshape(p, substeps, 4)
-    norm = np.array([rec[2] for rec in recs]).reshape(p, substeps, 1, 1)
-    rows = phi[..., :4, :]
-    phi[..., :4, :] = (rows - n[..., :, None] * (n[..., None, :] @ rows)) / norm
-    return phi
-
-
 def _controls(u: np.ndarray) -> list[tuple]:
     """Control sequence (p, 3) or flat (3p,) as one float tuple per interval."""
     return [tuple(row) for row in np.reshape(u, (-1, 3)).tolist()]
@@ -293,23 +215,15 @@ class _Problem:
         """Predict over the horizon with each control held for one interval.
 
         Returns the p+1 interval-end states (index 0 is the start state) and
-        the tape: per interval, the `_rk4_stages` result of every substep.
+        the tape: per interval, the `integrate` tape of its substeps.
         """
-        inertia, h = self.inertia, self.h
         x = self.x0
-        states = [x]
-        tape = []
+        states, tape = [x], []
         for k, (mk, b) in enumerate(zip(controls, self.b_list)):
-            records = []
-            for _ in range(self.substeps):
-                rec = _rk4_stages(x, mk, b, inertia, h)
-                records.append(rec)
-                x = rec[0]
-            if not all(math.isfinite(v) for v in x):
-                t_fail = self.t0 + (k + 1) * self.cfg.ts
-                raise IntegrationDivergedError(
-                    f"prediction became non-finite at t={t_fail}", t=t_fail
-                )
+            records = integrate(
+                x, mk, b, self.inertia, self.h, self.substeps, self.t0 + k * self.cfg.ts
+            )
+            x = records[-1][0]
             states.append(x)
             tape.append(records)
         return states, tape
@@ -324,20 +238,15 @@ class _Problem:
     def state_jacobian(self, record) -> np.ndarray:
         """d(x_1..x_p)/du at an evaluated point, shape (7p, 3p), from its tape.
 
-        The substep Jacobians are chained within each interval into the
-        interval's (7, 10) map of (start state, dipole), and the intervals are
-        chained into the block lower-triangular sensitivity of every
-        interval-end state to every control.
+        The intervals' (7, 10) maps of (start state, dipole) are chained into
+        the block lower-triangular sensitivity of every interval-end state to
+        every control.
         """
         controls, tape, _ = record
         p = len(controls)
-        phi = _substep_jacobians(
+        interval = interval_jacobians(
             tape, np.array(controls), np.array(self.b_list), self.inertia, self.h
         )
-        interval = phi[:, 0].copy()
-        for j in range(1, self.substeps):
-            interval = phi[:, j, :, :7] @ interval
-            interval[..., 7:] += phi[:, j, :, 7:]
         sens = np.zeros((p, 7, 3 * p))
         sens[0, :, 0:3] = interval[0, :, 7:]
         for k in range(1, p):
@@ -367,8 +276,10 @@ def predict(
 ) -> PredictedTrajectory:
     """Predicted trajectory under a control sequence (zero-order hold per step).
 
-    Each horizon interval is the same RK4 composition the plant integrator
-    uses, with the orbital-frame field held from the interval start.
+    Each horizon interval is one `dynamics.integrate` call, the plant's own
+    integrator, with the orbital-frame field held from the interval start. A
+    blow-up raises the plant's divergence error, carrying the end time of the
+    substep whose state went non-finite.
     """
     if len(seq) != cfg.horizon:
         raise ValueError(f"sequence length {len(seq)} does not match horizon {cfg.horizon}")

@@ -23,9 +23,10 @@ body frame at every internal stage with that stage's quaternion. The
 quaternion is renormalized after every step.
 
 `_deriv` is the only right-hand side and `body_field` the only
-orbital-to-body rotation; both work on plain float tuples. The plant
-(`propagate`) and the MPC prediction step with the same `_rk4_stages`, so
-they agree bit for bit at equal substep counts.
+orbital-to-body rotation; both work on plain float tuples. `integrate` is the
+only RK4 loop: the plant (`propagate`) and the MPC prediction step each
+interval through it, so they agree bit for bit at equal substep counts and
+fail at the same substep, and `interval_jacobians` differentiates its tape.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def propagate(
     substeps: int,
     inertia: InertiaTensor,
 ) -> AttitudeState:
-    """Integrate over [t0, t0 + duration] in `substeps` RK4 steps.
+    """Integrate over [t0, t0 + duration] in `substeps` RK4 steps (one `integrate` call).
 
     The orbital-frame field is sampled once at t0 and held over the whole
     window (one controller interval in closed loop); each internal stage
@@ -120,18 +121,32 @@ def propagate(
         raise ValueError(f"duration must be positive, got {duration}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    b = tuple(field_at(t0).b.tolist())
-    mt = tuple(m.m.tolist())
-    it = inertia.as_tuple()
-    h = duration / substeps
-    x = tuple(state.as_array().tolist())
-    for j in range(substeps):
-        x = _rk4_stages(x, mt, b, it, h)[0]
-        if not all(math.isfinite(v) for v in x):
-            raise IntegrationDivergedError(
-                f"state became non-finite at t={t0 + (j + 1) * h}", t=t0 + (j + 1) * h
-            )
+    tape = integrate(
+        tuple(state.as_array().tolist()), tuple(m.m.tolist()),
+        tuple(field_at(t0).b.tolist()), inertia.as_tuple(), duration / substeps, substeps, t0,
+    )
+    x = tape[-1][0]
     return AttitudeState(q=np.array(x[0:4]), omega=np.array(x[4:7]))
+
+
+def integrate(x: tuple, m: tuple, b: tuple, inertia: tuple, h: float, substeps: int, t0: float):
+    """RK4 over one interval: `substeps` steps of length h from x at time t0.
+
+    Returns the tape, the `_rk4_stages` record of every step; the end state
+    is `tape[-1][0]`. Finiteness is checked once, on the end state, since a
+    non-finite component stays non-finite through every later step; then
+    IntegrationDivergedError carries the end time of the first non-finite step.
+    """
+    tape = []
+    for _ in range(substeps):
+        rec = _rk4_stages(x, m, b, inertia, h)
+        tape.append(rec)
+        x = rec[0]
+    if not all(math.isfinite(v) for v in x):
+        j = next(j for j, rec in enumerate(tape) if not all(math.isfinite(v) for v in rec[0]))
+        t = t0 + (j + 1) * h
+        raise IntegrationDivergedError(f"state became non-finite at t={t}", t=t)
+    return tape
 
 
 def body_field(q: tuple, b: tuple) -> tuple:
@@ -210,3 +225,75 @@ def _rk4_stages(x: tuple, m: tuple, b: tuple, inertia: tuple, h: float):
     norm = math.sqrt(q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4)
     x_new = (q1 / norm, q2 / norm, q3 / norm, q4 / norm, w1, w2, w3)
     return x_new, (x, xa, xb, xc), norm
+
+
+def interval_jacobians(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, h: float) -> np.ndarray:
+    """Jacobian of each interval's end state w.r.t. (start state, dipole), shape (p, 7, 10).
+
+    `tape` holds per interval the `integrate` tape of its S steps of length
+    h; m and b are the interval dipoles and orbital-frame fields, shape
+    (p, 3). The right-hand side's Jacobians [df/dx | df/dm] at every recorded
+    stage are built in one vectorized pass, composed into each step's
+    Jacobian, passed through the renormalization q <- q/|q| (Jacobian
+    (I - n n')/|q|) and chained over each interval.
+    """
+    p, substeps = len(tape), len(tape[0])
+    recs = [rec for records in tape for rec in records]
+    xs = np.array([rec[1] for rec in recs]).reshape(p, substeps, 4, 7)
+    q1, q2, q3, q4, wx, wy, wz = (xs[..., i] for i in range(7))
+    mx, my, mz = (m[:, None, None, i] for i in range(3))
+    bx, by, bz = (b[:, None, None, i] for i in range(3))
+    ix, iy, iz = inertia
+    v1, v2, v3 = body_field((q1, q2, q3, q4), (bx, by, bz))
+    # quaternion partials of the body-frame field, dv[i][j] = d v_i / d q_j
+    dva = 2.0 * (q1 * bx + q2 * by + q3 * bz)
+    dv12 = 2.0 * (-q2 * bx + q1 * by - q4 * bz)
+    dv13 = 2.0 * (-q3 * bx + q4 * by + q1 * bz)
+    dv14 = 2.0 * (q4 * bx + q3 * by - q2 * bz)
+    dv21 = 2.0 * (q2 * bx - q1 * by + q4 * bz)
+    dv23 = 2.0 * (-q4 * bx - q3 * by + q2 * bz)
+    dv31 = 2.0 * (q3 * bx - q4 * by - q1 * bz)
+    dv = ((dva, dv12, dv13, dv14), (dv21, dva, dv23, dv13), (dv31, dv14, dva, dv21))
+    jac = np.zeros(np.shape(q1) + (7, 10))
+    # kinematics: qdot = M(q) omega, whose entries are state components times +-1/2
+    half, neg = 0.5 * xs, -0.5 * xs
+    hq1, hq2, hq3, hq4, hwx, hwy, hwz = (half[..., i] for i in range(7))
+    nq1, nq2, nq3, _, nwx, nwy, nwz = (neg[..., i] for i in range(7))
+    jac[..., 0, 1], jac[..., 0, 2], jac[..., 0, 3] = hwz, nwy, hwx
+    jac[..., 1, 0], jac[..., 1, 2], jac[..., 1, 3] = nwz, hwx, hwy
+    jac[..., 2, 0], jac[..., 2, 1], jac[..., 2, 3] = hwy, nwx, hwz
+    jac[..., 3, 0], jac[..., 3, 1], jac[..., 3, 2] = nwx, nwy, nwz
+    jac[..., 0, 4], jac[..., 0, 5], jac[..., 0, 6] = hq4, nq3, hq2
+    jac[..., 1, 4], jac[..., 1, 5], jac[..., 1, 6] = hq3, hq4, nq1
+    jac[..., 2, 4], jac[..., 2, 5], jac[..., 2, 6] = nq2, hq1, hq4
+    jac[..., 3, 4], jac[..., 3, 5], jac[..., 3, 6] = nq1, nq2, nq3
+    # Euler's equations: the torque m x v through the attitude, the
+    # gyroscopic term through the rates, and the dipole itself
+    for j in range(4):
+        jac[..., 4, j] = (my * dv[2][j] - mz * dv[1][j]) / ix
+        jac[..., 5, j] = (mz * dv[0][j] - mx * dv[2][j]) / iy
+        jac[..., 6, j] = (mx * dv[1][j] - my * dv[0][j]) / iz
+    gx, gy, gz = (iy - iz) / ix, (iz - ix) / iy, (ix - iy) / iz
+    jac[..., 4, 5], jac[..., 4, 6] = gx * wz, gx * wy
+    jac[..., 5, 4], jac[..., 5, 6] = gy * wz, gy * wx
+    jac[..., 6, 4], jac[..., 6, 5] = gz * wy, gz * wx
+    jac[..., 4, 8], jac[..., 4, 9] = v3 / ix, -v2 / ix
+    jac[..., 5, 7], jac[..., 5, 9] = -v3 / iy, v1 / iy
+    jac[..., 6, 7], jac[..., 6, 8] = v2 / iz, -v1 / iz
+    # the RK4 tableau on the stage Jacobians, then the renormalization
+    a = jac[..., :7]
+    k1 = jac[:, :, 0]
+    k2 = jac[:, :, 1] + (0.5 * h) * (a[:, :, 1] @ k1)
+    k3 = jac[:, :, 2] + (0.5 * h) * (a[:, :, 2] @ k2)
+    k4 = jac[:, :, 3] + h * (a[:, :, 3] @ k3)
+    phi = (h / 6.0) * (k1 + k4 + 2.0 * (k2 + k3))
+    phi[..., :7] += np.eye(7)
+    n = np.array([rec[0][0:4] for rec in recs]).reshape(p, substeps, 4)
+    norm = np.array([rec[2] for rec in recs]).reshape(p, substeps, 1, 1)
+    rows = phi[..., :4, :]
+    phi[..., :4, :] = (rows - n[..., :, None] * (n[..., None, :] @ rows)) / norm
+    interval = phi[:, 0].copy()
+    for j in range(1, substeps):
+        interval = phi[:, j, :, :7] @ interval
+        interval[..., 7:] += phi[:, j, :, 7:]
+    return interval

@@ -144,14 +144,15 @@ def _build_log(rows: list) -> RunLog:
 def run_scenario(cfg: ScenarioConfig) -> RunLog:
     """Run the closed loop for cfg.duration seconds.
 
-    On integration blow-up or a solver contract violation the rows logged so
-    far are attached to the raised error as `partial_log`.
+    On integration blow-up, a solver contract violation or a KeyboardInterrupt
+    the rows logged so far are attached to the raised exception as
+    `partial_log`.
     """
-    field_at = field_function(cfg.elements)
     state = cfg.x0
     warm: Optional[ControlSequence] = None
     rows = []
     try:
+        field_at = field_function(cfg.elements)
         for k in range(cfg.steps):
             t = k * cfg.mpc.ts
             b_orb = field_at(t)
@@ -175,7 +176,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                 state, m_applied, field_at, t, cfg.mpc.ts, cfg.substeps, cfg.inertia
             )
             warm = shift_warm_start(res.sequence)
-    except (IntegrationDivergedError, SolverContractError) as err:
+    except (IntegrationDivergedError, SolverContractError, KeyboardInterrupt) as err:
         err.partial_log = _build_log(rows)
         raise
     return _build_log(rows)

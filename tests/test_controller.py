@@ -116,20 +116,24 @@ def test_predict_equilibrium_stays_put(field_at, detumble_cfg, table_inertia):
     np.testing.assert_allclose(traj.times, 2.0 * np.arange(11), atol=0)
 
 
-def test_predict_single_step_equals_integrator(field_at, table_inertia):
+def test_predict_equals_chained_integrator(field_at, table_inertia):
+    # each prediction interval is one plant `propagate` over Ts with the
+    # field re-sampled at that interval's start, bit for bit
     rng = np.random.default_rng(61)
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
     x0 = AttitudeState(q=q, omega=rng.uniform(-0.05, 0.05, size=3))
-    cfg = MpcConfig(q_diag=np.zeros(7), r_diag=np.ones(3), horizon=1, ts=2.0,
+    cfg = MpcConfig(q_diag=np.zeros(7), r_diag=np.ones(3), horizon=3, ts=2.0,
                     u_max=0.1,
                     x_ref=AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3)))
-    m = np.array([0.07, -0.03, 0.05])
-    traj = ms.predict(x0, ControlSequence(m.reshape(1, 3)), field_at, 100.0, cfg,
-                      table_inertia, substeps=20)
-    direct = ms.propagate(x0, DipoleCommand(m), field_at, 100.0, 2.0, 20, table_inertia)
-    np.testing.assert_array_equal(traj.states[1].q, direct.q)
-    np.testing.assert_array_equal(traj.states[1].omega, direct.omega)
+    u = np.array([[0.07, -0.03, 0.05], [-0.1, 0.02, 0.0], [0.04, 0.1, -0.06]])
+    traj = ms.predict(x0, ControlSequence(u), field_at, 100.0, cfg, table_inertia, substeps=20)
+    direct = x0
+    for k in range(3):
+        direct = ms.propagate(direct, DipoleCommand(u[k]), field_at, 100.0 + 2.0 * k, 2.0, 20,
+                              table_inertia)
+        np.testing.assert_array_equal(traj.states[k + 1].q, direct.q)
+        np.testing.assert_array_equal(traj.states[k + 1].omega, direct.omega)
 
 
 def test_predict_substep_halving_agrees(field_at, detumble_cfg, table_inertia):

@@ -621,6 +621,32 @@ def test_cli_contract_violation_exits_4_with_partial_csv(tmp_path, monkeypatch, 
     assert "contract violation" in capsys.readouterr().err
 
 
+def test_cli_interrupt_exits_130_with_partial_csv(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def solve_interrupted_at_step_2(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr("magsat.scenario.solve", solve_interrupted_at_step_2)
+    path = tmp_path / "mini.json"
+    path.write_text(json.dumps(short_config(duration=10.0)))
+    out_csv = tmp_path / "partial.csv"
+    # an interrupt escaping `main` would stop the whole test session, so it
+    # is turned into this test's failure
+    try:
+        code = main(["run", str(path), "--out", str(out_csv)])
+    except KeyboardInterrupt:
+        code = "KeyboardInterrupt escaped main"
+    assert code == 130
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 1 + 2
+    assert "interrupted" in capsys.readouterr().err
+
+
 def test_cli_pwm_override_toggles_quantizer(tmp_path):
     out_on = tmp_path / "on.csv"
     out_off = tmp_path / "off.csv"
