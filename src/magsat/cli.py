@@ -6,8 +6,10 @@
 
 Exit status: 0 on success, 2 on configuration errors, 3 on integration
 blow-up, 4 on a solver contract violation (a solve costing more than the zero
-or warm-start sequence), 130 when the run is interrupted (Ctrl-C). On 3, 4
-and 130 the rows logged so far are still written.
+or warm-start sequence), 130 when the run is interrupted (Ctrl-C) and 143
+when it receives SIGTERM. On 3, 4, 130 and 143 the rows logged so far are
+still written. The SIGTERM handler is installed for the run only; the
+caller's own handler is restored after it.
 A CSV or summary path whose directory is missing, or that names an existing
 directory, is a configuration error, reported before the run.
 """
@@ -16,13 +18,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from . import presets
-from .errors import ConfigError, IntegrationDivergedError, SolverContractError
+from .errors import ConfigError, IntegrationDivergedError, SolverContractError, Terminated
 from .scenario import load_config, run_scenario, summarize
 
 EXIT_OK = 0
@@ -30,6 +33,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_CONTRACT = 4
 EXIT_INTERRUPTED = 130
+EXIT_TERMINATED = 143  # 128 + SIGTERM, as a shell reports a process it killed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,6 +75,10 @@ def _print_summary(summary: dict) -> None:
     print("\n".join(lines), file=sys.stderr)
 
 
+def _raise_terminated(signum, frame):
+    raise Terminated("SIGTERM")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     pwm = None if args.pwm is None else args.pwm == "on"
     overrides = {"duration": args.duration, "pwm_enabled": pwm, "output_path": args.out}
@@ -88,10 +96,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"magsat: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         log, failure = run_scenario(cfg), None
-    except (IntegrationDivergedError, SolverContractError, KeyboardInterrupt) as exc:
+    except (IntegrationDivergedError, SolverContractError, KeyboardInterrupt, Terminated) as exc:
         log, failure = exc.partial_log, exc
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     if cfg.output_path is None:
         sys.stdout.write(log.to_csv())
     else:
@@ -99,6 +110,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if isinstance(failure, KeyboardInterrupt):
         print("magsat: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    if isinstance(failure, Terminated):
+        print("magsat: terminated", file=sys.stderr)
+        return EXIT_TERMINATED
     if failure is not None:
         diverged = isinstance(failure, IntegrationDivergedError)
         print(f"magsat: {'integration diverged: ' if diverged else ''}{failure}", file=sys.stderr)

@@ -18,20 +18,19 @@ residual
 
 the solver and `total_cost` both evaluate it that way. The optimizer is
 box-constrained Gauss-Newton with Levenberg-Marquardt damping. The residual
-Jacobian comes from forward sensitivities: `dynamics.interval_jacobians`
-turns each interval's tape into its Jacobian w.r.t. (start state, dipole),
-and those are chained over the intervals into the state Jacobian dx/du.
-The gradient is 2 J'r and the Gauss-Newton Hessian 2 J'J. Each step
+Jacobian comes from forward sensitivities: `dynamics.sensitivity` turns a
+rollout's tape into the state Jacobian dx/du, whose rows the state weights
+scale. The gradient is 2 J'r and the Gauss-Newton Hessian 2 J'J. Each step
 minimizes the damped quadratic model exactly over the box with a primal
 active-set method, and is accepted by an Armijo test on the true cost. Each
 solve starts from the cheaper of the all-zero sequence and the warm start,
 so the returned sequence is never worse than either of them.
 
-Each control sequence the solver evaluates is rolled out once, through the
-plant's integrator `dynamics.integrate`, and the rollout keeps its tape (the
-recorded RK4 stages) and its residual. The Jacobian at an accepted point -
-the winning start or an accepted trial - is built from that point's own
-tape, so no point is rolled out twice.
+Each control sequence the solver evaluates is rolled out once, as one
+zero-order-hold sequence through the plant's integrator `dynamics.integrate`,
+and the rollout keeps its tape (the recorded RK4 stages) and its residual.
+The Jacobian at an accepted point - the winning start or an accepted trial -
+is built from that point's own tape, so no point is rolled out twice.
 
 Everything here is deterministic: identical inputs produce identical
 outputs, bit for bit.
@@ -45,13 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import (
-    AttitudeState,
-    DipoleCommand,
-    InertiaTensor,
-    integrate,
-    interval_jacobians,
-)
+from .dynamics import AttitudeState, DipoleCommand, InertiaTensor, integrate, sensitivity
 from .orbit import FieldSample
 
 # Prediction substeps per sampling interval. The plant integrates at the
@@ -162,11 +155,6 @@ def shift_warm_start(seq: ControlSequence) -> ControlSequence:
     return ControlSequence(np.vstack([d[1:], d[-1:]]))
 
 
-def _controls(u: np.ndarray) -> list[tuple]:
-    """Control sequence (p, 3) or flat (3p,) as one float tuple per interval."""
-    return [tuple(row) for row in np.reshape(u, (-1, 3)).tolist()]
-
-
 def _residual(ends, u: np.ndarray, cfg: MpcConfig) -> np.ndarray:
     """Residual r of the horizon cost J = r'r, shape (10p,).
 
@@ -197,72 +185,41 @@ class _Problem:
         inertia: InertiaTensor,
         substeps: int,
     ):
-        self.x0 = tuple(x0.as_array().tolist())
+        self.x0 = x0.as_array()
         self.t0 = t0
         self.cfg = cfg
         # orbital-frame field at the p interval start times (zero-order hold)
-        self.b_list = [
-            tuple(field_at(t0 + k * cfg.ts).b.tolist()) for k in range(cfg.horizon)
-        ]
+        self.b = np.array([field_at(t0 + k * cfg.ts).b for k in range(cfg.horizon)])
         self.inertia = inertia.as_tuple()
         self.substeps = substeps
-        self.h = cfg.ts / substeps
         # row scales of the residual's Jacobian, as `_residual` applies them
         self.q_scale = np.sqrt(cfg.ts * cfg.q_diag)
         self.r_jac = np.diag(np.tile(np.sqrt(cfg.ts * cfg.r_diag), cfg.horizon))
 
-    def rollout(self, controls: list[tuple]):
-        """Predict over the horizon with each control held for one interval.
+    def rollout(self, u: np.ndarray):
+        """`dynamics.integrate` over the horizon, control u_k held over interval k.
 
-        Returns the p+1 interval-end states (index 0 is the start state) and
-        the tape: per interval, the `integrate` tape of its substeps.
+        u has shape (p, 3) or (3p,). Returns the p+1 interval-end states
+        (index 0 is the start state) and the tape.
         """
-        x = self.x0
-        states, tape = [x], []
-        for k, (mk, b) in enumerate(zip(controls, self.b_list)):
-            records = integrate(
-                x, mk, b, self.inertia, self.h, self.substeps, self.t0 + k * self.cfg.ts
-            )
-            x = records[-1][0]
-            states.append(x)
-            tape.append(records)
-        return states, tape
+        return integrate(
+            self.x0, np.reshape(u, (-1, 3)), self.b, self.inertia, self.cfg.ts, self.substeps,
+            self.t0,
+        )
 
     def evaluate(self, u: np.ndarray):
-        """Cost r'r of a control sequence and the record `(controls, tape, r)` of its rollout."""
-        controls = _controls(u)
-        states, tape = self.rollout(controls)
+        """Cost r'r of a control sequence and the record `(u, tape, r)` of its rollout."""
+        states, tape = self.rollout(u)
         r = _residual(states[1:], u, self.cfg)
-        return float(r @ r), (controls, tape, r)
-
-    def state_jacobian(self, record) -> np.ndarray:
-        """d(x_1..x_p)/du at an evaluated point, shape (7p, 3p), from its tape.
-
-        The intervals' (7, 10) maps of (start state, dipole) are chained into
-        the block lower-triangular sensitivity of every interval-end state to
-        every control.
-        """
-        controls, tape, _ = record
-        p = len(controls)
-        interval = interval_jacobians(
-            tape, np.array(controls), np.array(self.b_list), self.inertia, self.h
-        )
-        sens = np.zeros((p, 7, 3 * p))
-        sens[0, :, 0:3] = interval[0, :, 7:]
-        for k in range(1, p):
-            sens[k, :, : 3 * k] = interval[k, :, :7] @ sens[k - 1, :, : 3 * k]
-            sens[k, :, 3 * k : 3 * k + 3] = interval[k, :, 7:]
-        return sens.reshape(7 * p, 3 * p)
+        return float(r @ r), (u, tape, r)
 
     def linearize(self, record):
         """Residual r (J = r'r) of an evaluated point, from its record, and its Jacobian dr/du."""
+        u, tape, r = record
+        sens = sensitivity(tape, np.reshape(u, (-1, 3)), self.b, self.inertia, self.cfg.ts)
         n = self.r_jac.shape[0]
-        jac = np.vstack([
-            (self.state_jacobian(record).reshape(-1, 7, n) * self.q_scale[:, None])
-            .reshape(-1, n),
-            self.r_jac,
-        ])
-        return record[2], jac
+        q_rows = (sens.reshape(-1, 7, n) * self.q_scale[:, None]).reshape(-1, n)
+        return r, np.vstack([q_rows, self.r_jac])
 
 
 def predict(
@@ -276,18 +233,15 @@ def predict(
 ) -> PredictedTrajectory:
     """Predicted trajectory under a control sequence (zero-order hold per step).
 
-    Each horizon interval is one `dynamics.integrate` call, the plant's own
-    integrator, with the orbital-frame field held from the interval start. A
-    blow-up raises the plant's divergence error, carrying the end time of the
-    substep whose state went non-finite.
+    The horizon is one p-interval `dynamics.integrate` call, the plant's own
+    integrator, with the orbital-frame field held from each interval's start.
+    A blow-up raises the plant's divergence error, carrying the end time of
+    the substep whose state went non-finite.
     """
     if len(seq) != cfg.horizon:
         raise ValueError(f"sequence length {len(seq)} does not match horizon {cfg.horizon}")
-    prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
-    states, _ = prob.rollout(_controls(seq.dipoles))
-    out = tuple(
-        AttitudeState(q=np.array(s[0:4]), omega=np.array(s[4:7])) for s in states
-    )
+    states, _ = _Problem(x0, t0, field_at, cfg, inertia, substeps).rollout(seq.dipoles)
+    out = tuple(AttitudeState(q=s[0:4], omega=s[4:7]) for s in states)
     times = np.array([t0 + k * cfg.ts for k in range(cfg.horizon + 1)])
     return PredictedTrajectory(states=out, times=times)
 

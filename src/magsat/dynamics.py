@@ -17,16 +17,17 @@ The angular velocity is treated as relative to the orbital frame whose field
 the environment model provides; the orbital angular rate itself is neglected
 in the kinematics (it is far below the rates of interest here).
 
-Integration is fixed-step classical RK4. The orbital-frame field is held
-constant over an integration window (zero-order hold) and rotated into the
-body frame at every internal stage with that stage's quaternion. The
-quaternion is renormalized after every step.
+Integration is fixed-step classical RK4 over a zero-order-hold sequence:
+interval k holds its dipole and its orbital-frame field sample, and the
+field is rotated into the body frame at every internal stage with that
+stage's quaternion. The quaternion is renormalized after every step.
 
 `_deriv` is the only right-hand side and `body_field` the only
 orbital-to-body rotation; both work on plain float tuples. `integrate` is the
-only RK4 loop: the plant (`propagate`) and the MPC prediction step each
-interval through it, so they agree bit for bit at equal substep counts and
-fail at the same substep, and `interval_jacobians` differentiates its tape.
+only rollout of such a sequence: the plant (`propagate`) is a one-interval
+call and the MPC prediction a p-interval one, so they agree bit for bit at
+equal substep counts and fail at the same substep. `sensitivity` turns its
+tape into the Jacobian of every interval-end state w.r.t. every dipole.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def propagate(
     substeps: int,
     inertia: InertiaTensor,
 ) -> AttitudeState:
-    """Integrate over [t0, t0 + duration] in `substeps` RK4 steps (one `integrate` call).
+    """Integrate over [t0, t0 + duration] in `substeps` RK4 steps: a one-interval `integrate`.
 
     The orbital-frame field is sampled once at t0 and held over the whole
     window (one controller interval in closed loop); each internal stage
@@ -121,32 +122,42 @@ def propagate(
         raise ValueError(f"duration must be positive, got {duration}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    tape = integrate(
-        tuple(state.as_array().tolist()), tuple(m.m.tolist()),
-        tuple(field_at(t0).b.tolist()), inertia.as_tuple(), duration / substeps, substeps, t0,
+    states, _ = integrate(
+        state.as_array(), m.m[None], field_at(t0).b[None], inertia.as_tuple(),
+        duration, substeps, t0,
     )
-    x = tape[-1][0]
-    return AttitudeState(q=np.array(x[0:4]), omega=np.array(x[4:7]))
+    return AttitudeState(q=states[-1, 0:4], omega=states[-1, 4:7])
 
 
-def integrate(x: tuple, m: tuple, b: tuple, inertia: tuple, h: float, substeps: int, t0: float):
-    """RK4 over one interval: `substeps` steps of length h from x at time t0.
+def integrate(
+    x: np.ndarray, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float, substeps: int, t0: float
+):
+    """RK4 over a zero-order-hold sequence of p intervals of length ts from x at time t0.
 
-    Returns the tape, the `_rk4_stages` record of every step; the end state
-    is `tape[-1][0]`. Finiteness is checked once, on the end state, since a
+    Interval k holds the dipole m[k] and the orbital-frame field b[k] (m and
+    b have shape (p, 3)) over [t0 + k ts, t0 + (k+1) ts], in `substeps` steps
+    of ts / substeps. Returns the p+1 interval-end states, shape (p+1, 7) with
+    x first, and the tape: per interval, the `_rk4_stages` record of each
+    step. Finiteness is checked once per interval, on its end state, since a
     non-finite component stays non-finite through every later step; then
     IntegrationDivergedError carries the end time of the first non-finite step.
     """
-    tape = []
-    for _ in range(substeps):
-        rec = _rk4_stages(x, m, b, inertia, h)
-        tape.append(rec)
-        x = rec[0]
-    if not all(math.isfinite(v) for v in x):
-        j = next(j for j, rec in enumerate(tape) if not all(math.isfinite(v) for v in rec[0]))
-        t = t0 + (j + 1) * h
-        raise IntegrationDivergedError(f"state became non-finite at t={t}", t=t)
-    return tape
+    h = ts / substeps
+    x = tuple(x.tolist())
+    states, tape = [x], []
+    for k, (mk, bk) in enumerate(zip(m.tolist(), b.tolist())):
+        records = []
+        for _ in range(substeps):
+            rec = _rk4_stages(x, mk, bk, inertia, h)
+            records.append(rec)
+            x = rec[0]
+        if not all(map(math.isfinite, x)):
+            j = next(j for j, (y, _, _) in enumerate(records) if not all(map(math.isfinite, y)))
+            t = t0 + k * ts + (j + 1) * h
+            raise IntegrationDivergedError(f"state became non-finite at t={t}", t=t)
+        states.append(x)
+        tape.append(records)
+    return np.array(states), tape
 
 
 def body_field(q: tuple, b: tuple) -> tuple:
@@ -227,17 +238,19 @@ def _rk4_stages(x: tuple, m: tuple, b: tuple, inertia: tuple, h: float):
     return x_new, (x, xa, xb, xc), norm
 
 
-def interval_jacobians(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, h: float) -> np.ndarray:
-    """Jacobian of each interval's end state w.r.t. (start state, dipole), shape (p, 7, 10).
+def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float) -> np.ndarray:
+    """d(x_1..x_p)/d(m_0..m_{p-1}) of an `integrate` rollout, shape (7p, 3p), from its tape.
 
-    `tape` holds per interval the `integrate` tape of its S steps of length
-    h; m and b are the interval dipoles and orbital-frame fields, shape
-    (p, 3). The right-hand side's Jacobians [df/dx | df/dm] at every recorded
-    stage are built in one vectorized pass, composed into each step's
-    Jacobian, passed through the renormalization q <- q/|q| (Jacobian
-    (I - n n')/|q|) and chained over each interval.
+    m and b are the rollout's dipoles and orbital-frame fields, shape (p, 3).
+    The right-hand side's Jacobians [df/dx | df/dm] at every recorded stage
+    are built in one vectorized pass, composed into each step's Jacobian,
+    passed through the renormalization q <- q/|q| (Jacobian (I - n n')/|q|)
+    and chained into each interval's (7, 10) map of (start state, dipole).
+    Those are chained over the intervals into the block lower-triangular
+    sensitivity of every interval-end state to every dipole.
     """
     p, substeps = len(tape), len(tape[0])
+    h = ts / substeps
     recs = [rec for records in tape for rec in records]
     xs = np.array([rec[1] for rec in recs]).reshape(p, substeps, 4, 7)
     q1, q2, q3, q4, wx, wy, wz = (xs[..., i] for i in range(7))
@@ -296,4 +309,9 @@ def interval_jacobians(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, h: fl
     for j in range(1, substeps):
         interval = phi[:, j, :, :7] @ interval
         interval[..., 7:] += phi[:, j, :, 7:]
-    return interval
+    sens = np.zeros((p, 7, 3 * p))
+    sens[0, :, 0:3] = interval[0, :, 7:]
+    for k in range(1, p):
+        sens[k, :, : 3 * k] = interval[k, :, :7] @ sens[k - 1, :, : 3 * k]
+        sens[k, :, 3 * k : 3 * k + 3] = interval[k, :, 7:]
+    return sens.reshape(7 * p, 3 * p)

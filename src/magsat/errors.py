@@ -18,3 +18,11 @@ class SolverContractError(RuntimeError):
 
 class ConfigError(ValueError):
     """A scenario configuration failed parsing or validation."""
+
+
+class Terminated(BaseException):
+    """The process received SIGTERM during a CLI run.
+
+    Like KeyboardInterrupt it is not an Exception, so no broad handler
+    swallows the request to stop.
+    """

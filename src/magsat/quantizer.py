@@ -15,6 +15,7 @@ Level values are always computed as fractions of u_max at the point of use
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -31,23 +32,11 @@ def quantize(u_mpc: float, u_max: float) -> float:
         raise ValueError(f"u_max must be positive, got {u_max}")
     if not math.isfinite(u_mpc):
         raise ValueError(f"command must be finite, got {u_mpc}")
-    two_thirds = 2.0 * u_max / 3.0
-    one_third = u_max / 3.0
     if u_mpc == 0.0:
         return 0.0
-    if u_mpc >= two_thirds:
-        return u_max
-    if u_mpc >= one_third:
-        return two_thirds
-    if u_mpc > 0.0:
-        return one_third
-    if u_mpc >= -one_third:
-        return 0.0
-    if u_mpc >= -two_thirds:
-        return -one_third
-    if u_mpc >= -u_max:
-        return -two_thirds
-    return -u_max
+    one_third, two_thirds = u_max / 3.0, 2.0 * u_max / 3.0
+    levels = (-u_max, -two_thirds, -one_third, 0.0, one_third, two_thirds, u_max)
+    return levels[min(bisect_right(levels, u_mpc), 6)]
 
 
 def quantize_vector(m: DipoleCommand, u_max: float) -> DipoleCommand:

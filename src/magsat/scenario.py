@@ -30,7 +30,7 @@ from .controller import (
     solve,
 )
 from .dynamics import AttitudeState, InertiaTensor, propagate
-from .errors import ConfigError, IntegrationDivergedError, SolverContractError
+from .errors import ConfigError, IntegrationDivergedError, SolverContractError, Terminated
 from .orbit import OrbitalElements, field_function
 from .quantizer import quantize_vector
 
@@ -144,9 +144,9 @@ def _build_log(rows: list) -> RunLog:
 def run_scenario(cfg: ScenarioConfig) -> RunLog:
     """Run the closed loop for cfg.duration seconds.
 
-    On integration blow-up, a solver contract violation or a KeyboardInterrupt
-    the rows logged so far are attached to the raised exception as
-    `partial_log`.
+    On integration blow-up, a solver contract violation, a KeyboardInterrupt
+    or a `Terminated` (raised by the CLI's SIGTERM handler) the rows logged so
+    far are attached to the raised exception as `partial_log`.
     """
     state = cfg.x0
     warm: Optional[ControlSequence] = None
@@ -176,7 +176,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                 state, m_applied, field_at, t, cfg.mpc.ts, cfg.substeps, cfg.inertia
             )
             warm = shift_warm_start(res.sequence)
-    except (IntegrationDivergedError, SolverContractError, KeyboardInterrupt) as err:
+    except (IntegrationDivergedError, SolverContractError, KeyboardInterrupt, Terminated) as err:
         err.partial_log = _build_log(rows)
         raise
     return _build_log(rows)

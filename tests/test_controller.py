@@ -14,6 +14,7 @@ from magsat import (
 )
 from magsat import controller
 from magsat.controller import shift_warm_start
+from magsat.dynamics import integrate, sensitivity
 from magsat.scenario import load_config
 
 
@@ -154,6 +155,20 @@ def test_predict_rejects_length_mismatch(field_at, detumble_cfg, table_inertia):
     with pytest.raises(ValueError):
         ms.predict(x0, ControlSequence(np.zeros((3, 3))), field_at, 0.0,
                    detumble_cfg, table_inertia)
+
+
+def test_cost_and_gradient_reject_length_mismatch(field_at, detumble_cfg, table_inertia):
+    x0 = detumble_cfg.x_ref
+    seq = ControlSequence(np.zeros((10, 3)))
+    short = ControlSequence(np.zeros((3, 3)))
+    traj = ms.predict(x0, seq, field_at, 0.0, detumble_cfg, table_inertia)
+    with pytest.raises(ValueError, match="sequence length 3"):
+        ms.total_cost(traj, short, detumble_cfg)
+    cut = ms.PredictedTrajectory(states=traj.states[:4], times=traj.times[:4])
+    with pytest.raises(ValueError, match="trajectory has 4 states"):
+        ms.total_cost(cut, seq, detumble_cfg)
+    with pytest.raises(ValueError, match="sequence length 3"):
+        ms.gradient(x0, short, 0.0, field_at, detumble_cfg, table_inertia)
 
 
 # --- cost ------------------------------------------------------------------------------
@@ -430,7 +445,7 @@ def test_gradient_is_grad_of_evaluate_record(field_at, table_inertia):
     np.testing.assert_array_equal(g, (2.0 * (jac.T @ r)).reshape(3, 3))
 
 
-def test_state_jacobian_matches_central_differences(field_at, table_inertia):
+def test_sensitivity_matches_central_differences(field_at, table_inertia):
     # every entry of d(x_1..x_p)/du against central differences of predict;
     # the blocks above the diagonal (later controls on earlier states) are 0
     rng = np.random.default_rng(109)
@@ -439,8 +454,11 @@ def test_state_jacobian_matches_central_differences(field_at, table_inertia):
         horizon = int(rng.integers(1, 4))
         x0, cfg, t0 = random_instance(rng, horizon)
         u = rng.uniform(-0.09, 0.09, size=3 * horizon)
-        prob = controller._Problem(x0, t0, field_at, cfg, table_inertia, 5)
-        sens = prob.state_jacobian(prob.evaluate(u)[1])
+        m = u.reshape(horizon, 3)
+        b = np.array([field_at(t0 + k * cfg.ts).b for k in range(horizon)])
+        inertia = table_inertia.as_tuple()
+        _, tape = integrate(x0.as_array(), m, b, inertia, cfg.ts, 5, t0)
+        sens = sensitivity(tape, m, b, inertia, cfg.ts)
         fd = np.zeros((7 * horizon, 3 * horizon))
         for j in range(3 * horizon):
             ends = []

@@ -274,23 +274,32 @@ def test_step_blowup_carries_time(table_inertia):
     assert err.value.t == 13.0
 
 
-@pytest.mark.parametrize("via", ["propagate", "predict"])
-def test_blowup_within_interval_carries_substep_time(via, table_inertia):
+@pytest.mark.parametrize("via, rate, t_fail", [
+    pytest.param("propagate", 1e10, 13.0, id="propagate"),
+    pytest.param("predict", 1e10, 13.0, id="predict"),
+    pytest.param("propagate", 10.0, 14.5, id="propagate-interval-1"),
+    pytest.param("predict", 10.0, 14.5, id="predict-interval-1"),
+])
+def test_blowup_within_interval_carries_substep_time(via, rate, t_fail, table_inertia):
     # at 1e10 rad/s substep 1 of 4 stays finite (rates near 1e100) and
     # substep 2 overflows, so the failure time is 12 + 2 * 0.5, not the
-    # interval end 14; the plant and the prediction report it alike
-    state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.array([1e10, 1e10, 0]))
+    # interval end 14. At 10 rad/s the 5th substep is the first non-finite
+    # one: interval 1, substep 1, so 12 + 1 * 2 + 1 * 0.5. The plant (two
+    # chained intervals) and the prediction (p = 2) report it alike
+    state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.array([rate, rate, 0]))
     field_at = constant_field([0, 0, 1e-5])
     with pytest.raises(IntegrationDivergedError) as err:
         if via == "propagate":
-            ms.propagate(state, DipoleCommand(np.zeros(3)), field_at, 12.0, 2.0, 4, table_inertia)
+            for t0 in (12.0, 14.0):
+                state = ms.propagate(state, DipoleCommand(np.zeros(3)), field_at, t0, 2.0, 4,
+                                     table_inertia)
         else:
             cfg = ms.MpcConfig(q_diag=np.zeros(7), r_diag=np.ones(3), horizon=2, ts=2.0,
                                u_max=0.1, x_ref=AttitudeState(q=IDENTITY, omega=ZERO))
             ms.predict(state, ms.ControlSequence(np.zeros((2, 3))), field_at, 12.0, cfg,
                        table_inertia, substeps=4)
-    assert err.value.t == 13.0
-    assert str(err.value) == "state became non-finite at t=13.0"
+    assert err.value.t == t_fail
+    assert str(err.value) == f"state became non-finite at t={t_fail}"
 
 
 def test_propagate_matches_repeated_steps(table_inertia):

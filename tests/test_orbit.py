@@ -287,6 +287,13 @@ def test_elements_reject_bad_eccentricity():
                         argp=0.0, mean_anomaly=0.0)
 
 
+@pytest.mark.parametrize("a_km", [0.0, -7000.0])
+def test_elements_reject_nonpositive_semi_major_axis(a_km):
+    with pytest.raises(ValueError, match="semi-major axis"):
+        OrbitalElements(a_km=a_km, e=0.0, inclination=0.0, raan=0.0,
+                        argp=0.0, mean_anomaly=0.0)
+
+
 def test_elements_normalize_angles():
     el = OrbitalElements(a_km=7000.0, e=0.0, inclination=-math.pi / 2.0,
                          raan=3.0 * math.pi, argp=0.0, mean_anomaly=TWO_PI)

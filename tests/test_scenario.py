@@ -2,8 +2,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +153,10 @@ def test_config_rejects_missing_keys():
     del doc["mpc"]["horizon"]
     with pytest.raises(ConfigError, match="horizon"):
         scenario_from_dict(doc)
+    doc = short_config(elements=dict(SSO_ELEMENTS))
+    del doc["elements"]["i_deg"]
+    with pytest.raises(ConfigError, match=re.escape("missing key 'i' (or 'i_deg')")):
+        scenario_from_dict(doc)
 
 
 def test_config_rejects_angle_unit_conflicts():
@@ -182,6 +192,13 @@ def test_config_rejects_unknown_elements_preset():
     doc = short_config()
     doc["elements"] = "mystery-orbit"
     with pytest.raises(ConfigError, match="mystery-orbit"):
+        scenario_from_dict(doc)
+
+
+def test_config_rejects_zero_initial_quaternion():
+    doc = short_config()
+    doc["x0"]["q"] = [0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ConfigError, match="cannot be normalized"):
         scenario_from_dict(doc)
 
 
@@ -236,6 +253,16 @@ def test_cli_integer_beyond_float_range_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(short_config(duration=HUGE_INT)))
     assert main(["run", str(path)]) == 2
     assert "duration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, literal", [(math.inf, "Infinity"), (math.nan, "NaN")])
+def test_cli_non_finite_number_exits_2(value, literal, tmp_path, capsys):
+    # Python's json reads the literals Infinity and NaN as floats
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(short_config(duration=value)))
+    assert f'"duration": {literal}' in path.read_text()
+    assert main(["run", str(path)]) == 2
+    assert "duration must be finite" in capsys.readouterr().err
 
 
 def test_cli_integer_past_digit_limit_exits_2(tmp_path, capsys):
@@ -645,6 +672,26 @@ def test_cli_interrupt_exits_130_with_partial_csv(tmp_path, monkeypatch, capsys)
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 2
     assert "interrupted" in capsys.readouterr().err
+
+
+def test_cli_sigterm_exits_143_with_partial_csv(tmp_path):
+    # a real SIGTERM to a real `magsat run`, part way through the 180-step
+    # attitude preset
+    out_csv = tmp_path / "partial.csv"
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    with subprocess.Popen(
+        [sys.executable, "-m", "magsat.cli", "run", "attitude-paper", "--out", str(out_csv)],
+        env=env, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        time.sleep(3.0)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 143, err
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) >= 2
+    assert "magsat: terminated" in err
 
 
 def test_cli_pwm_override_toggles_quantizer(tmp_path):
