@@ -26,6 +26,15 @@ active-set method, and is accepted by an Armijo test on the true cost. Each
 solve starts from the cheaper of the all-zero sequence and the warm start,
 so the returned sequence is never worse than either of them.
 
+A solve stops on one of two Levenberg-Marquardt termination tests
+(J. J. More, LNM 630, 1978), both in cost units, so they hold at any scale
+of the weights: the first-order test u_max * |g_P| < 1e-8 * (1 + |J|), with
+g_P the gradient less the components the box holds, and the
+relative-reduction test, an accepted step whose actual and predicted
+decreases are both at most 1e-10 * J. Otherwise it stops at the iteration
+cap or when no damped step passes the Armijo test, and the result is
+flagged degraded.
+
 Each control sequence the solver evaluates is rolled out once, as one
 zero-order-hold sequence through the plant's integrator `dynamics.integrate`,
 and the rollout keeps its tape (the recorded RK4 stages) and its residual.
@@ -55,6 +64,9 @@ from .orbit import FieldSample
 PREDICTION_SUBSTEPS = 5
 MAX_ITERATIONS = 50
 CONVERGENCE_RTOL = 1e-8
+# relative-reduction stopping test: an accepted step that lowered the cost,
+# and that the undamped model predicted to lower it, by at most FTOL * J
+FTOL = 1e-10
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60  # rejected trials (damping increases) per iteration
 # Levenberg-Marquardt damping: the step's model Hessian is H + lam * diag(H).
@@ -134,19 +146,27 @@ class PredictedTrajectory:
 class SolveResult:
     """Outcome of one receding-horizon solve.
 
-    `degraded` is set when the optimizer stopped without certifying the
-    projected-gradient tolerance (iteration cap, or no trial step passed the
-    Armijo test); the result is still the cheapest point found and still
-    satisfies the zero/warm-start dominance contract.
+    `stop_reason` says why the solve stopped: "converged" (the first-order
+    test held), "settled" (the relative-reduction test held), "iteration_cap"
+    (MAX_ITERATIONS accepted steps), "no_step" (the box pins every direction
+    or the damping shrank the step to nothing) or "backtracks_exhausted" (no
+    damped step passed the Armijo test). `degraded` is true for the last
+    three: the solve stopped without passing either termination test. The
+    result is still the last accepted point and still satisfies the
+    zero/warm-start dominance contract.
     """
 
     command: DipoleCommand
     sequence: ControlSequence
     cost: float
-    degraded: bool
+    stop_reason: str
     iterations: int
     zero_cost: float
     warm_cost: Optional[float]
+
+    @property
+    def degraded(self) -> bool:
+        return self.stop_reason not in ("converged", "settled")
 
 
 def shift_warm_start(seq: ControlSequence) -> ControlSequence:
@@ -279,9 +299,14 @@ def gradient(
 
 
 def _converged(u: np.ndarray, grad: np.ndarray, cost: float, u_max: float) -> bool:
-    """Stopping test: projected-gradient norm below CONVERGENCE_RTOL * (1 + |J|)."""
-    step = np.clip(u - grad, -u_max, u_max)
-    return float(np.linalg.norm(u - step)) < CONVERGENCE_RTOL * (1.0 + abs(cost))
+    """First-order test u_max * |g_P| < CONVERGENCE_RTOL * (1 + |J|), both sides in cost units.
+
+    g_P is the gradient with the components zeroed where u sits on a bound
+    and the gradient pushes it outward.
+    """
+    held = ((u >= u_max) & (grad < 0.0)) | ((u <= -u_max) & (grad > 0.0))
+    g_p = np.where(held, 0.0, grad)
+    return u_max * float(np.linalg.norm(g_p)) < CONVERGENCE_RTOL * (1.0 + abs(cost))
 
 
 def _box_qp(g: np.ndarray, hess: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -344,12 +369,16 @@ def solve(
     the box-constrained quadratic model with Levenberg-Marquardt damping and
     accepts the step by an Armijo test on the true cost, raising the damping
     on a rejection (at most MAX_BACKTRACKS times) and adjusting it by the
-    gain ratio on acceptance. It stops when the projected-gradient norm
-    drops below 1e-8 * (1 + |J|); stopping on the MAX_ITERATIONS cap or
-    without an acceptable step sets the degraded flag instead. Every
-    accepted step lowers the cost, so the last iterate is returned. Both
-    starts and every trial are rolled out once; the Jacobian at the winning
-    start and at each accepted trial comes from that rollout's tape.
+    gain ratio on acceptance. It stops "converged" when u_max times the
+    norm of the gradient less its box-held components drops below
+    CONVERGENCE_RTOL * (1 + |J|), and "settled" when an accepted step's
+    actual and predicted (undamped model) decreases are both at most
+    FTOL * J; the settled point is returned without a Jacobian. Stopping
+    on the MAX_ITERATIONS cap or without an acceptable step sets the
+    degraded flag instead (see `SolveResult.stop_reason`). Every accepted
+    step lowers the cost, so the last iterate is returned. Both starts and
+    every trial are rolled out once; the Jacobian at the winning start and
+    at each accepted trial comes from that rollout's tape.
     """
     p, u_max = cfg.horizon, cfg.u_max
     prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
@@ -371,49 +400,56 @@ def solve(
 
     r, jac = linearize(record)
     grad = 2.0 * (jac.T @ r)
-    converged = _converged(u, grad, cost, u_max)
+    stop_reason = "converged" if _converged(u, grad, cost, u_max) else None
     lam, nu = _DAMPING0, 2.0
     iterations = 0
 
-    while not converged and iterations < MAX_ITERATIONS:
+    while stop_reason is None and iterations < MAX_ITERATIONS:
         iterations += 1
         hess = 2.0 * (jac.T @ jac)
         damping = np.diag(np.diag(hess))
-        accepted, rejected = False, None
+        rejected = None
         for _ in range(MAX_BACKTRACKS):
             d, side = _box_qp(grad, hess + lam * damping, -u_max - u, u_max - u)
             u_new = np.clip(u + d, -u_max, u_max)
             u_new[side > 0], u_new[side < 0] = u_max, -u_max
             d = u_new - u
             if not np.any(d):
-                break  # every direction pinned by the box, or damped to nothing
+                stop_reason = "no_step"
+                break
             # more damping can leave a step on the same box corner; that
             # trial has failed already
             if rejected is None or not np.array_equal(u_new, rejected):
                 gd = float(grad @ d)
                 new_cost, new_rec = evaluate(u_new)
                 if new_cost <= cost + ARMIJO_C1 * gd:
-                    accepted = True
                     break
                 rejected = u_new
             lam, nu = lam * nu, 2.0 * nu
-        if not accepted:
+        else:
+            stop_reason = "backtracks_exhausted"
+        if stop_reason is not None:
             break
         # Nielsen's update from the gain ratio against the undamped model
         predicted = -(gd + 0.5 * float(d @ hess @ d))
         rho = (cost - new_cost) / predicted if predicted > 0.0 else 0.0
         lam, nu = lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+        settled = cost - new_cost <= FTOL * cost and predicted <= FTOL * cost
         u, cost = u_new, new_cost
+        if settled:
+            stop_reason = "settled"
+            break
         r, jac = linearize(new_rec)
         grad = 2.0 * (jac.T @ r)
-        converged = _converged(u, grad, cost, u_max)
+        if _converged(u, grad, cost, u_max):
+            stop_reason = "converged"
 
     seq = ControlSequence(u.reshape(p, 3).copy())
     return SolveResult(
         command=DipoleCommand(seq.dipoles[0].copy()),
         sequence=seq,
         cost=cost,
-        degraded=not converged,
+        stop_reason=stop_reason or "iteration_cap",
         iterations=iterations,
         zero_cost=zero_cost,
         warm_cost=warm_cost,

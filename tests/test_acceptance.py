@@ -399,8 +399,8 @@ def test_criterion_7c_single_step_grid_dominance(recorder, sso_elements, table_i
 # that is not deterministic cannot reproduce a recorded hash, so comparing
 # against it is at least as strict as comparing two runs in one process.
 PRESET_FULL_CSV_SHA256 = {
-    "detumble-paper": "5781dab9069a86fb4da17477d110e545b7228483bcb9d3dd8c6d51357cf6b376",
-    "attitude-paper": "a8ae1043ec2bcc8ddb41e40f2c904c0c349dfa52e31a99705005067a74bdce6a",
+    "detumble-paper": "9324f7453a5d6614167e56c357941b07c3861f008a4b15d9792885a0e9466755",
+    "attitude-paper": "879ff7d381a119426b585ea8db3bece472c2da5bb78169cb2bc5a26608259dc1",
 }
 
 

@@ -380,13 +380,14 @@ def test_readme_solve_example_matches_the_loop():
 
 
 # SHA-256 of RunLog.to_csv() for shortened preset runs, recorded with the
-# Gauss-Newton solver and the r'r cost (x86-64 Linux, CPython 3.11, numpy 2.4); two
-# independent runs produced the same bytes. Any change to a floating-point
-# operation of the closed loop changes these bytes. The attitude solves take
-# tens of Gauss-Newton iterations, so they cover the Jacobian path too.
+# Gauss-Newton solver, the r'r cost and the cost-unit stopping tests (x86-64
+# Linux, CPython 3.11, numpy 2.4); two independent runs produced the same
+# bytes. Any change to a floating-point operation of the closed loop changes
+# these bytes. The four attitude solves take 5 to 19 Gauss-Newton
+# iterations, so they cover the Jacobian path too.
 PRESET_CSV_SHA256 = {
-    ("detumble-paper", 60.0): "728f120a9e6b59cf000d48f112cc3a6c1c0d46376276b37d457c390e0994a1ed",
-    ("attitude-paper", 120.0): "7843e17e494c3491d6625c9f029fec5ebcfeda61fa23573b744e8dc23396f0a8",
+    ("detumble-paper", 60.0): "b216fe10158838b64bc6e8f77c95075fc854cf66a7566183192de1ec54dbb6c7",
+    ("attitude-paper", 120.0): "0adb9ff0bd4c9c0a661f28b186b3f184d15daad2555eb175b8a8ea85e7d2d3aa",
 }
 
 
@@ -675,13 +676,14 @@ def test_cli_interrupt_exits_130_with_partial_csv(tmp_path, monkeypatch, capsys)
 
 
 def test_cli_sigterm_exits_143_with_partial_csv(tmp_path):
-    # a real SIGTERM to a real `magsat run`, part way through the 180-step
-    # attitude preset
+    # a real SIGTERM to a real `magsat run`, part way through the attitude
+    # preset stretched to 1800 steps, ten times its 180
     out_csv = tmp_path / "partial.csv"
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     with subprocess.Popen(
-        [sys.executable, "-m", "magsat.cli", "run", "attitude-paper", "--out", str(out_csv)],
+        [sys.executable, "-m", "magsat.cli", "run", "attitude-paper", "--duration", "54000",
+         "--out", str(out_csv)],
         env=env, stderr=subprocess.PIPE, text=True,
     ) as proc:
         time.sleep(3.0)

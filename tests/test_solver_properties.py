@@ -72,7 +72,7 @@ def test_solve_bound_dominance_and_determinism(sso_elements, table_inertia, prob
     assert (first.cost, first.zero_cost, first.warm_cost) == (
         second.cost, second.zero_cost, second.warm_cost
     )
-    assert (first.iterations, first.degraded) == (second.iterations, second.degraded)
+    assert (first.iterations, first.stop_reason) == (second.iterations, second.stop_reason)
 
 
 @st.composite
