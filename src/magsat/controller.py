@@ -26,20 +26,21 @@ active-set method, and is accepted by an Armijo test on the true cost. Each
 solve starts from the cheaper of the all-zero sequence and the warm start,
 so the returned sequence is never worse than either of them.
 
-A solve stops on one of two Levenberg-Marquardt termination tests
-(J. J. More, LNM 630, 1978), both in cost units, so they hold at any scale
-of the weights: the first-order test u_max * |g_P| < 1e-8 * (1 + |J|), with
-g_P the gradient less the components the box holds, and the
-relative-reduction test, an accepted step whose actual and predicted
-decreases are both at most 1e-10 * J. Otherwise it stops at the iteration
-cap or when no damped step passes the Armijo test, and the result is
-flagged degraded.
+A solve stops for one of four reasons. "converged" and "settled" are
+Levenberg-Marquardt termination tests (J. J. More, LNM 630, 1978), both in
+cost units, so they hold at any scale of the weights: the first-order test
+u_max * |g_P| < 1e-8 * (1 + |J|), with g_P the gradient less the components
+the box holds, and the relative-reduction test, an accepted step whose
+actual and predicted decreases are both at most 1e-10 * J. "iteration_cap"
+and "no_step" (no damped step passes the Armijo test) flag the result
+degraded.
 
-Each control sequence the solver evaluates is rolled out once, as one
-zero-order-hold sequence through the plant's integrator `dynamics.integrate`,
-and the rollout keeps its tape (the recorded RK4 stages) and its residual.
-The Jacobian at an accepted point - the winning start or an accepted trial -
-is built from that point's own tape, so no point is rolled out twice.
+Each evaluation is one rollout, as one zero-order-hold sequence through the
+plant's integrator `dynamics.integrate`, and it keeps its tape (the recorded
+RK4 stages) and its residual. The Jacobian at an accepted point - the
+winning start or an accepted trial - is built from that point's own tape, so
+no accepted point is rolled out twice. A rejected trial that more damping
+leaves on the same box corner is evaluated again.
 
 Everything here is deterministic: identical inputs produce identical
 outputs, bit for bit.
@@ -68,7 +69,6 @@ CONVERGENCE_RTOL = 1e-8
 # and that the undamped model predicted to lower it, by at most FTOL * J
 FTOL = 1e-10
 ARMIJO_C1 = 1e-4
-MAX_BACKTRACKS = 60  # rejected trials (damping increases) per iteration
 # Levenberg-Marquardt damping: the step's model Hessian is H + lam * diag(H).
 # Every solve starts lam here; it then follows Nielsen's update.
 _DAMPING0 = 1e-3
@@ -146,12 +146,12 @@ class PredictedTrajectory:
 class SolveResult:
     """Outcome of one receding-horizon solve.
 
-    `stop_reason` says why the solve stopped: "converged" (the first-order
-    test held), "settled" (the relative-reduction test held), "iteration_cap"
-    (MAX_ITERATIONS accepted steps), "no_step" (the box pins every direction
-    or the damping shrank the step to nothing) or "backtracks_exhausted" (no
-    damped step passed the Armijo test). `degraded` is true for the last
-    three: the solve stopped without passing either termination test. The
+    `stop_reason` is one of four values: "converged" (the first-order test
+    held), "settled" (the relative-reduction test held), "iteration_cap"
+    (MAX_ITERATIONS accepted steps) or "no_step" (no damped step passed the
+    Armijo test before the step stopped moving u or the damping overflowed,
+    as when the box pins every direction). `degraded` is true for the last
+    two: the solve stopped without passing either termination test. The
     result is still the last accepted point and still satisfies the
     zero/warm-start dominance contract.
     """
@@ -365,20 +365,21 @@ def solve(
     The cost is r'r of the residual (see the module docstring). The solve
     starts from the all-zero sequence or, when it costs strictly less, the
     warm start, so the returned cost never exceeds the zero or warm-start
-    cost. Damped Gauss-Newton runs from there: each iteration solves
-    the box-constrained quadratic model with Levenberg-Marquardt damping and
-    accepts the step by an Armijo test on the true cost, raising the damping
-    on a rejection (at most MAX_BACKTRACKS times) and adjusting it by the
-    gain ratio on acceptance. It stops "converged" when u_max times the
+    cost. Damped Gauss-Newton runs from there, one linearization per
+    iteration: it solves the box-constrained quadratic model with
+    Levenberg-Marquardt damping and accepts the step by an Armijo test on
+    the true cost, raising the damping on each rejection and adjusting it by
+    the gain ratio on acceptance. It stops "converged" when u_max times the
     norm of the gradient less its box-held components drops below
-    CONVERGENCE_RTOL * (1 + |J|), and "settled" when an accepted step's
-    actual and predicted (undamped model) decreases are both at most
-    FTOL * J; the settled point is returned without a Jacobian. Stopping
-    on the MAX_ITERATIONS cap or without an acceptable step sets the
-    degraded flag instead (see `SolveResult.stop_reason`). Every accepted
-    step lowers the cost, so the last iterate is returned. Both starts and
-    every trial are rolled out once; the Jacobian at the winning start and
-    at each accepted trial comes from that rollout's tape.
+    CONVERGENCE_RTOL * (1 + |J|); "settled" when an accepted step's actual
+    and predicted (undamped model) decreases are both at most FTOL * J, the
+    point returned without a Jacobian; "iteration_cap" after MAX_ITERATIONS
+    accepted steps; and "no_step" when, before a step passes, the step no
+    longer moves u or lam * diag(H) overflows. The last two are degraded
+    (see `SolveResult.stop_reason`). Every accepted step lowers the cost, so
+    the last iterate is returned. Each evaluation of a start or a trial is
+    one rollout; the Jacobian at the winning start and at each accepted
+    trial comes from that rollout's tape.
     """
     p, u_max = cfg.horizon, cfg.u_max
     prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
@@ -398,36 +399,38 @@ def solve(
         if warm_cost < cost:  # the zero sequence wins ties
             u, cost, record = w, warm_cost, warm_record
 
-    r, jac = linearize(record)
-    grad = 2.0 * (jac.T @ r)
-    stop_reason = "converged" if _converged(u, grad, cost, u_max) else None
     lam, nu = _DAMPING0, 2.0
-    iterations = 0
-
-    while stop_reason is None and iterations < MAX_ITERATIONS:
+    iterations, stop_reason = 0, None
+    while True:
+        r, jac = linearize(record)
+        grad = 2.0 * (jac.T @ r)
+        if _converged(u, grad, cost, u_max):
+            stop_reason = "converged"
+            break
+        if iterations >= MAX_ITERATIONS:
+            stop_reason = "iteration_cap"
+            break
         iterations += 1
         hess = 2.0 * (jac.T @ jac)
-        damping = np.diag(np.diag(hess))
-        rejected = None
-        for _ in range(MAX_BACKTRACKS):
-            d, side = _box_qp(grad, hess + lam * damping, -u_max - u, u_max - u)
+        diag = np.diag(hess)
+        # raise the damping until a step passes the Armijo test, or until the
+        # step no longer moves u or lam * diag(H) (all >= 0) overflows
+        while True:
+            if not math.isfinite(lam * float(diag.max())):
+                stop_reason = "no_step"
+                break
+            d, side = _box_qp(grad, hess + np.diag(lam * diag), -u_max - u, u_max - u)
             u_new = np.clip(u + d, -u_max, u_max)
             u_new[side > 0], u_new[side < 0] = u_max, -u_max
             d = u_new - u
             if not np.any(d):
                 stop_reason = "no_step"
                 break
-            # more damping can leave a step on the same box corner; that
-            # trial has failed already
-            if rejected is None or not np.array_equal(u_new, rejected):
-                gd = float(grad @ d)
-                new_cost, new_rec = evaluate(u_new)
-                if new_cost <= cost + ARMIJO_C1 * gd:
-                    break
-                rejected = u_new
+            gd = float(grad @ d)
+            new_cost, record = evaluate(u_new)
+            if new_cost <= cost + ARMIJO_C1 * gd:
+                break
             lam, nu = lam * nu, 2.0 * nu
-        else:
-            stop_reason = "backtracks_exhausted"
         if stop_reason is not None:
             break
         # Nielsen's update from the gain ratio against the undamped model
@@ -439,17 +442,13 @@ def solve(
         if settled:
             stop_reason = "settled"
             break
-        r, jac = linearize(new_rec)
-        grad = 2.0 * (jac.T @ r)
-        if _converged(u, grad, cost, u_max):
-            stop_reason = "converged"
 
     seq = ControlSequence(u.reshape(p, 3).copy())
     return SolveResult(
         command=DipoleCommand(seq.dipoles[0].copy()),
         sequence=seq,
         cost=cost,
-        stop_reason=stop_reason or "iteration_cap",
+        stop_reason=stop_reason,
         iterations=iterations,
         zero_cost=zero_cost,
         warm_cost=warm_cost,

@@ -118,10 +118,6 @@ def propagate(
     RK4 step. A non-finite state raises IntegrationDivergedError carrying the
     end time of the substep that produced it.
     """
-    if duration <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
     states, _ = integrate(
         state.as_array(), m.m[None], field_at(t0).b[None], inertia.as_tuple(),
         duration, substeps, t0,
@@ -141,7 +137,12 @@ def integrate(
     step. Finiteness is checked once per interval, on its end state, since a
     non-finite component stays non-finite through every later step; then
     IntegrationDivergedError carries the end time of the first non-finite step.
+    A ts that is not finite and positive, or substeps < 1, raises ValueError.
     """
+    if not (math.isfinite(ts) and ts > 0.0):
+        raise ValueError(f"interval length must be finite and positive, got {ts}")
+    if substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
     h = ts / substeps
     x = tuple(x.tolist())
     states, tape = [x], []

@@ -172,6 +172,23 @@ def test_cost_and_gradient_reject_length_mismatch(field_at, detumble_cfg, table_
         ms.gradient(x0, short, 0.0, field_at, detumble_cfg, table_inertia)
 
 
+@pytest.mark.parametrize("call", ["solve", "predict", "gradient"])
+def test_solver_functions_reject_zero_substeps(call, field_at, detumble_cfg, table_inertia):
+    # the one rollout checks its arguments, so every caller rejects a bad
+    # substep count with ValueError rather than dividing by zero
+    x0 = detumble_cfg.x_ref
+    seq = ControlSequence(np.zeros((detumble_cfg.horizon, 3)))
+    calls = {
+        "solve": lambda: ms.solve(x0, 0.0, field_at, detumble_cfg, table_inertia, substeps=0),
+        "predict": lambda: ms.predict(x0, seq, field_at, 0.0, detumble_cfg, table_inertia,
+                                      substeps=0),
+        "gradient": lambda: ms.gradient(x0, seq, 0.0, field_at, detumble_cfg, table_inertia,
+                                        substeps=0),
+    }
+    with pytest.raises(ValueError, match="substeps must be >= 1"):
+        calls[call]()
+
+
 # --- cost ------------------------------------------------------------------------------
 
 def test_total_cost_zero_at_reference(field_at, detumble_cfg, table_inertia):
@@ -347,6 +364,21 @@ def test_solve_degraded_flag_when_capped(monkeypatch):
     assert res.stop_reason == "iteration_cap"
     assert res.degraded
     assert res.cost <= res.zero_cost
+
+
+def test_solve_stops_no_step_when_every_trial_is_rejected(monkeypatch):
+    # with an infinite Armijo constant no trial passes, so each rejection
+    # raises the damping until lam * diag(H) overflows; the solve must stop
+    # there and return the start, not solve a model with a non-finite
+    # Hessian and roll out a NaN sequence
+    cfg = load_config("attitude-paper")
+    monkeypatch.setattr(controller, "ARMIJO_C1", math.inf)
+    res = ms.solve(cfg.x0, 0.0, ms.field_function(cfg.elements), cfg.mpc, cfg.inertia)
+    assert res.stop_reason == "no_step"
+    assert res.degraded
+    assert res.iterations == 1
+    assert res.cost == res.zero_cost
+    np.testing.assert_array_equal(res.sequence.dipoles, np.zeros((cfg.mpc.horizon, 3)))
 
 
 def test_solve_is_invariant_to_weight_scale():

@@ -318,9 +318,11 @@ def test_propagate_matches_repeated_steps(table_inertia):
 def test_propagate_validates_arguments(table_inertia):
     state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3))
     m = DipoleCommand(np.zeros(3))
-    with pytest.raises(ValueError):
-        ms.propagate(state, m, constant_field([0, 0, 1e-5]), 0.0, -1.0, 4, table_inertia)
-    with pytest.raises(ValueError):
+    for duration in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="interval length must be finite and positive"):
+            ms.propagate(state, m, constant_field([0, 0, 1e-5]), 0.0, duration, 4,
+                         table_inertia)
+    with pytest.raises(ValueError, match="substeps must be >= 1"):
         ms.propagate(state, m, constant_field([0, 0, 1e-5]), 0.0, 1.0, 0, table_inertia)
 
 

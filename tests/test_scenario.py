@@ -442,6 +442,24 @@ def test_run_blowup_attaches_partial_log():
     assert isinstance(err.value.partial_log, RunLog)
 
 
+def test_run_attaches_partial_log_to_any_failure(monkeypatch):
+    # whatever ends the loop carries the rows logged before it, so the CLI's
+    # exception tuple is the only list of failure types
+    calls = []
+
+    def solve_failing_at_step_3(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("solver fault")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr("magsat.scenario.solve", solve_failing_at_step_3)
+    with pytest.raises(RuntimeError, match="solver fault") as err:
+        run_scenario(scenario_from_dict(short_config()))
+    assert isinstance(err.value.partial_log, RunLog)
+    assert len(err.value.partial_log) == 2
+
+
 # --- summaries ------------------------------------------------------------------------------
 
 def test_summarize_equilibrium_run():

@@ -73,6 +73,7 @@ def test_solve_bound_dominance_and_determinism(sso_elements, table_inertia, prob
         second.cost, second.zero_cost, second.warm_cost
     )
     assert (first.iterations, first.stop_reason) == (second.iterations, second.stop_reason)
+    assert first.stop_reason in ("converged", "settled", "iteration_cap", "no_step")
 
 
 @st.composite
