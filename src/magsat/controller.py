@@ -58,11 +58,14 @@ from .dynamics import AttitudeState, DipoleCommand, InertiaTensor, integrate, se
 from .orbit import FieldSample
 
 # Prediction substeps per sampling interval. The plant integrates at the
-# scenario's `substeps` (default 20). Measured against a 20-substep
-# prediction along the benchmark trajectories, the 5-substep horizon cost
-# differs by at most 2.0e-10 relative on detumble (Ts 2 s) and 1.1e-6 on the
-# attitude slew (Ts 30 s), at a quarter of the per-solve work.
-PREDICTION_SUBSTEPS = 5
+# scenario's `substeps` (default 20). Against a 20-substep prediction, the
+# 3-substep horizon cost differs by at most 2.2e-9 relative on detumble
+# (Ts 2 s) and 2.3e-5 on the attitude slew (Ts 30 s): the worst over 120
+# evenly spaced states of each full preset run, with 3 uniform in-box random
+# dipole sequences per state. With the quantizer on, every applied dipole of
+# both presets and of the benchmark configs is the same as with 5 substeps;
+# 2 substeps flag more solves degraded.
+PREDICTION_SUBSTEPS = 3
 MAX_ITERATIONS = 50
 CONVERGENCE_RTOL = 1e-8
 # relative-reduction stopping test: an accepted step that lowered the cost,

@@ -399,8 +399,8 @@ def test_criterion_7c_single_step_grid_dominance(recorder, sso_elements, table_i
 # that is not deterministic cannot reproduce a recorded hash, so comparing
 # against it is at least as strict as comparing two runs in one process.
 PRESET_FULL_CSV_SHA256 = {
-    "detumble-paper": "9324f7453a5d6614167e56c357941b07c3861f008a4b15d9792885a0e9466755",
-    "attitude-paper": "879ff7d381a119426b585ea8db3bece472c2da5bb78169cb2bc5a26608259dc1",
+    "detumble-paper": "bcfdfdc415d40788a85eb7926c694a8ead2cde25fa49090b47e25d166b8f667e",
+    "attitude-paper": "d059cc79c6ff866a40feaf75eb0e9d3197558dd6578132f0a98919487aadfaaa",
 }
 
 

@@ -151,6 +151,27 @@ def test_predict_substep_halving_agrees(field_at, detumble_cfg, table_inertia):
     assert np.max(np.abs(end1 - end2)) < 1e-9
 
 
+# The relative horizon-cost error of the PREDICTION_SUBSTEPS prediction
+# against a 20-substep one, as stated above PREDICTION_SUBSTEPS and in README
+# "Conventions".
+DOCUMENTED_PREDICTION_ERROR = {"detumble-paper": 2.2e-9, "attitude-paper": 2.3e-5}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTED_PREDICTION_ERROR))
+def test_prediction_error_within_documented_bound(name):
+    cfg = load_config(name)
+    field = ms.field_function(cfg.elements)
+    rng = np.random.default_rng(83)
+    for _ in range(4):
+        seq = ControlSequence(rng.uniform(-cfg.mpc.u_max, cfg.mpc.u_max, size=(cfg.mpc.horizon, 3)))
+        costs = [
+            ms.total_cost(ms.predict(cfg.x0, seq, field, 0.0, cfg.mpc, cfg.inertia, substeps=n),
+                          seq, cfg.mpc)
+            for n in (controller.PREDICTION_SUBSTEPS, 20)
+        ]
+        assert abs(costs[0] - costs[1]) <= DOCUMENTED_PREDICTION_ERROR[name] * costs[1]
+
+
 def test_predict_rejects_length_mismatch(field_at, detumble_cfg, table_inertia):
     x0 = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3))
     with pytest.raises(ValueError):

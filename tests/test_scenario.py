@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -380,14 +381,14 @@ def test_readme_solve_example_matches_the_loop():
 
 
 # SHA-256 of RunLog.to_csv() for shortened preset runs, recorded with the
-# Gauss-Newton solver, the r'r cost and the cost-unit stopping tests (x86-64
-# Linux, CPython 3.11, numpy 2.4); two independent runs produced the same
-# bytes. Any change to a floating-point operation of the closed loop changes
-# these bytes. The four attitude solves take 5 to 19 Gauss-Newton
-# iterations, so they cover the Jacobian path too.
+# Gauss-Newton solver, the r'r cost, the cost-unit stopping tests and the
+# 3-substep prediction (x86-64 Linux, CPython 3.11, numpy 2.4); two
+# independent runs produced the same bytes. Any change to a floating-point
+# operation of the closed loop changes these bytes. The four attitude solves
+# take 5 to 19 Gauss-Newton iterations, so they cover the Jacobian path too.
 PRESET_CSV_SHA256 = {
-    ("detumble-paper", 60.0): "b216fe10158838b64bc6e8f77c95075fc854cf66a7566183192de1ec54dbb6c7",
-    ("attitude-paper", 120.0): "0adb9ff0bd4c9c0a661f28b186b3f184d15daad2555eb175b8a8ea85e7d2d3aa",
+    ("detumble-paper", 60.0): "db7d3edfd5831fd4a1613f3da19d0628075d29412e88210d1cec07b016891747",
+    ("attitude-paper", 120.0): "a98bf39fac89335a42795b1a57f62d354a97c5e6b767940998e87fc63a9e0b68",
 }
 
 
@@ -395,6 +396,20 @@ def test_preset_csv_bytes_are_stable():
     for (name, duration), digest in PRESET_CSV_SHA256.items():
         log = run_scenario(dataclasses.replace(load_config(name), duration=duration))
         assert hashlib.sha256(log.to_csv().encode()).hexdigest() == digest, name
+
+
+def test_prediction_substeps_leave_applied_dipoles_unchanged(monkeypatch):
+    # the quantizer absorbs the difference between the shipped prediction and
+    # a 5-substep one: only m_raw and the solve cost J may move
+    configs = [dataclasses.replace(load_config("detumble-paper"), duration=60.0),
+               dataclasses.replace(load_config("attitude-paper"), duration=600.0)]
+    shipped = [run_scenario(cfg) for cfg in configs]
+    monkeypatch.setattr("magsat.scenario.solve", functools.partial(solve, substeps=5))
+    for cfg, log in zip(configs, shipped):
+        ref = run_scenario(cfg)
+        for column in ("t", "q", "omega", "m_applied", "b_orbital", "degraded"):
+            np.testing.assert_array_equal(getattr(log, column), getattr(ref, column),
+                                          err_msg=f"{cfg.name} {column}")
 
 
 def test_run_with_quantizer_snaps_to_levels():
@@ -695,7 +710,8 @@ def test_cli_interrupt_exits_130_with_partial_csv(tmp_path, monkeypatch, capsys)
 
 def test_cli_sigterm_exits_143_with_partial_csv(tmp_path):
     # a real SIGTERM to a real `magsat run`, part way through the attitude
-    # preset stretched to 1800 steps, ten times its 180
+    # preset stretched to 1800 steps, ten times its 180 (about 7 s on 2
+    # vCPUs; all 1800 take about 115 s), so the signal at 3 s lands mid-run
     out_csv = tmp_path / "partial.csv"
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
