@@ -36,10 +36,11 @@ and "no_step" (no damped step passes the Armijo test) flag the result
 degraded.
 
 Each evaluation is one rollout, as one zero-order-hold sequence through the
-plant's integrator `dynamics.integrate`, and it keeps its tape (the recorded
-RK4 stages) and its residual. The Jacobian at an accepted point - the
-winning start or an accepted trial - is built from that point's own tape, so
-no accepted point is rolled out twice. A rejected trial that more damping
+plant's integrator `dynamics.integrate`, and it keeps its tape (one flat
+record per RK4 step: its four stage states, the new state and the
+pre-renormalization norm) and its residual. The Jacobian at an accepted
+point - the winning start or an accepted trial - is built from that point's
+own tape, so no accepted point is rolled out twice. A rejected trial that more damping
 leaves on the same box corner is evaluated again.
 
 Everything here is deterministic: identical inputs produce identical

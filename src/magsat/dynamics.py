@@ -26,12 +26,16 @@ stage's quaternion. The quaternion is renormalized after every step.
 orbital-to-body rotation; both work on plain float tuples. `integrate` is the
 only rollout of such a sequence: the plant (`propagate`) is a one-interval
 call and the MPC prediction a p-interval one, so they agree bit for bit at
-equal substep counts and fail at the same substep. `sensitivity` turns its
-tape into the Jacobian of every interval-end state w.r.t. every dipole.
+equal substep counts and fail at the same substep. Its tape holds one flat
+record of 36 floats per RK4 step, and `sensitivity` turns the tape into the
+Jacobian of every interval-end state w.r.t. every dipole. The right-hand
+side's Jacobian at every stage comes from a few constant coefficient tensors,
+read off `_deriv` and `body_field` at import, so neither is written twice.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -133,10 +137,12 @@ def integrate(
     Interval k holds the dipole m[k] and the orbital-frame field b[k] (m and
     b have shape (p, 3)) over [t0 + k ts, t0 + (k+1) ts], in `substeps` steps
     of ts / substeps. Returns the p+1 interval-end states, shape (p+1, 7) with
-    x first, and the tape: per interval, the `_rk4_stages` record of each
-    step. Finiteness is checked once per interval, on its end state, since a
-    non-finite component stays non-finite through every later step; then
-    IntegrationDivergedError carries the end time of the first non-finite step.
+    x first, and the tape: the flat `_rk4_stages` record of every step, in
+    order, p * substeps of them; the next step starts from each record's new
+    state. Finiteness is checked once per interval, on its end state, since a
+    non-finite component stays non-finite through every later step; then the
+    records' new states locate the first non-finite step, and
+    IntegrationDivergedError carries its end time.
     A ts that is not finite and positive, or substeps < 1, raises ValueError.
     """
     if not (math.isfinite(ts) and ts > 0.0):
@@ -147,17 +153,16 @@ def integrate(
     x = tuple(x.tolist())
     states, tape = [x], []
     for k, (mk, bk) in enumerate(zip(m.tolist(), b.tolist())):
-        records = []
         for _ in range(substeps):
             rec = _rk4_stages(x, mk, bk, inertia, h)
-            records.append(rec)
-            x = rec[0]
+            tape.append(rec)
+            x = rec[28:35]
         if not all(map(math.isfinite, x)):
-            j = next(j for j, (y, _, _) in enumerate(records) if not all(map(math.isfinite, y)))
+            ends = (rec[28:35] for rec in tape[k * substeps :])
+            j = next(j for j, y in enumerate(ends) if not all(map(math.isfinite, y)))
             t = t0 + k * ts + (j + 1) * h
             raise IntegrationDivergedError(f"state became non-finite at t={t}", t=t)
         states.append(x)
-        tape.append(records)
     return np.array(states), tape
 
 
@@ -203,97 +208,99 @@ def _deriv(x: tuple, m: tuple, b: tuple, inertia: tuple) -> tuple:
     )
 
 
-def _rk4_stages(x: tuple, m: tuple, b: tuple, inertia: tuple, h: float):
-    """RK4 step returning the new state plus the data a sensitivity pass needs.
+def _rk4_stages(x: tuple, m: tuple, b: tuple, inertia: tuple, h: float) -> tuple:
+    """RK4 step as one flat record of 36 floats, the data a sensitivity pass needs.
 
-    Returns (x_new, stage_states, pre-renormalization quaternion norm) where
-    stage_states are the four points the right-hand side was evaluated at.
+    The record holds the four stage states the right-hand side was evaluated
+    at (x, xa, xb, xc; 7 floats each), the new state (record[28:35]) and the
+    pre-renormalization quaternion norm (record[35]). The slopes k1..k4 are
+    unpacked into r, s, t and u.
     """
     h2 = 0.5 * h
-    k1 = _deriv(x, m, b, inertia)
-    xa = (
-        x[0] + h2 * k1[0], x[1] + h2 * k1[1], x[2] + h2 * k1[2], x[3] + h2 * k1[3],
-        x[4] + h2 * k1[4], x[5] + h2 * k1[5], x[6] + h2 * k1[6],
-    )
-    k2 = _deriv(xa, m, b, inertia)
-    xb = (
-        x[0] + h2 * k2[0], x[1] + h2 * k2[1], x[2] + h2 * k2[2], x[3] + h2 * k2[3],
-        x[4] + h2 * k2[4], x[5] + h2 * k2[5], x[6] + h2 * k2[6],
-    )
-    k3 = _deriv(xb, m, b, inertia)
-    xc = (
-        x[0] + h * k3[0], x[1] + h * k3[1], x[2] + h * k3[2], x[3] + h * k3[3],
-        x[4] + h * k3[4], x[5] + h * k3[5], x[6] + h * k3[6],
-    )
-    k4 = _deriv(xc, m, b, inertia)
+    x0, x1, x2, x3, x4, x5, x6 = x
+    r0, r1, r2, r3, r4, r5, r6 = _deriv(x, m, b, inertia)
+    xa = (x0 + h2 * r0, x1 + h2 * r1, x2 + h2 * r2, x3 + h2 * r3,
+          x4 + h2 * r4, x5 + h2 * r5, x6 + h2 * r6)
+    s0, s1, s2, s3, s4, s5, s6 = _deriv(xa, m, b, inertia)
+    xb = (x0 + h2 * s0, x1 + h2 * s1, x2 + h2 * s2, x3 + h2 * s3,
+          x4 + h2 * s4, x5 + h2 * s5, x6 + h2 * s6)
+    t0, t1, t2, t3, t4, t5, t6 = _deriv(xb, m, b, inertia)
+    xc = (x0 + h * t0, x1 + h * t1, x2 + h * t2, x3 + h * t3,
+          x4 + h * t4, x5 + h * t5, x6 + h * t6)
+    u0, u1, u2, u3, u4, u5, u6 = _deriv(xc, m, b, inertia)
     h6 = h / 6.0
-    q1 = x[0] + h6 * (k1[0] + k4[0] + 2.0 * (k2[0] + k3[0]))
-    q2 = x[1] + h6 * (k1[1] + k4[1] + 2.0 * (k2[1] + k3[1]))
-    q3 = x[2] + h6 * (k1[2] + k4[2] + 2.0 * (k2[2] + k3[2]))
-    q4 = x[3] + h6 * (k1[3] + k4[3] + 2.0 * (k2[3] + k3[3]))
-    w1 = x[4] + h6 * (k1[4] + k4[4] + 2.0 * (k2[4] + k3[4]))
-    w2 = x[5] + h6 * (k1[5] + k4[5] + 2.0 * (k2[5] + k3[5]))
-    w3 = x[6] + h6 * (k1[6] + k4[6] + 2.0 * (k2[6] + k3[6]))
+    q1 = x0 + h6 * (r0 + u0 + 2.0 * (s0 + t0))
+    q2 = x1 + h6 * (r1 + u1 + 2.0 * (s1 + t1))
+    q3 = x2 + h6 * (r2 + u2 + 2.0 * (s2 + t2))
+    q4 = x3 + h6 * (r3 + u3 + 2.0 * (s3 + t3))
+    w1 = x4 + h6 * (r4 + u4 + 2.0 * (s4 + t4))
+    w2 = x5 + h6 * (r5 + u5 + 2.0 * (s5 + t5))
+    w3 = x6 + h6 * (r6 + u6 + 2.0 * (s6 + t6))
     norm = math.sqrt(q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4)
-    x_new = (q1 / norm, q2 / norm, q3 / norm, q4 / norm, w1, w2, w3)
-    return x_new, (x, xa, xb, xc), norm
+    return (*x, *xa, *xb, *xc, q1 / norm, q2 / norm, q3 / norm, q4 / norm, w1, w2, w3, norm)
+
+
+# Constant coefficient tensors of the stage Jacobian [df/dx | df/dm]. a @ _CROSS
+# is the cross-product matrix of a, flattened: a x w = (a @ _CROSS).reshape(3, 3) @ w.
+# The gyroscopic entry d(w_i dot)/d(w_j) is g_i w_l, with g_x = (Iy - Iz)/Ix
+# and cyclic, where i, j, l are distinct: where _GYRO[l, i, j] is 1. _KIN and
+# _DVDQ are read off `_deriv` and `body_field` with a unit imaginary step,
+# exact for terms of degree at most two in the stepped input: the kinematic
+# rows are x @ _KIN, and dv/dq = q @ (b @ _DVDQ) for the body-frame field
+# v = body_field(q, b).
+_CROSS = np.cross(np.eye(3)[:, None], np.eye(3)).transpose(0, 2, 1).reshape(3, 9)
+_GYRO = np.abs(_CROSS).reshape(3, 3, 3)
+_UNIT = np.eye(7)
+_KIN = np.zeros((7, 7, 10))
+_KIN[..., :7] = np.imag([[_deriv(_UNIT[l] + 1j * _UNIT[j], (0, 0, 0), (0, 0, 0), (1, 1, 1))
+                          for j in range(7)] for l in range(7)]).transpose(0, 2, 1)
+_DVDQ = np.imag([[[body_field(_UNIT[a, :4] + 1j * _UNIT[j, :4], _UNIT[d, :3]) for j in range(4)]
+                  for a in range(4)] for d in range(3)]).transpose(0, 1, 3, 2).reshape(3, 48)
+
+
+def _stage_jacobians(xs: np.ndarray, m: np.ndarray, b: np.ndarray, inertia: tuple) -> np.ndarray:
+    """[df/dx | df/dm] of `_deriv` at the stage states xs, shape (p, n, 7) -> (p, n, 7, 10).
+
+    xs[k] holds stages of interval k, which holds the dipole m[k] and the
+    orbital-frame field b[k]. The kinematic rows and the gyroscopic entries
+    are linear in the state; the torque rows are I^-1 [m]x dv/dq and the
+    dipole columns -I^-1 [v]x, with v = (1/2) (dv/dq) q since v is
+    homogeneous of degree two in q.
+    """
+    ix, iy, iz = inertia
+    inv = np.array(((1.0 / ix,), (1.0 / iy,), (1.0 / iz,)))
+    kin = _KIN.copy()
+    kin[4:, 4:, 4:7] = _GYRO * [[(iy - iz) / ix], [(iz - ix) / iy], [(ix - iy) / iz]]
+    shape = xs.shape[:2]
+    jac = (xs @ kin.reshape(7, 70)).reshape(shape + (7, 10))
+    q = xs[..., :4]
+    dvdq = (q @ (b @ _DVDQ).reshape(-1, 4, 12)).reshape(shape + (3, 4))
+    jac[..., 4:, :4] = (inv * (m @ _CROSS).reshape(-1, 1, 3, 3)) @ dvdq
+    v = 0.5 * (dvdq @ q[..., None])[..., 0]
+    jac[..., 4:, 7:] = -inv * (v @ _CROSS).reshape(shape + (3, 3))
+    return jac
 
 
 def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float) -> np.ndarray:
     """d(x_1..x_p)/d(m_0..m_{p-1}) of an `integrate` rollout, shape (7p, 3p), from its tape.
 
     m and b are the rollout's dipoles and orbital-frame fields, shape (p, 3).
-    The right-hand side's Jacobians [df/dx | df/dm] at every recorded stage
-    are built in one vectorized pass, composed into each step's Jacobian,
-    passed through the renormalization q <- q/|q| (Jacobian (I - n n')/|q|)
+    The tape becomes one (p, substeps, 36) array in a single pass. The
+    right-hand side's Jacobians [df/dx | df/dm] at every recorded stage come
+    from constant coefficient tensors (`_stage_jacobians`), in a fixed handful
+    of array operations. They are composed into each step's Jacobian, passed
+    through the renormalization q <- q/|q| (Jacobian (I - n n')/|q|)
     and chained into each interval's (7, 10) map of (start state, dipole).
     Those are chained over the intervals into the block lower-triangular
     sensitivity of every interval-end state to every dipole.
     """
-    p, substeps = len(tape), len(tape[0])
+    p = len(m)
+    substeps = len(tape) // p
     h = ts / substeps
-    recs = [rec for records in tape for rec in records]
-    xs = np.array([rec[1] for rec in recs]).reshape(p, substeps, 4, 7)
-    q1, q2, q3, q4, wx, wy, wz = (xs[..., i] for i in range(7))
-    mx, my, mz = (m[:, None, None, i] for i in range(3))
-    bx, by, bz = (b[:, None, None, i] for i in range(3))
-    ix, iy, iz = inertia
-    v1, v2, v3 = body_field((q1, q2, q3, q4), (bx, by, bz))
-    # quaternion partials of the body-frame field, dv[i][j] = d v_i / d q_j
-    dva = 2.0 * (q1 * bx + q2 * by + q3 * bz)
-    dv12 = 2.0 * (-q2 * bx + q1 * by - q4 * bz)
-    dv13 = 2.0 * (-q3 * bx + q4 * by + q1 * bz)
-    dv14 = 2.0 * (q4 * bx + q3 * by - q2 * bz)
-    dv21 = 2.0 * (q2 * bx - q1 * by + q4 * bz)
-    dv23 = 2.0 * (-q4 * bx - q3 * by + q2 * bz)
-    dv31 = 2.0 * (q3 * bx - q4 * by - q1 * bz)
-    dv = ((dva, dv12, dv13, dv14), (dv21, dva, dv23, dv13), (dv31, dv14, dva, dv21))
-    jac = np.zeros(np.shape(q1) + (7, 10))
-    # kinematics: qdot = M(q) omega, whose entries are state components times +-1/2
-    half, neg = 0.5 * xs, -0.5 * xs
-    hq1, hq2, hq3, hq4, hwx, hwy, hwz = (half[..., i] for i in range(7))
-    nq1, nq2, nq3, _, nwx, nwy, nwz = (neg[..., i] for i in range(7))
-    jac[..., 0, 1], jac[..., 0, 2], jac[..., 0, 3] = hwz, nwy, hwx
-    jac[..., 1, 0], jac[..., 1, 2], jac[..., 1, 3] = nwz, hwx, hwy
-    jac[..., 2, 0], jac[..., 2, 1], jac[..., 2, 3] = hwy, nwx, hwz
-    jac[..., 3, 0], jac[..., 3, 1], jac[..., 3, 2] = nwx, nwy, nwz
-    jac[..., 0, 4], jac[..., 0, 5], jac[..., 0, 6] = hq4, nq3, hq2
-    jac[..., 1, 4], jac[..., 1, 5], jac[..., 1, 6] = hq3, hq4, nq1
-    jac[..., 2, 4], jac[..., 2, 5], jac[..., 2, 6] = nq2, hq1, hq4
-    jac[..., 3, 4], jac[..., 3, 5], jac[..., 3, 6] = nq1, nq2, nq3
-    # Euler's equations: the torque m x v through the attitude, the
-    # gyroscopic term through the rates, and the dipole itself
-    for j in range(4):
-        jac[..., 4, j] = (my * dv[2][j] - mz * dv[1][j]) / ix
-        jac[..., 5, j] = (mz * dv[0][j] - mx * dv[2][j]) / iy
-        jac[..., 6, j] = (mx * dv[1][j] - my * dv[0][j]) / iz
-    gx, gy, gz = (iy - iz) / ix, (iz - ix) / iy, (ix - iy) / iz
-    jac[..., 4, 5], jac[..., 4, 6] = gx * wz, gx * wy
-    jac[..., 5, 4], jac[..., 5, 6] = gy * wz, gy * wx
-    jac[..., 6, 4], jac[..., 6, 5] = gz * wy, gz * wx
-    jac[..., 4, 8], jac[..., 4, 9] = v3 / ix, -v2 / ix
-    jac[..., 5, 7], jac[..., 5, 9] = -v3 / iy, v1 / iy
-    jac[..., 6, 7], jac[..., 6, 8] = v2 / iz, -v1 / iz
+    recs = np.fromiter(itertools.chain.from_iterable(tape), float, 36 * len(tape))
+    recs = recs.reshape(p, substeps, 36)
+    xs = recs[..., :28].reshape(p, 4 * substeps, 7)
+    jac = _stage_jacobians(xs, m, b, inertia).reshape(p, substeps, 4, 7, 10)
     # the RK4 tableau on the stage Jacobians, then the renormalization
     a = jac[..., :7]
     k1 = jac[:, :, 0]
@@ -302,8 +309,7 @@ def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float) -
     k4 = jac[:, :, 3] + h * (a[:, :, 3] @ k3)
     phi = (h / 6.0) * (k1 + k4 + 2.0 * (k2 + k3))
     phi[..., :7] += np.eye(7)
-    n = np.array([rec[0][0:4] for rec in recs]).reshape(p, substeps, 4)
-    norm = np.array([rec[2] for rec in recs]).reshape(p, substeps, 1, 1)
+    n, norm = recs[..., 28:32], recs[..., 35, None, None]
     rows = phi[..., :4, :]
     phi[..., :4, :] = (rows - n[..., :, None] * (n[..., None, :] @ rows)) / norm
     interval = phi[:, 0].copy()

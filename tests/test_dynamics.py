@@ -9,7 +9,7 @@ from magsat import (
     InertiaTensor,
     IntegrationDivergedError,
 )
-from magsat.dynamics import _deriv, body_field
+from magsat.dynamics import _deriv, _stage_jacobians, body_field
 
 IDENTITY = (0.0, 0.0, 0.0, 1.0)
 UNIT_INERTIA = (1.0, 1.0, 1.0)
@@ -393,3 +393,25 @@ def test_body_field_matches_rotation_matrix():
         via_scalar = np.array(body_field(tuple(q), tuple(b)))
         via_matrix = rotation_matrix(q) @ b
         np.testing.assert_allclose(via_scalar, via_matrix, atol=1e-19, rtol=1e-12)
+
+
+def test_stage_jacobians_match_complex_step_of_deriv():
+    # `_deriv` is plain arithmetic, so a 1e-30j step along one input gives
+    # that column of [df/dx | df/dm] to rounding; a sign or index slip in the
+    # constant tensors would show as an O(1) error in some row
+    rng = np.random.default_rng(2024)
+    p, n, step = 3, 5, 1e-30
+    xs = rng.normal(size=(p, n, 7))  # quaternions deliberately not unit
+    m, b = rng.normal(size=(p, 3)), rng.normal(size=(p, 3))
+    inertia = (0.6, 1.1, 1.7)
+    jac = _stage_jacobians(xs, m, b, inertia)
+    exact = np.empty_like(jac)
+    for k, i, j in np.ndindex(p, n, 10):
+        x, mk = xs[k, i].astype(complex), m[k].astype(complex)
+        if j < 7:
+            x[j] += step * 1j
+        else:
+            mk[j - 7] += step * 1j
+        exact[k, i, :, j] = np.imag(_deriv(tuple(x), tuple(mk), tuple(b[k]), inertia)) / step
+    row_scale = np.abs(exact).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(jac - exact) <= 1e-13 * row_scale)
