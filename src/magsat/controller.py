@@ -38,10 +38,12 @@ degraded.
 Each evaluation is one rollout, as one zero-order-hold sequence through the
 plant's integrator `dynamics.integrate`, and it keeps its tape (one flat
 record per RK4 step: its four stage states, the new state and the
-pre-renormalization norm) and its residual. The Jacobian at an accepted
-point - the winning start or an accepted trial - is built from that point's
-own tape, so no accepted point is rolled out twice. A rejected trial that more damping
-leaves on the same box corner is evaluated again.
+pre-renormalization norm) and its residual, because any evaluated point may
+be linearized. The Jacobian at an accepted point - the winning start or an
+accepted trial - is built from that point's own tape, so no accepted point
+is rolled out twice. A rejected trial that more damping leaves on the same
+box corner is evaluated again. `predict` is never linearized, so it keeps
+no tape.
 
 Everything here is deterministic: identical inputs produce identical
 outputs, bit for bit.
@@ -224,12 +226,14 @@ class _Problem:
         """`dynamics.integrate` over the horizon, control u_k held over interval k.
 
         u has shape (p, 3) or (3p,). Returns the p+1 interval-end states
-        (index 0 is the start state) and the tape.
+        (index 0 is the start state) and the tape, which `linearize` needs.
         """
-        return integrate(
+        tape = []
+        states = integrate(
             self.x0, np.reshape(u, (-1, 3)), self.b, self.inertia, self.cfg.ts, self.substeps,
-            self.t0,
+            self.t0, tape,
         )
+        return states, tape
 
     def evaluate(self, u: np.ndarray):
         """Cost r'r of a control sequence and the record `(u, tape, r)` of its rollout."""
@@ -257,14 +261,15 @@ def predict(
 ) -> PredictedTrajectory:
     """Predicted trajectory under a control sequence (zero-order hold per step).
 
-    The horizon is one p-interval `dynamics.integrate` call, the plant's own
-    integrator, with the orbital-frame field held from each interval's start.
-    A blow-up raises the plant's divergence error, carrying the end time of
-    the substep whose state went non-finite.
+    The horizon is one untaped p-interval `dynamics.integrate` call, the
+    plant's own integrator, with the orbital-frame field held from each
+    interval's start. A blow-up raises the plant's divergence error, carrying
+    the end time of the substep whose state went non-finite.
     """
     if len(seq) != cfg.horizon:
         raise ValueError(f"sequence length {len(seq)} does not match horizon {cfg.horizon}")
-    states, _ = _Problem(x0, t0, field_at, cfg, inertia, substeps).rollout(seq.dipoles)
+    prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
+    states = integrate(prob.x0, seq.dipoles, prob.b, prob.inertia, cfg.ts, substeps, t0)
     out = tuple(AttitudeState(q=s[0:4], omega=s[4:7]) for s in states)
     times = np.array([t0 + k * cfg.ts for k in range(cfg.horizon + 1)])
     return PredictedTrajectory(states=out, times=times)

@@ -26,9 +26,12 @@ stage's quaternion. The quaternion is renormalized after every step.
 orbital-to-body rotation; both work on plain float tuples. `integrate` is the
 only rollout of such a sequence: the plant (`propagate`) is a one-interval
 call and the MPC prediction a p-interval one, so they agree bit for bit at
-equal substep counts and fail at the same substep. Its tape holds one flat
-record of 36 floats per RK4 step, and `sensitivity` turns the tape into the
-Jacobian of every interval-end state w.r.t. every dipole. The right-hand
+equal substep counts and fail at the same substep. A caller that will build
+a Jacobian passes a tape, and `integrate` appends one flat record of 36
+floats per RK4 step to it; `sensitivity` turns the tape into the Jacobian of
+every interval-end state w.r.t. every dipole. Only the solver's rollouts
+keep a tape: the plant and the prediction keep none, so an 800-substep plant
+interval holds no more than one step's stages at a time. The right-hand
 side's Jacobian at every stage comes from a few constant coefficient tensors,
 read off `_deriv` and `body_field` at import, so neither is written twice.
 """
@@ -122,7 +125,7 @@ def propagate(
     RK4 step. A non-finite state raises IntegrationDivergedError carrying the
     end time of the substep that produced it.
     """
-    states, _ = integrate(
+    states = integrate(
         state.as_array(), m.m[None], field_at(t0).b[None], inertia.as_tuple(),
         duration, substeps, t0,
     )
@@ -130,19 +133,24 @@ def propagate(
 
 
 def integrate(
-    x: np.ndarray, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float, substeps: int, t0: float
-):
+    x: np.ndarray, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float, substeps: int,
+    t0: float, tape: list | None = None,
+) -> np.ndarray:
     """RK4 over a zero-order-hold sequence of p intervals of length ts from x at time t0.
 
     Interval k holds the dipole m[k] and the orbital-frame field b[k] (m and
     b have shape (p, 3)) over [t0 + k ts, t0 + (k+1) ts], in `substeps` steps
     of ts / substeps. Returns the p+1 interval-end states, shape (p+1, 7) with
-    x first, and the tape: the flat `_rk4_stages` record of every step, in
-    order, p * substeps of them; the next step starts from each record's new
-    state. Finiteness is checked once per interval, on its end state, since a
-    non-finite component stays non-finite through every later step; then the
-    records' new states locate the first non-finite step, and
-    IntegrationDivergedError carries its end time.
+    x first. A caller that will build a Jacobian (`sensitivity`) passes a
+    list as `tape`, and every step appends its flat record
+    (x, xa, xb, xc, new state, norm; 36 floats) to it, in order, p * substeps
+    of them; the next step starts from each record's new state. Without a
+    tape each step's stages are dropped as soon as the next step starts.
+    Finiteness is checked once per interval, on its end state, since a
+    non-finite component stays non-finite through every later step; a
+    non-finite interval is then stepped again from its start state to locate
+    its first non-finite step, and IntegrationDivergedError carries that
+    step's end time.
     A ts that is not finite and positive, or substeps < 1, raises ValueError.
     """
     if not (math.isfinite(ts) and ts > 0.0):
@@ -151,19 +159,23 @@ def integrate(
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     h = ts / substeps
     x = tuple(x.tolist())
-    states, tape = [x], []
+    states = [x]
     for k, (mk, bk) in enumerate(zip(m.tolist(), b.tolist())):
         for _ in range(substeps):
-            rec = _rk4_stages(x, mk, bk, inertia, h)
-            tape.append(rec)
-            x = rec[28:35]
+            xa, xb, xc, x_new, norm = _rk4_stages(x, mk, bk, inertia, h)
+            if tape is not None:
+                tape.append((*x, *xa, *xb, *xc, *x_new, norm))
+            x = x_new
         if not all(map(math.isfinite, x)):
-            ends = (rec[28:35] for rec in tape[k * substeps :])
-            j = next(j for j, y in enumerate(ends) if not all(map(math.isfinite, y)))
+            x = states[-1]
+            for j in range(substeps):
+                x = _rk4_stages(x, mk, bk, inertia, h)[3]
+                if not all(map(math.isfinite, x)):
+                    break
             t = t0 + k * ts + (j + 1) * h
             raise IntegrationDivergedError(f"state became non-finite at t={t}", t=t)
         states.append(x)
-    return np.array(states), tape
+    return np.array(states)
 
 
 def body_field(q: tuple, b: tuple) -> tuple:
@@ -209,12 +221,14 @@ def _deriv(x: tuple, m: tuple, b: tuple, inertia: tuple) -> tuple:
 
 
 def _rk4_stages(x: tuple, m: tuple, b: tuple, inertia: tuple, h: float) -> tuple:
-    """RK4 step as one flat record of 36 floats, the data a sensitivity pass needs.
+    """One RK4 step from x: (xa, xb, xc, new state, norm).
 
-    The record holds the four stage states the right-hand side was evaluated
-    at (x, xa, xb, xc; 7 floats each), the new state (record[28:35]) and the
-    pre-renormalization quaternion norm (record[35]). The slopes k1..k4 are
-    unpacked into r, s, t and u.
+    xa, xb and xc are the three later stage states the right-hand side was
+    evaluated at (x is the first), 7 floats each; the new state is
+    renormalized and norm is its pre-renormalization quaternion norm. A
+    taped `integrate` flattens x and these into the step's 36-float record,
+    the data a sensitivity pass needs; an untaped one keeps only the new
+    state. The slopes k1..k4 are unpacked into r, s, t and u.
     """
     h2 = 0.5 * h
     x0, x1, x2, x3, x4, x5, x6 = x
@@ -237,7 +251,7 @@ def _rk4_stages(x: tuple, m: tuple, b: tuple, inertia: tuple, h: float) -> tuple
     w2 = x5 + h6 * (r5 + u5 + 2.0 * (s5 + t5))
     w3 = x6 + h6 * (r6 + u6 + 2.0 * (s6 + t6))
     norm = math.sqrt(q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4)
-    return (*x, *xa, *xb, *xc, q1 / norm, q2 / norm, q3 / norm, q4 / norm, w1, w2, w3, norm)
+    return xa, xb, xc, (q1 / norm, q2 / norm, q3 / norm, q4 / norm, w1, w2, w3), norm
 
 
 # Constant coefficient tensors of the stage Jacobian [df/dx | df/dm]. a @ _CROSS

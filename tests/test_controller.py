@@ -556,7 +556,8 @@ def test_sensitivity_matches_central_differences(field_at, table_inertia):
         m = u.reshape(horizon, 3)
         b = np.array([field_at(t0 + k * cfg.ts).b for k in range(horizon)])
         inertia = table_inertia.as_tuple()
-        _, tape = integrate(x0.as_array(), m, b, inertia, cfg.ts, 5, t0)
+        tape = []
+        integrate(x0.as_array(), m, b, inertia, cfg.ts, 5, t0, tape)
         sens = sensitivity(tape, m, b, inertia, cfg.ts)
         fd = np.zeros((7 * horizon, 3 * horizon))
         for j in range(3 * horizon):

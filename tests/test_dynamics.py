@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from magsat import (
     InertiaTensor,
     IntegrationDivergedError,
 )
-from magsat.dynamics import _deriv, _stage_jacobians, body_field
+from magsat.dynamics import _deriv, _stage_jacobians, body_field, integrate
 
 IDENTITY = (0.0, 0.0, 0.0, 1.0)
 UNIT_INERTIA = (1.0, 1.0, 1.0)
@@ -279,13 +281,16 @@ def test_step_blowup_carries_time(table_inertia):
     pytest.param("predict", 1e10, 13.0, id="predict"),
     pytest.param("propagate", 10.0, 14.5, id="propagate-interval-1"),
     pytest.param("predict", 10.0, 14.5, id="predict-interval-1"),
+    pytest.param("rollout", 1e10, 13.0, id="rollout"),
+    pytest.param("rollout", 10.0, 14.5, id="rollout-interval-1"),
 ])
 def test_blowup_within_interval_carries_substep_time(via, rate, t_fail, table_inertia):
     # at 1e10 rad/s substep 1 of 4 stays finite (rates near 1e100) and
     # substep 2 overflows, so the failure time is 12 + 2 * 0.5, not the
     # interval end 14. At 10 rad/s the 5th substep is the first non-finite
     # one: interval 1, substep 1, so 12 + 1 * 2 + 1 * 0.5. The plant (two
-    # chained intervals) and the prediction (p = 2) report it alike
+    # chained intervals), the prediction (p = 2) and a taped rollout, as the
+    # solver makes, report it alike
     state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.array([rate, rate, 0]))
     field_at = constant_field([0, 0, 1e-5])
     with pytest.raises(IntegrationDivergedError) as err:
@@ -293,6 +298,9 @@ def test_blowup_within_interval_carries_substep_time(via, rate, t_fail, table_in
             for t0 in (12.0, 14.0):
                 state = ms.propagate(state, DipoleCommand(np.zeros(3)), field_at, t0, 2.0, 4,
                                      table_inertia)
+        elif via == "rollout":
+            integrate(state.as_array(), np.zeros((2, 3)), np.array([[0, 0, 1e-5]] * 2),
+                      table_inertia.as_tuple(), 2.0, 4, 12.0, tape=[])
         else:
             cfg = ms.MpcConfig(q_diag=np.zeros(7), r_diag=np.ones(3), horizon=2, ts=2.0,
                                u_max=0.1, x_ref=AttitudeState(q=IDENTITY, omega=ZERO))
@@ -300,6 +308,38 @@ def test_blowup_within_interval_carries_substep_time(via, rate, t_fail, table_in
                        table_inertia, substeps=4)
     assert err.value.t == t_fail
     assert str(err.value) == f"state became non-finite at t={t_fail}"
+
+
+def test_taped_and_untaped_rollouts_agree(table_inertia):
+    # the tape only records the steps: the states are bitwise the same with
+    # and without one, and it holds one 36-float record per RK4 step
+    rng = np.random.default_rng(17)
+    x0 = np.concatenate([random_unit_quaternion(rng), rng.normal(size=3) * 0.05])
+    m = rng.uniform(-0.1, 0.1, size=(3, 3))
+    b = rng.uniform(-3e-5, 3e-5, size=(3, 3))
+    args = (x0, m, b, table_inertia.as_tuple(), 10.0, 7, 0.0)
+    tape = []
+    taped = integrate(*args, tape=tape)
+    np.testing.assert_array_equal(taped, integrate(*args))
+    assert len(tape) == 3 * 7
+    assert all(len(rec) == 36 for rec in tape)
+    np.testing.assert_array_equal(tape[-1][28:35], taped[-1])
+
+
+def test_plant_keeps_no_tape(table_inertia):
+    # an untaped interval holds one step's stages at a time, so its peak
+    # memory does not grow with the substep count (a kept tape of 8000
+    # 36-float records would take several MiB)
+    state = AttitudeState(q=np.array([0.5, -0.5, 0.5, 0.5]), omega=np.array([0.05, -0.07, 0.03]))
+    m = DipoleCommand(np.array([0.1, -0.1, 0.1]))
+    field_at = constant_field([3e-5, 1e-5, -2e-5])
+    tracemalloc.start()
+    try:
+        ms.propagate(state, m, field_at, 0.0, 10.0, 8000, table_inertia)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_propagate_matches_repeated_steps(table_inertia):
