@@ -24,7 +24,7 @@ from magsat import (
     InertiaTensor,
     MpcConfig,
 )
-from magsat.dynamics import _deriv
+from magsat.dynamics import _rhs
 from magsat.scenario import (
     CSV_HEADER,
     _error_angle_deg,
@@ -209,7 +209,7 @@ def test_criterion_5_dynamics_properties(recorder, table_inertia):
     for _ in range(10_000):
         mv = rng.normal(size=3) * 0.1
         bv = rng.normal(size=3) * 1e-5
-        tau = np.array(_deriv(rest, tuple(mv.tolist()), tuple(bv.tolist()), (1.0, 1.0, 1.0))[4:7])
+        tau = np.array(_rhs(tuple(mv.tolist()), tuple(bv.tolist()), (1.0, 1.0, 1.0))(*rest)[4:7])
         scale = float(np.linalg.norm(mv)) * float(np.linalg.norm(bv)) ** 2
         if scale > 0 and abs(float(np.dot(tau, bv))) > 1e-15 * scale:
             perp_ok = False

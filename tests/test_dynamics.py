@@ -1,7 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import body_field
 
 import magsat as ms
 from magsat import (
@@ -11,7 +13,7 @@ from magsat import (
     InertiaTensor,
     IntegrationDivergedError,
 )
-from magsat.dynamics import _deriv, _stage_jacobians, body_field, integrate
+from magsat.dynamics import _rhs, _stage_jacobians, integrate
 
 IDENTITY = (0.0, 0.0, 0.0, 1.0)
 UNIT_INERTIA = (1.0, 1.0, 1.0)
@@ -38,24 +40,24 @@ def floats(v) -> tuple:
 
 def quaternion_rate(q, w) -> np.ndarray:
     """Rows 0-3 of the right-hand side: the kinematics M(q) * omega."""
-    return np.array(_deriv(floats(q) + floats(w), ZERO, ZERO, UNIT_INERTIA)[0:4])
+    return np.array(_rhs(ZERO, ZERO, UNIT_INERTIA)(*floats(q), *floats(w))[0:4])
 
 
 def angular_acceleration(w, inertia: InertiaTensor) -> np.ndarray:
     """Rows 4-6 of the right-hand side with zero dipole: torque-free Euler equations."""
-    x = IDENTITY + floats(w)
-    return np.array(_deriv(x, ZERO, (3e-5, -1e-5, 2e-5), inertia.as_tuple())[4:7])
+    f = _rhs(ZERO, (3e-5, -1e-5, 2e-5), inertia.as_tuple())
+    return np.array(f(*IDENTITY, *floats(w))[4:7])
 
 
 def torque(m, b) -> np.ndarray:
     """m x B from the right-hand side: identity attitude, zero rate, unit inertia."""
-    return np.array(_deriv(IDENTITY + ZERO, floats(m), floats(b), UNIT_INERTIA)[4:7])
+    return np.array(_rhs(floats(m), floats(b), UNIT_INERTIA)(*IDENTITY, *ZERO)[4:7])
 
 
 def rotation_matrix(q: np.ndarray) -> np.ndarray:
     """Direction cosine matrix of the orbital-to-body quaternion (scalar-last).
 
-    Independent numpy oracle for `body_field`: v_body = R(q) @ v_orbital.
+    Independent numpy oracle for the rotation in `_rhs`: v_body = R(q) @ v_orbital.
     """
     q = np.asarray(q, dtype=float)
     q1, q2, q3, q4 = q / np.linalg.norm(q)
@@ -364,6 +366,17 @@ def test_propagate_validates_arguments(table_inertia):
                          table_inertia)
     with pytest.raises(ValueError, match="substeps must be >= 1"):
         ms.propagate(state, m, constant_field([0, 0, 1e-5]), 0.0, 1.0, 0, table_inertia)
+    # a float (even a whole one) or a bool is not a substep count
+    for substeps in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="substeps must be an integer"):
+            ms.propagate(state, m, constant_field([0, 0, 1e-5]), 0.0, 1.0, substeps,
+                         table_inertia)
+    # a numpy integer is one, and steps exactly as the int does
+    spin = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.array([0.1, -0.2, 0.3]))
+    via_int = ms.propagate(spin, m, constant_field([0, 0, 1e-5]), 0.0, 1.0, 3, table_inertia)
+    via_numpy = ms.propagate(spin, m, constant_field([0, 0, 1e-5]), 0.0, 1.0, np.int64(3),
+                             table_inertia)
+    np.testing.assert_array_equal(via_numpy.as_array(), via_int.as_array())
 
 
 def _smoke_trajectory_end(dt, steps, inertia):
@@ -436,7 +449,7 @@ def test_body_field_matches_rotation_matrix():
 
 
 def test_stage_jacobians_match_complex_step_of_deriv():
-    # `_deriv` is plain arithmetic, so a 1e-30j step along one input gives
+    # `_rhs` is plain arithmetic, so a 1e-30j step along one input gives
     # that column of [df/dx | df/dm] to rounding; a sign or index slip in the
     # constant tensors would show as an O(1) error in some row
     rng = np.random.default_rng(2024)
@@ -452,6 +465,98 @@ def test_stage_jacobians_match_complex_step_of_deriv():
             x[j] += step * 1j
         else:
             mk[j - 7] += step * 1j
-        exact[k, i, :, j] = np.imag(_deriv(tuple(x), tuple(mk), tuple(b[k]), inertia)) / step
+        exact[k, i, :, j] = np.imag(_rhs(tuple(mk), tuple(b[k]), inertia)(*x)) / step
     row_scale = np.abs(exact).max(axis=-1, keepdims=True)
     assert np.all(np.abs(jac - exact) <= 1e-13 * row_scale)
+
+
+# --- bitwise oracle: the RK4 tableau one step per call ------------------------------
+# A slow reference: the rotation, the right-hand side and one RK4 step, each a
+# plain function of tuples. The interval kernel must keep their float
+# operations in their order, so its states and tape match these bit for bit.
+
+def _oracle_body_field(q, b):
+    q1, q2, q3, q4 = q
+    bx, by, bz = b
+    xx = q1 * q1
+    yy = q2 * q2
+    zz = q3 * q3
+    ww = q4 * q4
+    return (
+        (xx - yy - zz + ww) * bx
+        + 2.0 * ((q1 * q2 + q3 * q4) * by + (q1 * q3 - q2 * q4) * bz),
+        2.0 * ((q1 * q2 - q3 * q4) * bx + (q2 * q3 + q1 * q4) * bz)
+        + (-xx + yy - zz + ww) * by,
+        2.0 * ((q1 * q3 + q2 * q4) * bx + (q2 * q3 - q1 * q4) * by)
+        + (-xx - yy + zz + ww) * bz,
+    )
+
+
+def _oracle_deriv(x, m, b, inertia):
+    q1, q2, q3, q4, wx, wy, wz = x
+    mx, my, mz = m
+    ix, iy, iz = inertia
+    v1, v2, v3 = _oracle_body_field((q1, q2, q3, q4), b)
+    t1 = my * v3 - mz * v2
+    t2 = mz * v1 - mx * v3
+    t3 = mx * v2 - my * v1
+    return (
+        0.5 * (q4 * wx - q3 * wy + q2 * wz),
+        0.5 * (q3 * wx + q4 * wy - q1 * wz),
+        0.5 * (-q2 * wx + q1 * wy + q4 * wz),
+        0.5 * (-q1 * wx - q2 * wy - q3 * wz),
+        ((iy - iz) * wy * wz + t1) / ix,
+        ((iz - ix) * wz * wx + t2) / iy,
+        ((ix - iy) * wx * wy + t3) / iz,
+    )
+
+
+def _rk4_stages(x, m, b, inertia, h):
+    """One RK4 step from x: (xa, xb, xc, renormalized new state, pre-renormalization norm)."""
+    def axpy(a, y, k):
+        return tuple(yi + a * ki for yi, ki in zip(y, k))
+
+    h2 = 0.5 * h
+    r = _oracle_deriv(x, m, b, inertia)
+    xa = axpy(h2, x, r)
+    s = _oracle_deriv(xa, m, b, inertia)
+    xb = axpy(h2, x, s)
+    t = _oracle_deriv(xb, m, b, inertia)
+    xc = axpy(h, x, t)
+    u = _oracle_deriv(xc, m, b, inertia)
+    h6 = h / 6.0
+    new = tuple(xi + h6 * (ri + ui + 2.0 * (si + ti)) for xi, ri, si, ti, ui in zip(x, r, s, t, u))
+    norm = math.sqrt(new[0] * new[0] + new[1] * new[1] + new[2] * new[2] + new[3] * new[3])
+    return xa, xb, xc, tuple(qi / norm for qi in new[:4]) + new[4:], norm
+
+
+@pytest.mark.parametrize("substeps", [1, 3, 20, 800])
+@pytest.mark.parametrize("inertia", ["table", "random"])
+def test_integrate_matches_step_by_step_oracle_bitwise(substeps, inertia, table_inertia):
+    # interval-end states, taped and untaped, and every 36-float tape record
+    # are the oracle's bit for bit
+    rng = np.random.default_rng(1000 + substeps)
+    inertia = (table_inertia.as_tuple() if inertia == "table"
+               else tuple(rng.uniform(1.0, 2.0, size=3).tolist()))
+    # torque and gyroscopic terms of a like size, and rates and steps large
+    # enough that a reassociated sum in the kernel reaches the state's last bits
+    p, ts, t0 = 4, 1.0, 3.0
+    x0 = np.concatenate([rng.normal(size=4), rng.normal(size=3) * 0.3])  # q not unit
+    m = rng.uniform(-0.05, 0.05, size=(p, 3))
+    b = rng.uniform(-0.05, 0.05, size=(p, 3))
+    tape = []
+    states = integrate(x0, m, b, inertia, ts, substeps, t0, tape=tape)
+
+    h = ts / substeps
+    x = tuple(x0.tolist())
+    expected_states, expected_tape = [x], []
+    for mk, bk in zip(m.tolist(), b.tolist()):
+        for _ in range(substeps):
+            xa, xb, xc, new, norm = _rk4_stages(x, mk, bk, inertia, h)
+            expected_tape.append((*x, *xa, *xb, *xc, *new, norm))
+            x = new
+        expected_states.append(x)
+    assert states.tobytes() == np.array(expected_states).tobytes()
+    assert len(tape) == p * substeps
+    assert np.array(tape).tobytes() == np.array(expected_tape).tobytes()
+    assert integrate(x0, m, b, inertia, ts, substeps, t0).tobytes() == states.tobytes()

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import body_field
 
 import magsat as ms
 from magsat import FieldSample, OrbitalElements
-from magsat.dynamics import body_field
 from magsat.orbit import EARTH_DIPOLE_T_M3, EARTH_MU_KM3_S2
 
 TWO_PI = 2.0 * math.pi
@@ -234,7 +234,7 @@ def test_mean_motion_and_period(sso_elements):
     assert math.isclose(ms.orbital_period(sso_elements), TWO_PI / n, rel_tol=1e-15)
 
 
-# --- orbital-to-body rotation (dynamics.body_field) ---------------------------------
+# --- orbital-to-body rotation (of dynamics._rhs) ---------------------------------------
 
 def test_to_body_frame_identity():
     b = (1e-5, -2e-5, 3e-5)
