@@ -22,18 +22,23 @@ Jacobian comes from forward sensitivities: `dynamics.sensitivity` turns a
 rollout's tape into the state Jacobian dx/du, whose rows the state weights
 scale. The gradient is 2 J'r and the Gauss-Newton Hessian 2 J'J. Each step
 minimizes the damped quadratic model exactly over the box with a primal
-active-set method, and is accepted by an Armijo test on the true cost. Each
-solve starts from the cheaper of the all-zero sequence and the warm start,
-so the returned sequence is never worse than either of them.
+active-set method, and is accepted by an Armijo test on the true cost.
+`_box_qp` owns the box: it starts from the held set (the components on a
+bound that the gradient pushes outward) and returns the next iterate inside
+it. Each solve starts from the cheaper of the all-zero sequence and the
+warm start, so the returned sequence is never worse than either of them.
 
-A solve stops for one of four reasons. "converged" and "settled" are
-Levenberg-Marquardt termination tests (J. J. More, LNM 630, 1978), both in
-cost units, so they hold at any scale of the weights: the first-order test
-u_max * |g_P| < 1e-8 * (1 + |J|), with g_P the gradient less the components
-the box holds, and the relative-reduction test, an accepted step whose
-actual and predicted decreases are both at most 1e-10 * J. "iteration_cap"
-and "no_step" (no damped step passes the Armijo test) flag the result
-degraded.
+A solve stops for one of four reasons (`SolveResult.stop_reason`), the first
+two Levenberg-Marquardt termination tests in cost units (J. J. More, LNM
+630, 1978), so they hold at any scale of the weights. "converged": the
+first-order test u_max * |g_P| < CONVERGENCE_RTOL * (1 + |J|), g_P the
+gradient less the held components. "settled": an accepted step whose actual
+and predicted (undamped model) decreases are both at most FTOL * J; the
+point is returned without a Jacobian. "iteration_cap": MAX_ITERATIONS
+accepted steps. "no_step": no damped step passed the Armijo test before the
+step stopped moving u or lam * diag(H) overflowed, as when the box holds
+every direction. The last two flag the result degraded. Every accepted step
+lowers the cost, so the last accepted point is returned.
 
 Each evaluation is one rollout, as one zero-order-hold sequence through the
 plant's integrator `dynamics.integrate`, and it keeps its tape (one flat
@@ -152,14 +157,11 @@ class PredictedTrajectory:
 class SolveResult:
     """Outcome of one receding-horizon solve.
 
-    `stop_reason` is one of four values: "converged" (the first-order test
-    held), "settled" (the relative-reduction test held), "iteration_cap"
-    (MAX_ITERATIONS accepted steps) or "no_step" (no damped step passed the
-    Armijo test before the step stopped moving u or the damping overflowed,
-    as when the box pins every direction). `degraded` is true for the last
-    two: the solve stopped without passing either termination test. The
-    result is still the last accepted point and still satisfies the
-    zero/warm-start dominance contract.
+    `stop_reason` is one of the four stop reasons in the module docstring.
+    `degraded` is true for "iteration_cap" and "no_step": the solve stopped
+    without passing either termination test. The result is still the last
+    accepted point and still satisfies the zero/warm-start dominance
+    contract.
     """
 
     command: DipoleCommand
@@ -222,22 +224,18 @@ class _Problem:
         self.q_scale = np.sqrt(cfg.ts * cfg.q_diag)
         self.r_jac = np.diag(np.tile(np.sqrt(cfg.ts * cfg.r_diag), cfg.horizon))
 
-    def rollout(self, u: np.ndarray):
-        """`dynamics.integrate` over the horizon, control u_k held over interval k.
+    def evaluate(self, u: np.ndarray):
+        """Cost r'r of a control sequence and the record `(u, tape, r)` of its rollout.
 
-        u has shape (p, 3) or (3p,). Returns the p+1 interval-end states
-        (index 0 is the start state) and the tape, which `linearize` needs.
+        u has shape (p, 3) or (3p,), u_k held over interval k. The rollout is
+        one taped `dynamics.integrate` call over the horizon; `linearize`
+        needs its tape.
         """
         tape = []
         states = integrate(
             self.x0, np.reshape(u, (-1, 3)), self.b, self.inertia, self.cfg.ts, self.substeps,
             self.t0, tape,
         )
-        return states, tape
-
-    def evaluate(self, u: np.ndarray):
-        """Cost r'r of a control sequence and the record `(u, tape, r)` of its rollout."""
-        states, tape = self.rollout(u)
         r = _residual(states[1:], u, self.cfg)
         return float(r @ r), (u, tape, r)
 
@@ -307,30 +305,20 @@ def gradient(
     return (2.0 * (jac.T @ r)).reshape(cfg.horizon, 3)
 
 
-def _converged(u: np.ndarray, grad: np.ndarray, cost: float, u_max: float) -> bool:
-    """First-order test u_max * |g_P| < CONVERGENCE_RTOL * (1 + |J|), both sides in cost units.
+def _box_qp(g: np.ndarray, hess: np.ndarray, u: np.ndarray, u_max: float, held: np.ndarray):
+    """Next iterate u + d, d minimizing g'd + d'Hd/2 exactly over the box |u + d| <= u_max.
 
-    g_P is the gradient with the components zeroed where u sits on a bound
-    and the gradient pushes it outward.
+    H is positive definite and u lies in the box. Primal active-set method
+    from d = 0 and the held set `held` (+1 upper, -1 lower, 0 free): minimize
+    over the free components with the others held at their bounds; if a
+    bound blocks the way, step to it and hold it; otherwise release the held
+    bound whose multiplier has the wrong sign by the most, or stop when none
+    has. The iterate is clipped to the box, and each component held at the
+    end is exactly +-u_max.
     """
-    held = ((u >= u_max) & (grad < 0.0)) | ((u <= -u_max) & (grad > 0.0))
-    g_p = np.where(held, 0.0, grad)
-    return u_max * float(np.linalg.norm(g_p)) < CONVERGENCE_RTOL * (1.0 + abs(cost))
-
-
-def _box_qp(g: np.ndarray, hess: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Minimize g'd + d'Hd/2 over lo <= d <= hi exactly (H positive definite, lo <= 0 <= hi).
-
-    Primal active-set method from d = 0, holding the components that already
-    sit on the bound the gradient pushes them against: minimize over the
-    free components with the others held at their bounds; if a bound blocks
-    the way, step to it and hold it; otherwise release the held bound whose
-    multiplier has the wrong sign by the most, or stop when none has.
-    Returns d and the side each component is held at (+1 upper, -1 lower,
-    0 free).
-    """
+    lo, hi = -u_max - u, u_max - u
     d = np.zeros(g.size)
-    side = np.where((hi == 0.0) & (g < 0.0), 1, 0) - np.where((lo == 0.0) & (g > 0.0), 1, 0)
+    side = held.copy()
     # finite in exact arithmetic; the cap only stops a rounding-driven cycle,
     # and every iterate is feasible and lowers the model
     for _ in range(4 * g.size + 4):
@@ -357,7 +345,9 @@ def _box_qp(g: np.ndarray, hess: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         if wrong[i] <= 0.0:
             break
         side[i] = 0
-    return d, side
+    u_new = np.clip(u + d, -u_max, u_max)
+    u_new[side > 0], u_new[side < 0] = u_max, -u_max
+    return u_new
 
 
 def solve(
@@ -378,17 +368,10 @@ def solve(
     iteration: it solves the box-constrained quadratic model with
     Levenberg-Marquardt damping and accepts the step by an Armijo test on
     the true cost, raising the damping on each rejection and adjusting it by
-    the gain ratio on acceptance. It stops "converged" when u_max times the
-    norm of the gradient less its box-held components drops below
-    CONVERGENCE_RTOL * (1 + |J|); "settled" when an accepted step's actual
-    and predicted (undamped model) decreases are both at most FTOL * J, the
-    point returned without a Jacobian; "iteration_cap" after MAX_ITERATIONS
-    accepted steps; and "no_step" when, before a step passes, the step no
-    longer moves u or lam * diag(H) overflows. The last two are degraded
-    (see `SolveResult.stop_reason`). Every accepted step lowers the cost, so
-    the last iterate is returned. Each evaluation of a start or a trial is
-    one rollout; the Jacobian at the winning start and at each accepted
-    trial comes from that rollout's tape.
+    the gain ratio on acceptance. It stops for one of the four reasons in
+    the module docstring. Each evaluation of a start or a trial is one
+    rollout; the Jacobian at the winning start and at each accepted trial
+    comes from that rollout's tape.
     """
     p, u_max = cfg.horizon, cfg.u_max
     prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
@@ -413,7 +396,13 @@ def solve(
     while True:
         r, jac = linearize(record)
         grad = 2.0 * (jac.T @ r)
-        if _converged(u, grad, cost, u_max):
+        # the held set: components on a bound that the gradient pushes outward
+        # (+1 upper, -1 lower); g_P of the first-order test is grad less them
+        held = np.where((u >= u_max) & (grad < 0.0), 1, 0) - np.where(
+            (u <= -u_max) & (grad > 0.0), 1, 0
+        )
+        g_p = np.where(held, 0.0, grad)
+        if u_max * float(np.linalg.norm(g_p)) < CONVERGENCE_RTOL * (1.0 + abs(cost)):
             stop_reason = "converged"
             break
         if iterations >= MAX_ITERATIONS:
@@ -428,9 +417,7 @@ def solve(
             if not math.isfinite(lam * float(diag.max())):
                 stop_reason = "no_step"
                 break
-            d, side = _box_qp(grad, hess + np.diag(lam * diag), -u_max - u, u_max - u)
-            u_new = np.clip(u + d, -u_max, u_max)
-            u_new[side > 0], u_new[side < 0] = u_max, -u_max
+            u_new = _box_qp(grad, hess + np.diag(lam * diag), u, u_max, held)
             d = u_new - u
             if not np.any(d):
                 stop_reason = "no_step"

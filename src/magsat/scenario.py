@@ -182,14 +182,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     return _build_log(rows)
 
 
-def _error_angle_deg(q: np.ndarray, q_ref: np.ndarray) -> float:
-    dot = float(np.clip(np.dot(q, q_ref), -1.0, 1.0))
-    return math.degrees(2.0 * math.acos(abs(dot)))
-
-
 def _signed_error_angle_deg(q: np.ndarray, q_ref: np.ndarray) -> float:
     dot = float(np.clip(np.dot(q, q_ref), -1.0, 1.0))
     return math.degrees(2.0 * math.acos(dot))
+
+
+def _error_angle_deg(q: np.ndarray, q_ref: np.ndarray) -> float:
+    """Sign-invariant error angle: the smaller of the angles to q_ref and -q_ref."""
+    return min(_signed_error_angle_deg(q, q_ref), _signed_error_angle_deg(q, -q_ref))
 
 
 def settle_time(log: RunLog):

@@ -476,17 +476,17 @@ def test_solve_warm_start_chain(field_at, detumble_cfg, table_inertia):
 def solver_events(monkeypatch):
     """In call order: each rollout's controls as bytes, and "linearize" per Jacobian."""
     events = []
-    rollout, linearize = controller._Problem.rollout, controller._Problem.linearize
+    evaluate, linearize = controller._Problem.evaluate, controller._Problem.linearize
 
-    def spy_rollout(self, controls):
+    def spy_evaluate(self, controls):
         events.append(np.array(controls).tobytes())
-        return rollout(self, controls)
+        return evaluate(self, controls)
 
     def spy_linearize(self, record):
         events.append("linearize")
         return linearize(self, record)
 
-    monkeypatch.setattr(controller._Problem, "rollout", spy_rollout)
+    monkeypatch.setattr(controller._Problem, "evaluate", spy_evaluate)
     monkeypatch.setattr(controller._Problem, "linearize", spy_linearize)
     return events
 

@@ -78,33 +78,39 @@ def test_solve_bound_dominance_and_determinism(sso_elements, table_inertia, prob
 
 @st.composite
 def box_qps(draw):
-    """A positive definite H, a gradient and a box lo <= 0 <= hi, n <= 12.
+    """A positive definite H, a gradient, u_max and u in the box |u| <= u_max, n <= 12.
 
-    Some bounds are drawn at 0, as for a control already on the dipole bound.
+    Some components of u are drawn exactly on +-u_max, as for a control
+    already on the dipole bound.
     """
     n = draw(st.integers(min_value=1, max_value=12))
     a = np.array(draw(vectors(n * n, -1.0, 1.0))).reshape(n, n)
     hess = a.T @ a + draw(reals(1e-3, 1.0)) * np.eye(n)
     g = np.array(draw(vectors(n, -2.0, 2.0)))
-    lo = -np.array(draw(vectors(n, 0.0, 1.0)))
-    hi = np.array(draw(vectors(n, 0.0, 1.0)))
-    return g, hess, lo, hi
+    u_max = draw(reals(0.01, 1.0))
+    on_bound_or_inside = st.one_of(st.sampled_from([-1.0, 1.0]), reals(-1.0, 1.0))
+    u = u_max * np.array(draw(st.lists(on_bound_or_inside, min_size=n, max_size=n)))
+    return g, hess, u, u_max
 
 
 @settings(database=None, derandomize=True, max_examples=300, deadline=None)
 @given(qp=box_qps())
 def test_box_qp_bounds_kkt_and_determinism(qp):
-    g, hess, lo, hi = qp
-    d, side = controller._box_qp(g, hess, lo, hi)
-    again = controller._box_qp(g, hess, lo, hi)
-    assert d.tobytes() == again[0].tobytes() and side.tobytes() == again[1].tobytes()
-    assert np.all(lo <= d) and np.all(d <= hi)
-    np.testing.assert_array_equal(d[side > 0], hi[side > 0])
-    np.testing.assert_array_equal(d[side < 0], lo[side < 0])
-    # KKT: zero model gradient on the free components, and multipliers of
-    # the right sign on the held ones (the model must not descend past a bound)
-    grad = g + hess @ d
+    g, hess, u, u_max = qp
+    # the held set as `solve` passes it: on a bound, the gradient pushing outward
+    held = np.where((u >= u_max) & (g < 0.0), 1, 0) - np.where((u <= -u_max) & (g > 0.0), 1, 0)
+    start = held.copy()
+    u_new = controller._box_qp(g, hess, u, u_max, held)
+    assert u_new.tobytes() == controller._box_qp(g, hess, u, u_max, held).tobytes()
+    np.testing.assert_array_equal(held, start)  # `solve` passes it again on each retry
+    assert np.all(np.abs(u_new) <= u_max)
+    # KKT: zero model gradient on the components strictly inside the box,
+    # and multipliers of the right sign on those exactly on +-u_max (the
+    # model must not descend past a bound). A component the QP holds but
+    # that is not pinned to exactly +-u_max counts as inside and fails
+    grad = g + hess @ (u_new - u)
     tol = 1e-9 * (1.0 + np.max(np.abs(g)) + np.max(np.abs(hess)))
-    assert np.all(np.abs(grad[side == 0]) <= tol)
-    assert np.all(grad[side > 0] <= tol)
-    assert np.all(grad[side < 0] >= -tol)
+    inside, upper, lower = np.abs(u_new) < u_max, u_new == u_max, u_new == -u_max
+    assert np.all(np.abs(grad[inside]) <= tol)
+    assert np.all(grad[upper] <= tol)
+    assert np.all(grad[lower] >= -tol)
