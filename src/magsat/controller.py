@@ -23,10 +23,12 @@ rollout's tape into the state Jacobian dx/du, whose rows the state weights
 scale. The gradient is 2 J'r and the Gauss-Newton Hessian 2 J'J. Each step
 minimizes the damped quadratic model exactly over the box with a primal
 active-set method, and is accepted by an Armijo test on the true cost.
-`_box_qp` owns the box: it starts from the held set (the components on a
-bound that the gradient pushes outward) and returns the next iterate inside
-it. Each solve starts from the cheaper of the all-zero sequence and the
-warm start, so the returned sequence is never worse than either of them.
+`_box_qp` owns the box: it starts its active set from the components of u
+exactly on +-u_max and returns the next iterate inside it. After an accepted
+step those are the last QP's final set, and on the warm start the last
+sample's final set shifted by one interval. Each solve starts from the
+cheaper of the all-zero sequence and the warm start, so the returned
+sequence is never worse than either of them.
 
 A solve stops for one of four reasons (`SolveResult.stop_reason`), the first
 two Levenberg-Marquardt termination tests in cost units (J. J. More, LNM
@@ -125,6 +127,8 @@ class MpcConfig:
         object.__setattr__(self, "q_diag", q)
         object.__setattr__(self, "r_diag", r)
         object.__setattr__(self, "horizon", int(self.horizon))
+        # the cost residual's row scales sqrt(Ts Q) and sqrt(Ts R), built once
+        object.__setattr__(self, "_row_scales", (np.sqrt(self.ts * q), np.sqrt(self.ts * r)))
 
 
 @dataclass(frozen=True)
@@ -190,8 +194,9 @@ def _residual(ends, u: np.ndarray, cfg: MpcConfig) -> np.ndarray:
     u_0..u_{p-1}, shape (p, 3) or flat. The solver and `total_cost` both
     build the cost here, so they agree bit for bit.
     """
-    q_rows = (np.asarray(ends) - cfg.x_ref.as_array()) * np.sqrt(cfg.ts * cfg.q_diag)
-    r_rows = np.reshape(u, (-1, 3)) * np.sqrt(cfg.ts * cfg.r_diag)
+    q_scale, r_scale = cfg._row_scales
+    q_rows = (np.asarray(ends) - cfg.x_ref.as_array()) * q_scale
+    r_rows = np.reshape(u, (-1, 3)) * r_scale
     return np.concatenate([q_rows.reshape(-1), r_rows.reshape(-1)])
 
 
@@ -221,8 +226,8 @@ class _Problem:
         self.inertia = inertia.as_tuple()
         self.substeps = substeps
         # row scales of the residual's Jacobian, as `_residual` applies them
-        self.q_scale = np.sqrt(cfg.ts * cfg.q_diag)
-        self.r_jac = np.diag(np.tile(np.sqrt(cfg.ts * cfg.r_diag), cfg.horizon))
+        self.q_scale, r_scale = cfg._row_scales
+        self.r_jac = np.diag(np.tile(r_scale, cfg.horizon))
 
     def evaluate(self, u: np.ndarray):
         """Cost r'r of a control sequence and the record `(u, tape, r)` of its rollout.
@@ -305,20 +310,22 @@ def gradient(
     return (2.0 * (jac.T @ r)).reshape(cfg.horizon, 3)
 
 
-def _box_qp(g: np.ndarray, hess: np.ndarray, u: np.ndarray, u_max: float, held: np.ndarray):
+def _box_qp(g: np.ndarray, hess: np.ndarray, u: np.ndarray, u_max: float):
     """Next iterate u + d, d minimizing g'd + d'Hd/2 exactly over the box |u + d| <= u_max.
 
     H is positive definite and u lies in the box. Primal active-set method
-    from d = 0 and the held set `held` (+1 upper, -1 lower, 0 free): minimize
-    over the free components with the others held at their bounds; if a
-    bound blocks the way, step to it and hold it; otherwise release the held
-    bound whose multiplier has the wrong sign by the most, or stop when none
-    has. The iterate is clipped to the box, and each component held at the
-    end is exactly +-u_max.
+    from d = 0, holding every component of u that is exactly on a bound
+    (+1 upper, -1 lower, 0 free): minimize over the free components with the
+    others held at their bounds; if a bound blocks the way, step to it and
+    hold it; otherwise release the held bound whose multiplier has the wrong
+    sign by the most, or stop when none has. A held component sits exactly
+    on its bound, so the iterate depends only on the final set, and the
+    start set only decides how many passes reach it. The iterate is clipped
+    to the box, and each component held at the end is exactly +-u_max.
     """
     lo, hi = -u_max - u, u_max - u
     d = np.zeros(g.size)
-    side = held.copy()
+    side = np.where(u >= u_max, 1, np.where(u <= -u_max, -1, 0))
     # finite in exact arithmetic; the cap only stops a rounding-driven cycle,
     # and every iterate is feasible and lowers the model
     for _ in range(4 * g.size + 4):
@@ -396,11 +403,9 @@ def solve(
     while True:
         r, jac = linearize(record)
         grad = 2.0 * (jac.T @ r)
-        # the held set: components on a bound that the gradient pushes outward
-        # (+1 upper, -1 lower); g_P of the first-order test is grad less them
-        held = np.where((u >= u_max) & (grad < 0.0), 1, 0) - np.where(
-            (u <= -u_max) & (grad > 0.0), 1, 0
-        )
+        # g_P of the first-order test is grad less the held set, the
+        # components on a bound that the gradient pushes outward
+        held = ((u >= u_max) & (grad < 0.0)) | ((u <= -u_max) & (grad > 0.0))
         g_p = np.where(held, 0.0, grad)
         if u_max * float(np.linalg.norm(g_p)) < CONVERGENCE_RTOL * (1.0 + abs(cost)):
             stop_reason = "converged"
@@ -417,7 +422,7 @@ def solve(
             if not math.isfinite(lam * float(diag.max())):
                 stop_reason = "no_step"
                 break
-            u_new = _box_qp(grad, hess + np.diag(lam * diag), u, u_max, held)
+            u_new = _box_qp(grad, hess + np.diag(lam * diag), u, u_max)
             d = u_new - u
             if not np.any(d):
                 stop_reason = "no_step"

@@ -3,15 +3,17 @@
 `scenario_from_dict` and `load_config` turn a JSON config document or a
 built-in preset into a validated `ScenarioConfig`; every bad document raises
 `ConfigError`. Per controller step `run_scenario` samples the orbital-frame
-field, solves the MPC (warm started with the previous solution shifted by
-one), quantizes the first control when the quantizer is enabled, holds that
-dipole over the sampling interval while the plant integrates, and logs one
-row in CSV column order. Runs are deterministic end to end; identical configs
+field (through a per-run memo, so a time that consecutive steps share goes
+through Kepler's equation once), solves the MPC (warm started with the
+previous solution shifted by one), quantizes the first control when the
+quantizer is enabled, holds that dipole over the sampling interval while the
+plant integrates, and logs one row in CSV column order. Runs are deterministic end to end; identical configs
 produce byte-identical CSV.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -152,7 +154,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     warm: Optional[ControlSequence] = None
     rows = []
     try:
-        field_at = field_function(cfg.elements)
+        # consecutive steps sample the field at the same times, from the horizon,
+        # the log row and the plant; the memo holds a horizon and the next time
+        field_at = functools.lru_cache(maxsize=MAX_HORIZON + 2)(field_function(cfg.elements))
         for k in range(cfg.steps):
             t = k * cfg.mpc.ts
             b_orb = field_at(t)

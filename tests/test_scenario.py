@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -16,6 +17,8 @@ import numpy as np
 import pytest
 from conftest import grid_levels
 
+import magsat.orbit
+import magsat.scenario
 from magsat import ConfigError, IntegrationDivergedError, field_function, solve
 from magsat.cli import main
 from magsat.presets import SSO_ELEMENTS
@@ -398,6 +401,48 @@ def test_preset_csv_bytes_are_stable():
     for (name, duration), digest in PRESET_CSV_SHA256.items():
         log = run_scenario(dataclasses.replace(load_config(name), duration=duration))
         assert hashlib.sha256(log.to_csv().encode()).hexdigest() == digest, name
+
+
+# SHA-256 of RunLog.to_csv() for attitude-paper at horizon 40 over 900 s (30
+# solves), recorded on the same platform before the box QP started its active
+# set from the components on the bound. At this horizon a QP makes about 20
+# linear solves (up to 121) from the old start set, so a change to the QP's
+# start or its passes that moved an iterate would show here.
+LONG_HORIZON_CSV_SHA256 = "22a78a1415333aef1816c4d1b9f4342d662f127cd2ff06e60a24c396036bd118"
+
+
+def test_long_horizon_csv_bytes_are_stable():
+    cfg = load_config("attitude-paper")
+    cfg = dataclasses.replace(cfg, duration=900.0, mpc=dataclasses.replace(cfg.mpc, horizon=40))
+    log = run_scenario(cfg)
+    assert hashlib.sha256(log.to_csv().encode()).hexdigest() == LONG_HORIZON_CSV_SHA256
+
+
+@pytest.mark.parametrize("ts", [2.0, 0.1])
+def test_field_memo_samples_each_time_once_and_keeps_the_bytes(monkeypatch, ts):
+    cfg = load_config("detumble-paper")
+    cfg = dataclasses.replace(cfg, duration=20 * ts, mpc=dataclasses.replace(cfg.mpc, ts=ts))
+    calls = []
+    field_at_time = magsat.orbit.field_at_time
+
+    def counted(elements, t):
+        calls.append(t)
+        return field_at_time(elements, t)
+
+    monkeypatch.setattr(magsat.orbit, "field_at_time", counted)
+    memo_csv = run_scenario(cfg).to_csv()
+    assert len(calls) == len(set(calls))  # no time is sampled twice
+    # at Ts 2 s, k Ts + j Ts is (k + j) Ts exactly: steps + p - 1 times in
+    # all. 0.1 has no exact binary form, so one sample time is reached by
+    # different sums, which the memo keeps apart
+    distinct = cfg.steps + cfg.mpc.horizon - 1
+    assert (len(calls) == distinct) if ts == 2.0 else (len(calls) > distinct)
+    monkeypatch.setattr(
+        magsat.scenario, "functools", types.SimpleNamespace(lru_cache=lambda maxsize: lambda f: f)
+    )
+    calls.clear()
+    assert run_scenario(cfg).to_csv() == memo_csv
+    assert len(calls) > len(set(calls))  # the bypass did sample times again
 
 
 def test_prediction_substeps_leave_applied_dipoles_unchanged(monkeypatch):

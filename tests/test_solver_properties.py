@@ -3,9 +3,10 @@
 The returned sequence respects the dipole bound, never costs more than the
 zero or warm-start sequence, and two calls on the same input agree bit for
 bit. The box-constrained quadratic step solver returns a point that is
-feasible, satisfies the KKT conditions and is bitwise repeatable. Needs
-`hypothesis` (the `[test]` extra); skipped without it. Derandomized and
-without an example database, so every run draws the same examples.
+feasible, satisfies the KKT conditions, is bitwise repeatable and does not
+depend on the start active set. Needs `hypothesis` (the `[test]` extra);
+skipped without it. Derandomized and without an example database, so every
+run draws the same examples.
 """
 
 import numpy as np
@@ -78,10 +79,11 @@ def test_solve_bound_dominance_and_determinism(sso_elements, table_inertia, prob
 
 @st.composite
 def box_qps(draw):
-    """A positive definite H, a gradient, u_max and u in the box |u| <= u_max, n <= 12.
+    """A positive definite H, a gradient, u_max, u in the box |u| <= u_max, n <= 12, and a mask.
 
     Some components of u are drawn exactly on +-u_max, as for a control
-    already on the dipole bound.
+    already on the dipole bound. The mask picks a random subset of them as
+    the oracle's start set.
     """
     n = draw(st.integers(min_value=1, max_value=12))
     a = np.array(draw(vectors(n * n, -1.0, 1.0))).reshape(n, n)
@@ -90,19 +92,55 @@ def box_qps(draw):
     u_max = draw(reals(0.01, 1.0))
     on_bound_or_inside = st.one_of(st.sampled_from([-1.0, 1.0]), reals(-1.0, 1.0))
     u = u_max * np.array(draw(st.lists(on_bound_or_inside, min_size=n, max_size=n)))
-    return g, hess, u, u_max
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return g, hess, u, u_max, mask
+
+
+def held_start_box_qp(g, hess, u, u_max, held):
+    """`_box_qp` as it was when `solve` passed its start set in, kept as an oracle.
+
+    `held` is +1 upper, -1 lower, 0 free; `solve` passed the components on
+    a bound that the gradient pushes outward.
+    """
+    lo, hi = -u_max - u, u_max - u
+    d = np.zeros(g.size)
+    side = held.copy()
+    for _ in range(4 * g.size + 4):
+        free = side == 0
+        target = d.copy()
+        if free.any():
+            rhs = g[free] + hess[np.ix_(free, ~free)] @ d[~free]
+            target[free] = -np.linalg.solve(hess[np.ix_(free, free)], rhs)
+        step = target - d
+        with np.errstate(all="ignore"):
+            room = np.where(
+                step > 0.0, (hi - d) / step, np.where(step < 0.0, (lo - d) / step, np.inf)
+            )
+        i = int(np.argmin(room))
+        if room[i] < 1.0:
+            d = d + room[i] * step
+            side[i] = 1 if step[i] > 0.0 else -1
+            d[i] = hi[i] if side[i] > 0 else lo[i]
+            continue
+        d = target
+        wrong = side * (g + hess @ d)
+        i = int(np.argmax(wrong))
+        if wrong[i] <= 0.0:
+            break
+        side[i] = 0
+    u_new = np.clip(u + d, -u_max, u_max)
+    u_new[side > 0], u_new[side < 0] = u_max, -u_max
+    return u_new
 
 
 @settings(database=None, derandomize=True, max_examples=300, deadline=None)
 @given(qp=box_qps())
 def test_box_qp_bounds_kkt_and_determinism(qp):
-    g, hess, u, u_max = qp
-    # the held set as `solve` passes it: on a bound, the gradient pushing outward
-    held = np.where((u >= u_max) & (g < 0.0), 1, 0) - np.where((u <= -u_max) & (g > 0.0), 1, 0)
-    start = held.copy()
-    u_new = controller._box_qp(g, hess, u, u_max, held)
-    assert u_new.tobytes() == controller._box_qp(g, hess, u, u_max, held).tobytes()
-    np.testing.assert_array_equal(held, start)  # `solve` passes it again on each retry
+    g, hess, u, u_max, mask = qp
+    start = u.copy()
+    u_new = controller._box_qp(g, hess, u, u_max)
+    assert u_new.tobytes() == controller._box_qp(g, hess, u, u_max).tobytes()
+    np.testing.assert_array_equal(u, start)  # `solve` passes u again on each retry
     assert np.all(np.abs(u_new) <= u_max)
     # KKT: zero model gradient on the components strictly inside the box,
     # and multipliers of the right sign on those exactly on +-u_max (the
@@ -114,3 +152,10 @@ def test_box_qp_bounds_kkt_and_determinism(qp):
     assert np.all(np.abs(grad[inside]) <= tol)
     assert np.all(grad[upper] <= tol)
     assert np.all(grad[lower] >= -tol)
+    # the start set decides only the passes: the same bytes as from the held
+    # set `solve` used to pass, and as from a random subset of the bound
+    held = np.where((u >= u_max) & (g < 0.0), 1, 0) - np.where((u <= -u_max) & (g > 0.0), 1, 0)
+    on_bound = np.where(u >= u_max, 1, 0) - np.where(u <= -u_max, 1, 0)
+    assert u_new.tobytes() == held_start_box_qp(g, hess, u, u_max, held).tobytes()
+    subset = np.where(mask, on_bound, 0)
+    assert u_new.tobytes() == held_start_box_qp(g, hess, u, u_max, subset).tobytes()
