@@ -32,7 +32,6 @@ from .orbit import (
     field_function,
     mean_motion,
     orbit_radius,
-    orbital_period,
     solve_kepler,
     true_anomaly,
 )

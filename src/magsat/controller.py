@@ -38,9 +38,10 @@ gradient less the held components. "settled": an accepted step whose actual
 and predicted (undamped model) decreases are both at most FTOL * J; the
 point is returned without a Jacobian. "iteration_cap": MAX_ITERATIONS
 accepted steps. "no_step": no damped step passed the Armijo test before the
-step stopped moving u or lam * diag(H) overflowed, as when the box holds
-every direction. The last two flag the result degraded. Every accepted step
-lowers the cost, so the last accepted point is returned.
+step stopped moving u or lam * diag(H) overflowed. (When the box holds
+every direction, g_P = 0 and the solve stops "converged" before it tries a
+step.) The last two flag the result degraded. Every accepted step lowers
+the cost, so the last accepted point is returned.
 
 Each evaluation is one rollout, as one zero-order-hold sequence through the
 plant's integrator `dynamics.integrate`, and it keeps its tape (one flat
@@ -115,7 +116,7 @@ class MpcConfig:
             raise ValueError("q_diag entries must be finite and >= 0")
         if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
             raise ValueError("r_diag entries must be finite and > 0")
-        if int(self.horizon) != self.horizon or self.horizon < 1:
+        if not 1 <= self.horizon < math.inf or int(self.horizon) != self.horizon:
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon}")
         if not (math.isfinite(self.ts) and self.ts > 0.0):
             raise ValueError(f"sampling time must be positive, got {self.ts}")
@@ -311,50 +312,48 @@ def gradient(
 
 
 def _box_qp(g: np.ndarray, hess: np.ndarray, u: np.ndarray, u_max: float):
-    """Next iterate u + d, d minimizing g'd + d'Hd/2 exactly over the box |u + d| <= u_max.
+    """Next iterate v = u + d, d minimizing g'd + d'Hd/2 exactly over the box |v| <= u_max.
 
     H is positive definite and u lies in the box. Primal active-set method
-    from d = 0, holding every component of u that is exactly on a bound
+    on v from v = u, holding every component of u that is exactly on a bound
     (+1 upper, -1 lower, 0 free): minimize over the free components with the
-    others held at their bounds; if a bound blocks the way, step to it and
-    hold it; otherwise release the held bound whose multiplier has the wrong
-    sign by the most, or stop when none has. A held component sits exactly
-    on its bound, so the iterate depends only on the final set, and the
-    start set only decides how many passes reach it. The iterate is clipped
-    to the box, and each component held at the end is exactly +-u_max.
+    others held; if a bound blocks the way, step to it and hold that
+    component at exactly +-u_max; otherwise free every held component whose
+    multiplier has the wrong sign, or stop when none has. Freeing several at
+    once still ends: the step over a freed set moves at least one freed
+    component inward and lowers the model, so the model falls from one
+    subspace minimizer to the next and no set repeats. A held component sits
+    exactly on its bound, so the iterate depends only on the final set, and
+    the start set only decides how many passes reach it. The clip only
+    guards a free component's rounding past the box.
     """
-    lo, hi = -u_max - u, u_max - u
-    d = np.zeros(g.size)
+    v = u.copy()
     side = np.where(u >= u_max, 1, np.where(u <= -u_max, -1, 0))
-    # finite in exact arithmetic; the cap only stops a rounding-driven cycle,
-    # and every iterate is feasible and lowers the model
+    # finite in exact arithmetic; the cap only stops a rounding-driven cycle
     for _ in range(4 * g.size + 4):
         free = side == 0
-        target = d.copy()
+        target = v.copy()
         if free.any():
-            rhs = g[free] + hess[np.ix_(free, ~free)] @ d[~free]
-            target[free] = -np.linalg.solve(hess[np.ix_(free, free)], rhs)
-        step = target - d
+            rhs = g[free] + hess[np.ix_(free, ~free)] @ (v - u)[~free]
+            target[free] = u[free] - np.linalg.solve(hess[np.ix_(free, free)], rhs)
+        step = target - v
         with np.errstate(all="ignore"):
             room = np.where(
-                step > 0.0, (hi - d) / step, np.where(step < 0.0, (lo - d) / step, np.inf)
+                step > 0.0, (u_max - v) / step, np.where(step < 0.0, (-u_max - v) / step, np.inf)
             )
         i = int(np.argmin(room))
         if room[i] < 1.0:
-            d = d + room[i] * step
+            v = v + room[i] * step
             side[i] = 1 if step[i] > 0.0 else -1
-            d[i] = hi[i] if side[i] > 0 else lo[i]
+            v[i] = side[i] * u_max
             continue
-        d = target
+        v = target
         # > 0: a wrong-signed multiplier, the model descends off that bound
-        wrong = side * (g + hess @ d)
-        i = int(np.argmax(wrong))
-        if wrong[i] <= 0.0:
+        wrong = side * (g + hess @ (v - u)) > 0.0
+        if not wrong.any():
             break
-        side[i] = 0
-    u_new = np.clip(u + d, -u_max, u_max)
-    u_new[side > 0], u_new[side < 0] = u_max, -u_max
-    return u_new
+        side[wrong] = 0
+    return np.clip(v, -u_max, u_max)
 
 
 def solve(

@@ -137,11 +137,6 @@ def mean_motion(elements: OrbitalElements) -> float:
     return math.sqrt(EARTH_MU_KM3_S2 / elements.a_km**3)
 
 
-def orbital_period(elements: OrbitalElements) -> float:
-    """Orbital period 2*pi/n in seconds."""
-    return TWO_PI / mean_motion(elements)
-
-
 def dipole_field(elements: OrbitalElements, theta: float, r_km: float) -> FieldSample:
     """Tilted-dipole field in the orbital frame at true anomaly theta, radius r.
 

@@ -7,8 +7,8 @@ field (through a per-run memo, so a time that consecutive steps share goes
 through Kepler's equation once), solves the MPC (warm started with the
 previous solution shifted by one), quantizes the first control when the
 quantizer is enabled, holds that dipole over the sampling interval while the
-plant integrates, and logs one row in CSV column order. Runs are deterministic end to end; identical configs
-produce byte-identical CSV.
+plant integrates, and logs one row in CSV column order. Runs are
+deterministic end to end; identical configs produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class ScenarioConfig:
             raise ConfigError(f"duration {self.duration} s exceeds {MAX_STEPS} sampling intervals")
         if self.mpc.horizon > MAX_HORIZON:
             raise ConfigError(f"horizon {self.mpc.horizon} exceeds {MAX_HORIZON}")
-        if int(self.substeps) != self.substeps or not 1 <= self.substeps <= MAX_SUBSTEPS:
+        if not 1 <= self.substeps <= MAX_SUBSTEPS or int(self.substeps) != self.substeps:
             raise ConfigError(f"substeps {self.substeps} is not an integer in 1..{MAX_SUBSTEPS}")
         object.__setattr__(self, "substeps", int(self.substeps))
 
@@ -417,6 +417,8 @@ def load_config(source: str | Path) -> ScenarioConfig:
         raise ConfigError(f"no such config file or preset: {source!r}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{source}: cannot be read: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:

@@ -82,6 +82,10 @@ def test_mpc_config_rejects_bad_horizon_and_times():
     with pytest.raises(ValueError):
         MpcConfig(q_diag=np.zeros(7), r_diag=np.ones(3), horizon=0, ts=1.0,
                   u_max=0.1, x_ref=x_ref)
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon"):
+            MpcConfig(q_diag=np.zeros(7), r_diag=np.ones(3), horizon=horizon, ts=1.0,
+                      u_max=0.1, x_ref=x_ref)
     with pytest.raises(ValueError):
         MpcConfig(q_diag=np.zeros(7), r_diag=np.ones(3), horizon=1, ts=0.0,
                   u_max=0.1, x_ref=x_ref)
@@ -468,6 +472,30 @@ def test_solve_warm_start_chain(field_at, detumble_cfg, table_inertia):
             assert res.cost <= res.warm_cost
         state = ms.propagate(state, res.command, field_at, t, 2.0, 20, table_inertia)
         warm = shift_warm_start(res.sequence)
+
+
+def test_box_qp_frees_every_wrong_signed_bound_in_one_pass(monkeypatch):
+    # every component starts on +u_max with the gradient pulling it inward
+    # to a minimizer inside the box, so the first pass frees them all and
+    # the QP needs one linear solve, not one per freed bound
+    n, u_max = 6, 0.5
+    hess = 2.0 * np.eye(n) + 0.1 * np.ones((n, n))
+    u = np.full(n, u_max)
+    inside = u_max * np.linspace(-0.5, 0.5, n)
+    g = hess @ (u - inside)
+    assert np.all(g > 0.0)
+    calls = []
+    real_solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        calls.append(a.shape)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    v = controller._box_qp(g, hess, u, u_max)
+    monkeypatch.undo()
+    assert calls == [(n, n)]
+    np.testing.assert_allclose(v, inside, rtol=0.0, atol=1e-15)
 
 
 # --- one rollout per evaluated point ----------------------------------------------------

@@ -284,6 +284,20 @@ def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
     assert "UTF-8" in capsys.readouterr().err
 
 
+def test_cli_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
+    # a root user reads a file whatever its mode, so the read is made to fail
+    path = tmp_path / "locked.json"
+    path.write_text(json.dumps(short_config()))
+
+    def deny(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", deny)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "locked.json: cannot be read: Permission denied" in err
+
+
 def test_cli_deeply_nested_config_exits_2(tmp_path, capsys):
     # nesting past the decoder's recursion limit raises RecursionError
     path = tmp_path / "deep.json"
@@ -331,6 +345,10 @@ def test_replace_revalidates():
     assert dataclasses.replace(cfg, pwm_enabled=True).pwm_enabled
     with pytest.raises(ConfigError):
         dataclasses.replace(cfg, duration=0.5)
+    assert dataclasses.replace(cfg, substeps=3.0).substeps == 3
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match="substeps"):
+            dataclasses.replace(cfg, substeps=value)
 
 
 # --- closed loop ------------------------------------------------------------------------
