@@ -329,30 +329,35 @@ def _box_qp(g: np.ndarray, hess: np.ndarray, u: np.ndarray, u_max: float):
     """
     v = u.copy()
     side = np.where(u >= u_max, 1, np.where(u <= -u_max, -1, 0))
-    # finite in exact arithmetic; the cap only stops a rounding-driven cycle
-    for _ in range(4 * g.size + 4):
-        free = side == 0
-        target = v.copy()
-        if free.any():
-            rhs = g[free] + hess[np.ix_(free, ~free)] @ (v - u)[~free]
-            target[free] = u[free] - np.linalg.solve(hess[np.ix_(free, free)], rhs)
-        step = target - v
-        with np.errstate(all="ignore"):
+    # the ratios to the bounds divide by zero where a component does not move
+    with np.errstate(all="ignore"):
+        # finite in exact arithmetic; the cap only stops a rounding-driven cycle
+        for _ in range(4 * g.size + 4):
+            f = np.flatnonzero(side == 0)
+            target = v.copy()
+            if f.size:
+                held = np.flatnonzero(side)
+                # both blocks must stay C-ordered: hess[f][:, held] is F-ordered,
+                # its product takes another BLAS path and rounds differently,
+                # and the iterates, and so the pinned CSV digests, then move
+                rhs = g[f] + hess[f[:, None], held] @ (v - u)[held]
+                target[f] = u[f] - np.linalg.solve(hess[f[:, None], f], rhs)
+            step = target - v
             room = np.where(
                 step > 0.0, (u_max - v) / step, np.where(step < 0.0, (-u_max - v) / step, np.inf)
             )
-        i = int(np.argmin(room))
-        if room[i] < 1.0:
-            v = v + room[i] * step
-            side[i] = 1 if step[i] > 0.0 else -1
-            v[i] = side[i] * u_max
-            continue
-        v = target
-        # > 0: a wrong-signed multiplier, the model descends off that bound
-        wrong = side * (g + hess @ (v - u)) > 0.0
-        if not wrong.any():
-            break
-        side[wrong] = 0
+            i = int(np.argmin(room))
+            if room[i] < 1.0:
+                v = v + room[i] * step
+                side[i] = 1 if step[i] > 0.0 else -1
+                v[i] = side[i] * u_max
+                continue
+            v = target
+            # > 0: a wrong-signed multiplier, the model descends off that bound
+            wrong = side * (g + hess @ (v - u)) > 0.0
+            if not wrong.any():
+                break
+            side[wrong] = 0
     return np.clip(v, -u_max, u_max)
 
 

@@ -22,11 +22,14 @@ interval k holds its dipole and its orbital-frame field sample, and the
 field is rotated into the body frame at every internal stage with that
 stage's quaternion. The quaternion is renormalized after every step.
 
-`_rhs` is the only right-hand side and holds the only orbital-to-body
-rotation: it binds one held interval's dipole, field and inertia
-differences once and returns the derivative as a function of the seven state
-scalars. `_rk4_interval` runs every RK4 step of one held interval in one
-call, with each stage value a local float. `integrate` is the only rollout
+`_rhs` is the reference right-hand side and orbital-to-body rotation: it
+binds one held interval's dipole, field and inertia differences once and
+returns the derivative as a function of the seven state scalars. The stage
+Jacobians' coefficient tensors are read off it at import. `_rk4_rollout`
+runs every RK4 step of a whole rollout in one call, with each stage value a
+local float, and evaluates each slope in place with `_rhs`'s arithmetic
+written out in the same order, so no call is made per stage; the tests hold
+both to one step-by-step oracle bit for bit. `integrate` is the only rollout
 of such a sequence: the plant (`propagate`) is a one-interval call and the
 MPC prediction a p-interval one, so they agree bit for bit at equal substep
 counts and fail at the same substep. A caller that will build a Jacobian
@@ -143,19 +146,18 @@ def integrate(
 
     Interval k holds the dipole m[k] and the orbital-frame field b[k] (m and
     b have shape (p, 3)) over [t0 + k ts, t0 + (k+1) ts], in `substeps` steps
-    of ts / substeps, all of them in one `_rk4_interval` call that binds the
-    interval's right-hand side once. Returns the p+1 interval-end states,
-    shape (p+1, 7) with x first. A caller that will build a Jacobian
-    (`sensitivity`) passes a list as `tape`, and every step appends its flat
-    record (x, xa, xb, xc, new state, norm; 36 floats) to it, in order,
-    p * substeps of them; the next step starts from each record's new state.
-    Without a tape each step's stages are dropped as soon as the next step
-    starts.
-    Finiteness is checked once per interval, on its end state, since a
-    non-finite component stays non-finite through every later step; a
-    non-finite interval is then stepped again from its start state to locate
-    its first non-finite step, and IntegrationDivergedError carries that
-    step's end time.
+    of ts / substeps. All p * substeps steps run in one `_rk4_rollout` call.
+    Returns the p+1 interval-end states, shape (p+1, 7) with x first. A
+    caller that will build a Jacobian (`sensitivity`) passes a list as
+    `tape`, and every step appends its flat record (x, xa, xb, xc, new state,
+    norm; 36 floats) to it, in order, p * substeps of them; the next step
+    starts from each record's new state. Without a tape each step's stages
+    are dropped as soon as the next step starts.
+    Finiteness is checked once per rollout, on the last state, since a
+    non-finite component stays non-finite through every later step. If that
+    state is not finite, the first interval whose end state is not finite is
+    stepped again from its start state to locate its first non-finite step,
+    and IntegrationDivergedError carries that step's end time.
     A ts that is not finite and positive raises ValueError, and so does a
     substep count that is not an integer (a bool or a float, even a whole
     one; numpy integers are accepted) or is below 1.
@@ -168,19 +170,17 @@ def integrate(
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     substeps = int(substeps)
     h = ts / substeps
-    x = tuple(x.tolist())
-    states = [x]
-    for k, (mk, bk) in enumerate(zip(m.tolist(), b.tolist())):
-        x = _rk4_interval(x, mk, bk, inertia, h, substeps, tape)
-        if not all(map(math.isfinite, x)):
-            x = states[-1]
-            for j in range(substeps):
-                x = _rk4_interval(x, mk, bk, inertia, h, 1, None)
-                if not all(map(math.isfinite, x)):
-                    break
-            t = t0 + k * ts + (j + 1) * h
-            raise IntegrationDivergedError(f"state became non-finite at t={t}", t=t)
-        states.append(x)
+    m, b = m.tolist(), b.tolist()
+    states = _rk4_rollout(tuple(x.tolist()), m, b, inertia, h, substeps, tape)
+    if not all(map(math.isfinite, states[-1])):
+        k = next(k for k, x in enumerate(states) if not all(map(math.isfinite, x))) - 1
+        x = states[k]
+        for j in range(substeps):
+            x = _rk4_rollout(x, m[k:k + 1], b[k:k + 1], inertia, h, 1, None)[-1]
+            if not all(map(math.isfinite, x)):
+                break
+        t = t0 + k * ts + (j + 1) * h
+        raise IntegrationDivergedError(f"state became non-finite at t={t}", t=t)
     return np.array(states)
 
 
@@ -190,7 +190,8 @@ def _rhs(m: tuple, b: tuple, inertia: tuple) -> Callable[..., tuple]:
     Binds the interval's dipole m, its orbital-frame field b and the
     inertia differences once. f rotates b into body axes with the direction
     cosine matrix of the orbital-to-body quaternion (q1..q4), v = R(q) b,
-    and returns the 7 derivatives; the only implementation of either.
+    and returns the 7 derivatives. It is the reference: `_rk4_rollout`
+    writes this arithmetic out in place, in the same order.
     """
     mx, my, mz = m
     bx, by, bz = b
@@ -224,66 +225,151 @@ def _rhs(m: tuple, b: tuple, inertia: tuple) -> Callable[..., tuple]:
     return f
 
 
-def _rk4_interval(x: tuple, m: tuple, b: tuple, inertia: tuple, h: float, substeps: int,
-                  tape: list | None) -> tuple:
-    """`substeps` RK4 steps of length h from x under one held dipole m and field b.
+def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps: int,
+                 tape: list | None) -> list:
+    """`substeps` RK4 steps of length h per held interval (m[k], b[k]) from x.
 
-    Returns the end state. Each step evaluates the interval's right-hand side
-    at x and at the stage states xa, xb and xc, renormalizes the new
-    quaternion and, given a tape, appends the step's record (x, xa, xb, xc,
-    new state, pre-renormalization norm; 36 floats). Every value is a local
-    scalar: x0..x6 is the state, r, s, t and u are the slopes k1..k4 and n
-    the new state.
+    Returns the interval-end states, x first. Each step evaluates the
+    right-hand side at x and at the stage states xa, xb and xc, renormalizes
+    the new quaternion and, given a tape, appends the step's record (x, xa,
+    xb, xc, new state, pre-renormalization norm; 36 floats). Every value is a
+    local scalar: x0..x6 is the state, r, s, t and u are the slopes k1..k4
+    and n the new state. Each slope is `_rhs`'s arithmetic written out in
+    place, in the same order, so no call or tuple is made per stage.
     """
-    f = _rhs(m, b, inertia)
+    ix, iy, iz = inertia
+    gx, gy, gz = iy - iz, iz - ix, ix - iy
     sqrt = math.sqrt
     h2 = 0.5 * h
     h6 = h / 6.0
     x0, x1, x2, x3, x4, x5, x6 = x
-    for _ in range(substeps):
-        r0, r1, r2, r3, r4, r5, r6 = f(x0, x1, x2, x3, x4, x5, x6)
-        xa0 = x0 + h2 * r0
-        xa1 = x1 + h2 * r1
-        xa2 = x2 + h2 * r2
-        xa3 = x3 + h2 * r3
-        xa4 = x4 + h2 * r4
-        xa5 = x5 + h2 * r5
-        xa6 = x6 + h2 * r6
-        s0, s1, s2, s3, s4, s5, s6 = f(xa0, xa1, xa2, xa3, xa4, xa5, xa6)
-        xb0 = x0 + h2 * s0
-        xb1 = x1 + h2 * s1
-        xb2 = x2 + h2 * s2
-        xb3 = x3 + h2 * s3
-        xb4 = x4 + h2 * s4
-        xb5 = x5 + h2 * s5
-        xb6 = x6 + h2 * s6
-        t0, t1, t2, t3, t4, t5, t6 = f(xb0, xb1, xb2, xb3, xb4, xb5, xb6)
-        xc0 = x0 + h * t0
-        xc1 = x1 + h * t1
-        xc2 = x2 + h * t2
-        xc3 = x3 + h * t3
-        xc4 = x4 + h * t4
-        xc5 = x5 + h * t5
-        xc6 = x6 + h * t6
-        u0, u1, u2, u3, u4, u5, u6 = f(xc0, xc1, xc2, xc3, xc4, xc5, xc6)
-        n0 = x0 + h6 * (r0 + u0 + 2.0 * (s0 + t0))
-        n1 = x1 + h6 * (r1 + u1 + 2.0 * (s1 + t1))
-        n2 = x2 + h6 * (r2 + u2 + 2.0 * (s2 + t2))
-        n3 = x3 + h6 * (r3 + u3 + 2.0 * (s3 + t3))
-        norm = sqrt(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3)
-        n0 = n0 / norm
-        n1 = n1 / norm
-        n2 = n2 / norm
-        n3 = n3 / norm
-        n4 = x4 + h6 * (r4 + u4 + 2.0 * (s4 + t4))
-        n5 = x5 + h6 * (r5 + u5 + 2.0 * (s5 + t5))
-        n6 = x6 + h6 * (r6 + u6 + 2.0 * (s6 + t6))
-        if tape is not None:
-            tape.append((x0, x1, x2, x3, x4, x5, x6, xa0, xa1, xa2, xa3, xa4, xa5, xa6,
-                         xb0, xb1, xb2, xb3, xb4, xb5, xb6, xc0, xc1, xc2, xc3, xc4, xc5, xc6,
-                         n0, n1, n2, n3, n4, n5, n6, norm))
-        x0, x1, x2, x3, x4, x5, x6 = n0, n1, n2, n3, n4, n5, n6
-    return x0, x1, x2, x3, x4, x5, x6
+    states = [x]
+    for (mx, my, mz), (bx, by, bz) in zip(m, b):
+        for _ in range(substeps):
+            # r = f(x), `_rhs`'s body
+            xx = x0 * x0
+            yy = x1 * x1
+            zz = x2 * x2
+            ww = x3 * x3
+            q12 = x0 * x1
+            q34 = x2 * x3
+            q13 = x0 * x2
+            q24 = x1 * x3
+            q23 = x1 * x2
+            q14 = x0 * x3
+            v1 = (xx - yy - zz + ww) * bx + 2.0 * ((q12 + q34) * by + (q13 - q24) * bz)
+            v2 = 2.0 * ((q12 - q34) * bx + (q23 + q14) * bz) + (-xx + yy - zz + ww) * by
+            v3 = 2.0 * ((q13 + q24) * bx + (q23 - q14) * by) + (-xx - yy + zz + ww) * bz
+            r0 = 0.5 * (x3 * x4 - x2 * x5 + x1 * x6)
+            r1 = 0.5 * (x2 * x4 + x3 * x5 - x0 * x6)
+            r2 = 0.5 * (-x1 * x4 + x0 * x5 + x3 * x6)
+            r3 = 0.5 * (-x0 * x4 - x1 * x5 - x2 * x6)
+            r4 = (gx * x5 * x6 + (my * v3 - mz * v2)) / ix
+            r5 = (gy * x6 * x4 + (mz * v1 - mx * v3)) / iy
+            r6 = (gz * x4 * x5 + (mx * v2 - my * v1)) / iz
+            xa0 = x0 + h2 * r0
+            xa1 = x1 + h2 * r1
+            xa2 = x2 + h2 * r2
+            xa3 = x3 + h2 * r3
+            xa4 = x4 + h2 * r4
+            xa5 = x5 + h2 * r5
+            xa6 = x6 + h2 * r6
+            # s = f(xa)
+            xx = xa0 * xa0
+            yy = xa1 * xa1
+            zz = xa2 * xa2
+            ww = xa3 * xa3
+            q12 = xa0 * xa1
+            q34 = xa2 * xa3
+            q13 = xa0 * xa2
+            q24 = xa1 * xa3
+            q23 = xa1 * xa2
+            q14 = xa0 * xa3
+            v1 = (xx - yy - zz + ww) * bx + 2.0 * ((q12 + q34) * by + (q13 - q24) * bz)
+            v2 = 2.0 * ((q12 - q34) * bx + (q23 + q14) * bz) + (-xx + yy - zz + ww) * by
+            v3 = 2.0 * ((q13 + q24) * bx + (q23 - q14) * by) + (-xx - yy + zz + ww) * bz
+            s0 = 0.5 * (xa3 * xa4 - xa2 * xa5 + xa1 * xa6)
+            s1 = 0.5 * (xa2 * xa4 + xa3 * xa5 - xa0 * xa6)
+            s2 = 0.5 * (-xa1 * xa4 + xa0 * xa5 + xa3 * xa6)
+            s3 = 0.5 * (-xa0 * xa4 - xa1 * xa5 - xa2 * xa6)
+            s4 = (gx * xa5 * xa6 + (my * v3 - mz * v2)) / ix
+            s5 = (gy * xa6 * xa4 + (mz * v1 - mx * v3)) / iy
+            s6 = (gz * xa4 * xa5 + (mx * v2 - my * v1)) / iz
+            xb0 = x0 + h2 * s0
+            xb1 = x1 + h2 * s1
+            xb2 = x2 + h2 * s2
+            xb3 = x3 + h2 * s3
+            xb4 = x4 + h2 * s4
+            xb5 = x5 + h2 * s5
+            xb6 = x6 + h2 * s6
+            # t = f(xb)
+            xx = xb0 * xb0
+            yy = xb1 * xb1
+            zz = xb2 * xb2
+            ww = xb3 * xb3
+            q12 = xb0 * xb1
+            q34 = xb2 * xb3
+            q13 = xb0 * xb2
+            q24 = xb1 * xb3
+            q23 = xb1 * xb2
+            q14 = xb0 * xb3
+            v1 = (xx - yy - zz + ww) * bx + 2.0 * ((q12 + q34) * by + (q13 - q24) * bz)
+            v2 = 2.0 * ((q12 - q34) * bx + (q23 + q14) * bz) + (-xx + yy - zz + ww) * by
+            v3 = 2.0 * ((q13 + q24) * bx + (q23 - q14) * by) + (-xx - yy + zz + ww) * bz
+            t0 = 0.5 * (xb3 * xb4 - xb2 * xb5 + xb1 * xb6)
+            t1 = 0.5 * (xb2 * xb4 + xb3 * xb5 - xb0 * xb6)
+            t2 = 0.5 * (-xb1 * xb4 + xb0 * xb5 + xb3 * xb6)
+            t3 = 0.5 * (-xb0 * xb4 - xb1 * xb5 - xb2 * xb6)
+            t4 = (gx * xb5 * xb6 + (my * v3 - mz * v2)) / ix
+            t5 = (gy * xb6 * xb4 + (mz * v1 - mx * v3)) / iy
+            t6 = (gz * xb4 * xb5 + (mx * v2 - my * v1)) / iz
+            xc0 = x0 + h * t0
+            xc1 = x1 + h * t1
+            xc2 = x2 + h * t2
+            xc3 = x3 + h * t3
+            xc4 = x4 + h * t4
+            xc5 = x5 + h * t5
+            xc6 = x6 + h * t6
+            # u = f(xc)
+            xx = xc0 * xc0
+            yy = xc1 * xc1
+            zz = xc2 * xc2
+            ww = xc3 * xc3
+            q12 = xc0 * xc1
+            q34 = xc2 * xc3
+            q13 = xc0 * xc2
+            q24 = xc1 * xc3
+            q23 = xc1 * xc2
+            q14 = xc0 * xc3
+            v1 = (xx - yy - zz + ww) * bx + 2.0 * ((q12 + q34) * by + (q13 - q24) * bz)
+            v2 = 2.0 * ((q12 - q34) * bx + (q23 + q14) * bz) + (-xx + yy - zz + ww) * by
+            v3 = 2.0 * ((q13 + q24) * bx + (q23 - q14) * by) + (-xx - yy + zz + ww) * bz
+            u0 = 0.5 * (xc3 * xc4 - xc2 * xc5 + xc1 * xc6)
+            u1 = 0.5 * (xc2 * xc4 + xc3 * xc5 - xc0 * xc6)
+            u2 = 0.5 * (-xc1 * xc4 + xc0 * xc5 + xc3 * xc6)
+            u3 = 0.5 * (-xc0 * xc4 - xc1 * xc5 - xc2 * xc6)
+            u4 = (gx * xc5 * xc6 + (my * v3 - mz * v2)) / ix
+            u5 = (gy * xc6 * xc4 + (mz * v1 - mx * v3)) / iy
+            u6 = (gz * xc4 * xc5 + (mx * v2 - my * v1)) / iz
+            n0 = x0 + h6 * (r0 + u0 + 2.0 * (s0 + t0))
+            n1 = x1 + h6 * (r1 + u1 + 2.0 * (s1 + t1))
+            n2 = x2 + h6 * (r2 + u2 + 2.0 * (s2 + t2))
+            n3 = x3 + h6 * (r3 + u3 + 2.0 * (s3 + t3))
+            norm = sqrt(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3)
+            n0 = n0 / norm
+            n1 = n1 / norm
+            n2 = n2 / norm
+            n3 = n3 / norm
+            n4 = x4 + h6 * (r4 + u4 + 2.0 * (s4 + t4))
+            n5 = x5 + h6 * (r5 + u5 + 2.0 * (s5 + t5))
+            n6 = x6 + h6 * (r6 + u6 + 2.0 * (s6 + t6))
+            if tape is not None:
+                tape.append((x0, x1, x2, x3, x4, x5, x6, xa0, xa1, xa2, xa3, xa4, xa5, xa6,
+                             xb0, xb1, xb2, xb3, xb4, xb5, xb6, xc0, xc1, xc2, xc3, xc4, xc5,
+                             xc6, n0, n1, n2, n3, n4, n5, n6, norm))
+            x0, x1, x2, x3, x4, x5, x6 = n0, n1, n2, n3, n4, n5, n6
+        states.append((x0, x1, x2, x3, x4, x5, x6))
+    return states
 
 
 # Constant coefficient tensors of the stage Jacobian [df/dx | df/dm]. a @ _CROSS

@@ -285,6 +285,7 @@ def test_step_blowup_carries_time(table_inertia):
     pytest.param("predict", 10.0, 14.5, id="predict-interval-1"),
     pytest.param("rollout", 1e10, 13.0, id="rollout"),
     pytest.param("rollout", 10.0, 14.5, id="rollout-interval-1"),
+    pytest.param("rollout-3", 10.0, 14.5, id="rollout-3-intervals-interval-1"),
 ])
 def test_blowup_within_interval_carries_substep_time(via, rate, t_fail, table_inertia):
     # at 1e10 rad/s substep 1 of 4 stays finite (rates near 1e100) and
@@ -292,7 +293,9 @@ def test_blowup_within_interval_carries_substep_time(via, rate, t_fail, table_in
     # interval end 14. At 10 rad/s the 5th substep is the first non-finite
     # one: interval 1, substep 1, so 12 + 1 * 2 + 1 * 0.5. The plant (two
     # chained intervals), the prediction (p = 2) and a taped rollout, as the
-    # solver makes, report it alike
+    # solver makes, report it alike. A 3-interval rollout checks finiteness
+    # only on its last state, where intervals 1 and 2 both end non-finite: it
+    # must find the first of them, interval 1, and not the last
     state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.array([rate, rate, 0]))
     field_at = constant_field([0, 0, 1e-5])
     with pytest.raises(IntegrationDivergedError) as err:
@@ -300,8 +303,9 @@ def test_blowup_within_interval_carries_substep_time(via, rate, t_fail, table_in
             for t0 in (12.0, 14.0):
                 state = ms.propagate(state, DipoleCommand(np.zeros(3)), field_at, t0, 2.0, 4,
                                      table_inertia)
-        elif via == "rollout":
-            integrate(state.as_array(), np.zeros((2, 3)), np.array([[0, 0, 1e-5]] * 2),
+        elif via.startswith("rollout"):
+            p = 3 if via == "rollout-3" else 2
+            integrate(state.as_array(), np.zeros((p, 3)), np.array([[0, 0, 1e-5]] * p),
                       table_inertia.as_tuple(), 2.0, 4, 12.0, tape=[])
         else:
             cfg = ms.MpcConfig(q_diag=np.zeros(7), r_diag=np.ones(3), horizon=2, ts=2.0,
@@ -509,6 +513,23 @@ def _oracle_deriv(x, m, b, inertia):
         ((iz - ix) * wz * wx + t2) / iy,
         ((ix - iy) * wx * wy + t3) / iz,
     )
+
+
+def test_rhs_matches_oracle_deriv_bitwise():
+    # `_rhs` is the reference: the kernel's in-place stages copy its
+    # arithmetic and the stage Jacobians' tensors are read off it, so it must
+    # be the oracle's bit for bit, at non-unit q and any dipole, field and
+    # inertia. Some draws have zero rate or zero dipole, so that a rounding
+    # change in the torque or the gyroscopic term is not lost in the other
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        w = rng.normal(size=3) * rng.choice([0.0, 0.3])
+        x = tuple(np.concatenate([rng.normal(size=4), w]).tolist())
+        m = tuple((rng.uniform(-1.0, 1.0, size=3) * rng.choice([0.0, 0.1])).tolist())
+        b = tuple(rng.uniform(-1.0, 1.0, size=3).tolist())
+        inertia = tuple(rng.uniform(0.5, 2.0, size=3).tolist())
+        got = np.array(_rhs(m, b, inertia)(*x))
+        assert got.tobytes() == np.array(_oracle_deriv(x, m, b, inertia)).tobytes()
 
 
 def _rk4_stages(x, m, b, inertia, h):

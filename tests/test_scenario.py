@@ -436,6 +436,24 @@ def test_long_horizon_csv_bytes_are_stable():
     assert hashlib.sha256(log.to_csv().encode()).hexdigest() == LONG_HORIZON_CSV_SHA256
 
 
+# SHA-256 of RunLog.to_csv() for detumble-paper at horizon 1 with an
+# 800-substep plant over 40 s (20 rows), the shape of the fine-plant bench
+# workload, recorded on the same platform before the RK4 kernel ran a whole
+# rollout per call. The plant's RK4 steps are nearly all of this run, so a
+# change to a float operation of the kernel would show here.
+FINE_PLANT_CSV_SHA256 = "94be226cd59c5d56fe5bbedf0107813b29835450d4e4613884c4770be20cbf17"
+
+
+def test_fine_plant_csv_bytes_are_stable():
+    cfg = load_config("detumble-paper")
+    cfg = dataclasses.replace(
+        cfg, duration=40.0, substeps=800, mpc=dataclasses.replace(cfg.mpc, horizon=1)
+    )
+    csv = run_scenario(cfg).to_csv()
+    assert csv.count("\n") == 21  # the header and 20 rows
+    assert hashlib.sha256(csv.encode()).hexdigest() == FINE_PLANT_CSV_SHA256
+
+
 @pytest.mark.parametrize("ts", [2.0, 0.1])
 def test_field_memo_samples_each_time_once_and_keeps_the_bytes(monkeypatch, ts):
     cfg = load_config("detumble-paper")
