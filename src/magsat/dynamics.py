@@ -22,24 +22,24 @@ interval k holds its dipole and its orbital-frame field sample, and the
 field is rotated into the body frame at every internal stage with that
 stage's quaternion. The quaternion is renormalized after every step.
 
-`_rhs` is the reference right-hand side and orbital-to-body rotation: it
-binds one held interval's dipole, field and inertia differences once and
-returns the derivative as a function of the seven state scalars. The stage
-Jacobians' coefficient tensors are read off it at import. `_rk4_rollout`
-runs every RK4 step of a whole rollout in one call, with each stage value a
-local float, and evaluates each slope in place with `_rhs`'s arithmetic
-written out in the same order, so no call is made per stage; the tests hold
-both to one step-by-step oracle bit for bit. `integrate` is the only rollout
-of such a sequence: the plant (`propagate`) is a one-interval call and the
-MPC prediction a p-interval one, so they agree bit for bit at equal substep
-counts and fail at the same substep. A caller that will build a Jacobian
-passes a tape, and `integrate` appends one flat record of 36 floats per RK4
-step to it; `sensitivity` turns the tape into the Jacobian of every
-interval-end state w.r.t. every dipole. Only the solver's rollouts keep a
-tape: the plant and the prediction keep none, so an 800-substep plant
-interval holds no more than one step's stages at a time. The right-hand
-side's Jacobian at every stage comes from a few constant coefficient
-tensors, read off `_rhs` at import, so it is not written twice.
+`_body_field` is the reference orbital-to-body rotation v = R(q) b, and
+`_rhs` the reference right-hand side: a plain function of the state, the
+dipole, the orbital-frame field and the inertia that calls `_body_field`.
+`_rk4_rollout` runs every RK4 step of a whole rollout in one call, with each
+stage value a local float, and evaluates each slope in place with `_rhs`'s
+arithmetic written out in the same order, so no call is made per stage; the
+tests hold all three to one step-by-step oracle bit for bit. `integrate` is
+the only rollout of such a sequence: the plant (`propagate`) is a
+one-interval call and the MPC prediction a p-interval one, so they agree bit
+for bit at equal substep counts and fail at the same substep. A caller that
+will build a Jacobian passes a tape, and `integrate` appends one flat record
+of 36 floats per RK4 step to it; `sensitivity` turns the tape into the
+Jacobian of every interval-end state w.r.t. every dipole. Only the solver's
+rollouts keep a tape: the plant and the prediction keep none, so an
+800-substep plant interval holds no more than one step's stages at a time.
+The right-hand side's Jacobian at every stage comes from a few constant
+coefficient tensors, read off `_rhs` and `_body_field` at import, so it is
+not written twice.
 """
 
 from __future__ import annotations
@@ -184,45 +184,53 @@ def integrate(
     return np.array(states)
 
 
-def _rhs(m: tuple, b: tuple, inertia: tuple) -> Callable[..., tuple]:
-    """The right-hand side f(q1, q2, q3, q4, wx, wy, wz) of one held interval.
+def _body_field(q, b) -> tuple:
+    """The orbital-frame field b in body axes, v = R(q) b.
 
-    Binds the interval's dipole m, its orbital-frame field b and the
-    inertia differences once. f rotates b into body axes with the direction
-    cosine matrix of the orbital-to-body quaternion (q1..q4), v = R(q) b,
-    and returns the 7 derivatives. It is the reference: `_rk4_rollout`
-    writes this arithmetic out in place, in the same order.
+    R(q) is the direction cosine matrix of the orbital-to-body quaternion
+    (q1..q4, scalar-last), written out for any q, unit or not. It is the
+    reference rotation: `_rhs` calls it, `_DVDQ` is read off it and
+    `_rk4_rollout` writes this arithmetic out in place, in the same order.
     """
-    mx, my, mz = m
+    q1, q2, q3, q4 = q
     bx, by, bz = b
+    xx = q1 * q1
+    yy = q2 * q2
+    zz = q3 * q3
+    ww = q4 * q4
+    q12 = q1 * q2
+    q34 = q3 * q4
+    q13 = q1 * q3
+    q24 = q2 * q4
+    q23 = q2 * q3
+    q14 = q1 * q4
+    return (
+        (xx - yy - zz + ww) * bx + 2.0 * ((q12 + q34) * by + (q13 - q24) * bz),
+        2.0 * ((q12 - q34) * bx + (q23 + q14) * bz) + (-xx + yy - zz + ww) * by,
+        2.0 * ((q13 + q24) * bx + (q23 - q14) * by) + (-xx - yy + zz + ww) * bz,
+    )
+
+
+def _rhs(x, m, b, inertia) -> tuple:
+    """The 7 derivatives of the state x = (q1..q4, wx, wy, wz) under dipole m in field b.
+
+    b is the orbital-frame field, rotated into body axes by `_body_field`.
+    It is the reference right-hand side: `_KIN` is read off it and
+    `_rk4_rollout` writes this arithmetic out in place, in the same order.
+    """
+    q1, q2, q3, q4, wx, wy, wz = x
+    mx, my, mz = m
     ix, iy, iz = inertia
-    gx, gy, gz = iy - iz, iz - ix, ix - iy
-
-    def f(q1, q2, q3, q4, wx, wy, wz):
-        xx = q1 * q1
-        yy = q2 * q2
-        zz = q3 * q3
-        ww = q4 * q4
-        q12 = q1 * q2
-        q34 = q3 * q4
-        q13 = q1 * q3
-        q24 = q2 * q4
-        q23 = q2 * q3
-        q14 = q1 * q4
-        v1 = (xx - yy - zz + ww) * bx + 2.0 * ((q12 + q34) * by + (q13 - q24) * bz)
-        v2 = 2.0 * ((q12 - q34) * bx + (q23 + q14) * bz) + (-xx + yy - zz + ww) * by
-        v3 = 2.0 * ((q13 + q24) * bx + (q23 - q14) * by) + (-xx - yy + zz + ww) * bz
-        return (
-            0.5 * (q4 * wx - q3 * wy + q2 * wz),
-            0.5 * (q3 * wx + q4 * wy - q1 * wz),
-            0.5 * (-q2 * wx + q1 * wy + q4 * wz),
-            0.5 * (-q1 * wx - q2 * wy - q3 * wz),
-            (gx * wy * wz + (my * v3 - mz * v2)) / ix,
-            (gy * wz * wx + (mz * v1 - mx * v3)) / iy,
-            (gz * wx * wy + (mx * v2 - my * v1)) / iz,
-        )
-
-    return f
+    v1, v2, v3 = _body_field((q1, q2, q3, q4), b)
+    return (
+        0.5 * (q4 * wx - q3 * wy + q2 * wz),
+        0.5 * (q3 * wx + q4 * wy - q1 * wz),
+        0.5 * (-q2 * wx + q1 * wy + q4 * wz),
+        0.5 * (-q1 * wx - q2 * wy - q3 * wz),
+        ((iy - iz) * wy * wz + (my * v3 - mz * v2)) / ix,
+        ((iz - ix) * wz * wx + (mz * v1 - mx * v3)) / iy,
+        ((ix - iy) * wx * wy + (mx * v2 - my * v1)) / iz,
+    )
 
 
 def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps: int,
@@ -375,22 +383,18 @@ def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps:
 # Constant coefficient tensors of the stage Jacobian [df/dx | df/dm]. a @ _CROSS
 # is the cross-product matrix of a, flattened: a x w = (a @ _CROSS).reshape(3, 3) @ w.
 # The gyroscopic entry d(w_i dot)/d(w_j) is g_i w_l, with g_x = (Iy - Iz)/Ix
-# and cyclic, where i, j, l are distinct: where _GYRO[l, i, j] is 1. _KIN and
-# _DVDQ are read off `_rhs` with a unit imaginary step, exact for terms of
-# degree at most two in the stepped input: the kinematic rows are x @ _KIN,
-# and dv/dq = q @ (b @ _DVDQ) for the body-frame field v = R(q) b. At unit
-# inertia and zero rate the torque rows are m x v, so m = e_x gives
-# (0, -v3, v2) and m = e_z gives (-v2, v1, 0), exactly.
+# and cyclic, where i, j, l are distinct: where _GYRO[l, i, j] is 1. _KIN is
+# read off `_rhs` and _DVDQ off `_body_field` with a unit imaginary step,
+# exact for terms of degree at most two in the stepped input: the kinematic
+# rows are x @ _KIN, and dv/dq = q @ (b @ _DVDQ) for v = R(q) b.
 _CROSS = np.cross(np.eye(3)[:, None], np.eye(3)).transpose(0, 2, 1).reshape(3, 9)
 _GYRO = np.abs(_CROSS).reshape(3, 3, 3)
 _UNIT = np.eye(7)
 _KIN = np.zeros((7, 7, 10))
-_KIN[..., :7] = np.imag([[_rhs((0, 0, 0), (0, 0, 0), (1, 1, 1))(*(_UNIT[l] + 1j * _UNIT[j]))
+_KIN[..., :7] = np.imag([[_rhs(_UNIT[l] + 1j * _UNIT[j], (0, 0, 0), (0, 0, 0), (1, 1, 1))
                           for j in range(7)] for l in range(7)]).transpose(0, 2, 1)
-_TORQUE = np.imag([[[[_rhs(e, d, (1, 1, 1))(*(_UNIT[a, :4] + 1j * _UNIT[j, :4]), 0, 0, 0)[4:]
-                      for j in range(4)] for a in range(4)] for d in _UNIT[:3, :3]]
-                   for e in _UNIT[(0, 2), :3]])
-_DVDQ = np.stack([_TORQUE[1, ..., 1], _TORQUE[0, ..., 2], -_TORQUE[0, ..., 1]], axis=-1)
+_DVDQ = np.imag([[[_body_field(_UNIT[a, :4] + 1j * _UNIT[j, :4], d) for j in range(4)]
+                  for a in range(4)] for d in _UNIT[:3, :3]])
 _DVDQ = _DVDQ.transpose(0, 1, 3, 2).reshape(3, 48)
 
 

@@ -199,11 +199,13 @@ def _error_angle_deg(q: np.ndarray, q_ref: np.ndarray) -> float:
 def settle_time(log: RunLog):
     """First logged time after which |omega| stays at or below RATE_THRESHOLD_DEG_S.
 
-    Returns None when the rate is above the threshold in the final row.
+    Returns None when the rate is above the threshold in the final row, and
+    when the log has no row (a run stopped before its first row leaves such a
+    `partial_log`), since then no row settled.
     """
     rates = np.degrees(np.linalg.norm(log.omega, axis=1))
     below = rates <= RATE_THRESHOLD_DEG_S
-    if not below[-1]:
+    if len(below) == 0 or not below[-1]:
         return None
     idx = len(below) - 1
     while idx > 0 and below[idx - 1]:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import magsat as ms
-from magsat.dynamics import _rhs
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -17,18 +16,6 @@ _ACCEPTANCE_LINES: list[str] = []
 def grid_levels(u: float) -> tuple[float, ...]:
     """The quantizer's seven output levels for bound u, written out independently of the code."""
     return (-u, -(2.0 * u / 3.0), -(u / 3.0), 0.0, u / 3.0, 2.0 * u / 3.0, u)
-
-
-def body_field(q, b) -> tuple:
-    """The orbital-to-body rotation v = R(q) b of the right-hand side, read off its torque rows.
-
-    At unit inertia and zero rate the torque rows are m x v: m = e_x gives
-    (0, -v3, v2) and m = e_z gives (-v2, v1, 0), exactly.
-    """
-    x = (*q, 0.0, 0.0, 0.0)
-    _, minus_v3, v2 = _rhs((1.0, 0.0, 0.0), b, (1.0, 1.0, 1.0))(*x)[4:]
-    v1 = _rhs((0.0, 0.0, 1.0), b, (1.0, 1.0, 1.0))(*x)[5]
-    return (v1, v2, -minus_v3)
 
 
 def record_criterion(number: str, name: str, ok: bool, detail: str = "") -> None:

@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import body_field
 
 import magsat as ms
 from magsat import (
@@ -13,7 +12,7 @@ from magsat import (
     InertiaTensor,
     IntegrationDivergedError,
 )
-from magsat.dynamics import _rhs, _stage_jacobians, integrate
+from magsat.dynamics import _DVDQ, _KIN, _body_field, _rhs, _stage_jacobians, integrate
 
 IDENTITY = (0.0, 0.0, 0.0, 1.0)
 UNIT_INERTIA = (1.0, 1.0, 1.0)
@@ -40,24 +39,24 @@ def floats(v) -> tuple:
 
 def quaternion_rate(q, w) -> np.ndarray:
     """Rows 0-3 of the right-hand side: the kinematics M(q) * omega."""
-    return np.array(_rhs(ZERO, ZERO, UNIT_INERTIA)(*floats(q), *floats(w))[0:4])
+    return np.array(_rhs(floats(q) + floats(w), ZERO, ZERO, UNIT_INERTIA)[0:4])
 
 
 def angular_acceleration(w, inertia: InertiaTensor) -> np.ndarray:
     """Rows 4-6 of the right-hand side with zero dipole: torque-free Euler equations."""
-    f = _rhs(ZERO, (3e-5, -1e-5, 2e-5), inertia.as_tuple())
-    return np.array(f(*IDENTITY, *floats(w))[4:7])
+    x = IDENTITY + floats(w)
+    return np.array(_rhs(x, ZERO, (3e-5, -1e-5, 2e-5), inertia.as_tuple())[4:7])
 
 
 def torque(m, b) -> np.ndarray:
     """m x B from the right-hand side: identity attitude, zero rate, unit inertia."""
-    return np.array(_rhs(floats(m), floats(b), UNIT_INERTIA)(*IDENTITY, *ZERO)[4:7])
+    return np.array(_rhs(IDENTITY + ZERO, floats(m), floats(b), UNIT_INERTIA)[4:7])
 
 
 def rotation_matrix(q: np.ndarray) -> np.ndarray:
     """Direction cosine matrix of the orbital-to-body quaternion (scalar-last).
 
-    Independent numpy oracle for the rotation in `_rhs`: v_body = R(q) @ v_orbital.
+    Independent numpy oracle for `_body_field`: v_body = R(q) @ v_orbital.
     """
     q = np.asarray(q, dtype=float)
     q1, q2, q3, q4 = q / np.linalg.norm(q)
@@ -422,10 +421,10 @@ def test_work_energy_consistency(table_inertia):
         h = dt / n_sub
         work = 0.0
         for k in range(n_sub):
-            tau0 = np.cross(m.m, body_field(tuple(state.q), tuple(field_at(k * h).b)))
+            tau0 = np.cross(m.m, _body_field(tuple(state.q), tuple(field_at(k * h).b)))
             p0 = float(np.dot(tau0, state.omega))
             state = ms.propagate(state, m, field_at, k * h, h, 1, table_inertia)
-            tau1 = np.cross(m.m, body_field(tuple(state.q), tuple(field_at((k + 1) * h).b)))
+            tau1 = np.cross(m.m, _body_field(tuple(state.q), tuple(field_at((k + 1) * h).b)))
             p1 = float(np.dot(tau1, state.omega))
             work += 0.5 * h * (p0 + p1)
         return work, kinetic_energy(state, table_inertia)
@@ -447,7 +446,7 @@ def test_body_field_matches_rotation_matrix():
     for _ in range(100):
         q = random_unit_quaternion(rng)
         b = rng.normal(size=3) * 1e-5
-        via_scalar = np.array(body_field(tuple(q), tuple(b)))
+        via_scalar = np.array(_body_field(tuple(q), tuple(b)))
         via_matrix = rotation_matrix(q) @ b
         np.testing.assert_allclose(via_scalar, via_matrix, atol=1e-19, rtol=1e-12)
 
@@ -469,7 +468,7 @@ def test_stage_jacobians_match_complex_step_of_deriv():
             x[j] += step * 1j
         else:
             mk[j - 7] += step * 1j
-        exact[k, i, :, j] = np.imag(_rhs(tuple(mk), tuple(b[k]), inertia)(*x)) / step
+        exact[k, i, :, j] = np.imag(_rhs(x, mk, b[k], inertia)) / step
     row_scale = np.abs(exact).max(axis=-1, keepdims=True)
     assert np.all(np.abs(jac - exact) <= 1e-13 * row_scale)
 
@@ -528,8 +527,21 @@ def test_rhs_matches_oracle_deriv_bitwise():
         m = tuple((rng.uniform(-1.0, 1.0, size=3) * rng.choice([0.0, 0.1])).tolist())
         b = tuple(rng.uniform(-1.0, 1.0, size=3).tolist())
         inertia = tuple(rng.uniform(0.5, 2.0, size=3).tolist())
-        got = np.array(_rhs(m, b, inertia)(*x))
+        got = np.array(_rhs(x, m, b, inertia))
         assert got.tobytes() == np.array(_oracle_deriv(x, m, b, inertia)).tobytes()
+
+
+def test_stage_tables_equal_the_oracles_unit_imaginary_step_tables():
+    # the tables are read off `_rhs` and `_body_field`; read the same way off
+    # the oracle, they must come out equal entry for entry, not only to the
+    # rounding that `test_stage_jacobians_match_complex_step_of_deriv` allows
+    unit = np.eye(7)
+    kin = np.imag([[_oracle_deriv(unit[l] + 1j * unit[j], ZERO, ZERO, UNIT_INERTIA)
+                    for j in range(7)] for l in range(7)])
+    assert np.array_equal(_KIN[..., :7], kin.transpose(0, 2, 1))
+    dvdq = np.imag([[[_oracle_body_field(unit[a, :4] + 1j * unit[j, :4], d) for j in range(4)]
+                     for a in range(4)] for d in unit[:3, :3]])
+    assert np.array_equal(_DVDQ, dvdq.transpose(0, 1, 3, 2).reshape(3, 48))
 
 
 def _rk4_stages(x, m, b, inertia, h):
@@ -581,3 +593,29 @@ def test_integrate_matches_step_by_step_oracle_bitwise(substeps, inertia, table_
     assert len(tape) == p * substeps
     assert np.array(tape).tobytes() == np.array(expected_tape).tobytes()
     assert integrate(x0, m, b, inertia, ts, substeps, t0).tobytes() == states.tobytes()
+
+
+def test_integrate_matches_oracle_bitwise_over_many_short_rollouts():
+    # one reassociated product in one RK4 stage moves an end state's last bit
+    # in only a few percent of draws, so many short rollouts: some with one
+    # rate component exactly 0, some at the attitude preset's step (Ts 30 s
+    # in 3 substeps, rates near 0.01 rad/s, table-sized inertia and torque)
+    rng = np.random.default_rng(31)
+    for draw in range(600):
+        slew = draw % 2 == 0
+        ts, substeps = (30.0, 3) if slew else (1.0, int(rng.integers(1, 4)))
+        w = rng.normal(size=3) * (0.01 if slew else 0.3)
+        if draw % 3 == 0:
+            w[draw % 9 // 3] = 0.0
+        x0 = np.concatenate([rng.normal(size=4), w])  # q not unit
+        scale = (0.1, 5e-5) if slew else (0.05, 0.05)
+        m, b = (rng.uniform(-s, s, size=(2, 3)) for s in scale)
+        inertia = tuple(rng.uniform(*((0.02, 0.04) if slew else (1.0, 2.0)), size=3).tolist())
+        x = tuple(x0.tolist())
+        expected = [x]
+        for mk, bk in zip(m.tolist(), b.tolist()):
+            for _ in range(substeps):
+                x = _rk4_stages(x, mk, bk, inertia, ts / substeps)[3]
+            expected.append(x)
+        got = integrate(x0, m, b, inertia, ts, substeps, 0.0)
+        assert got.tobytes() == np.array(expected).tobytes(), draw

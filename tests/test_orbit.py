@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import body_field
 
 import magsat as ms
 from magsat import FieldSample, OrbitalElements
+from magsat.dynamics import _body_field
 from magsat.orbit import EARTH_DIPOLE_T_M3, EARTH_MU_KM3_S2
 
 TWO_PI = 2.0 * math.pi
@@ -233,15 +233,15 @@ def test_mean_motion_and_period(sso_elements):
     assert math.isclose(n, math.sqrt(398600.4418 / 6691.6**3), rel_tol=1e-15)
 
 
-# --- orbital-to-body rotation (of dynamics._rhs) ---------------------------------------
+# --- orbital-to-body rotation (dynamics._body_field) ------------------------------------
 
 def test_to_body_frame_identity():
     b = (1e-5, -2e-5, 3e-5)
-    np.testing.assert_allclose(body_field((0.0, 0.0, 0.0, 1.0), b), b, atol=1e-20)
+    np.testing.assert_allclose(_body_field((0.0, 0.0, 0.0, 1.0), b), b, atol=1e-20)
 
 
 def test_to_body_frame_half_turn_about_z():
-    out = body_field((0.0, 0.0, 1.0, 0.0), (1e-5, -2e-5, 3e-5))
+    out = _body_field((0.0, 0.0, 1.0, 0.0), (1e-5, -2e-5, 3e-5))
     np.testing.assert_allclose(out, [-1e-5, 2e-5, 3e-5], atol=1e-20)
 
 
@@ -251,7 +251,7 @@ def test_to_body_frame_preserves_norm():
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
         b = rng.normal(size=3) * 1e-5
-        out = np.array(body_field(tuple(q), tuple(b)))
+        out = np.array(_body_field(tuple(q), tuple(b)))
         assert abs(np.linalg.norm(out) - np.linalg.norm(b)) < 1e-13 * np.linalg.norm(b) + 1e-21
 
 
@@ -261,9 +261,9 @@ def test_to_body_frame_inverted_by_conjugate():
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
         b = rng.normal(size=3) * 1e-5
-        fwd = body_field(tuple(q), tuple(b))
+        fwd = _body_field(tuple(q), tuple(b))
         conj = (-q[0], -q[1], -q[2], q[3])
-        back = body_field(conj, fwd)
+        back = _body_field(conj, fwd)
         np.testing.assert_allclose(back, b, atol=1e-19, rtol=1e-12)
 
 
@@ -273,7 +273,7 @@ def test_rotation_matrix_is_orthonormal():
     for _ in range(50):
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
-        r = np.column_stack([body_field(tuple(q), tuple(e)) for e in np.eye(3)])
+        r = np.column_stack([_body_field(tuple(q), tuple(e)) for e in np.eye(3)])
         np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-14)
         assert math.isclose(float(np.linalg.det(r)), 1.0, abs_tol=1e-13)
 

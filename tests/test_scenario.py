@@ -573,7 +573,7 @@ def test_summarize_equilibrium_run():
     assert s["degraded_solves"] == 0
 
 
-def test_settle_time_definition():
+def test_settle_time_definition(monkeypatch):
     cfg = scenario_from_dict(short_config(duration=10.0))
     log = run_scenario(cfg)
     fake = RunLog(
@@ -600,6 +600,16 @@ def test_settle_time_definition():
     )
     assert settle_time(fake2) is None
     assert settle_time(log) is None or settle_time(log) >= 0.0
+
+    # a run interrupted in its first solve leaves a partial log with no row
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("magsat.scenario.solve", interrupted)
+    with pytest.raises(KeyboardInterrupt) as err:
+        run_scenario(cfg)
+    assert len(err.value.partial_log) == 0
+    assert settle_time(err.value.partial_log) is None
 
 
 def test_summary_error_angle_sign_invariant():
