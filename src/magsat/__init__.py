@@ -9,7 +9,6 @@ runner and CLI that reproduce the shipped presets from config files.
 from .controller import (
     ControlSequence,
     MpcConfig,
-    PredictedTrajectory,
     SolveResult,
     gradient,
     predict,

@@ -50,8 +50,8 @@ pre-renormalization norm) and its residual, because any evaluated point may
 be linearized. The Jacobian at an accepted point - the winning start or an
 accepted trial - is built from that point's own tape, so no accepted point
 is rolled out twice. A rejected trial that more damping leaves on the same
-box corner is evaluated again. `predict` is never linearized, so it keeps
-no tape.
+box corner is evaluated again. `predict` is the same rollout without a
+tape, since it is never linearized; it returns the state array itself.
 
 Everything here is deterministic: identical inputs produce identical
 outputs, bit for bit.
@@ -151,14 +151,6 @@ class ControlSequence:
 
 
 @dataclass(frozen=True)
-class PredictedTrajectory:
-    """p+1 predicted states (index 0 is the current state) and their times."""
-
-    states: tuple[AttitudeState, ...]
-    times: np.ndarray
-
-
-@dataclass(frozen=True)
 class SolveResult:
     """Outcome of one receding-horizon solve.
 
@@ -204,8 +196,9 @@ def _residual(ends, u: np.ndarray, cfg: MpcConfig) -> np.ndarray:
 class _Problem:
     """One horizon problem bound once: start state, field schedule, inertia, weights.
 
-    `evaluate` rolls a control sequence out once and returns its cost with a
-    record of the rollout and its residual; `linearize` builds the residual's
+    `rollout` is the horizon's one `dynamics.integrate` call; `predict` makes
+    it untaped. `evaluate` makes it taped and returns the cost with a record
+    of the rollout and its residual; `linearize` builds the residual's
     Jacobian from such a record, so the derivatives at an evaluated point
     need no second rollout.
     """
@@ -230,19 +223,24 @@ class _Problem:
         self.q_scale, r_scale = cfg._row_scales
         self.r_jac = np.diag(np.tile(r_scale, cfg.horizon))
 
-    def evaluate(self, u: np.ndarray):
-        """Cost r'r of a control sequence and the record `(u, tape, r)` of its rollout.
+    def rollout(self, u: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """The p+1 interval-end states under u, shape (p+1, 7) with x0 first.
 
-        u has shape (p, 3) or (3p,), u_k held over interval k. The rollout is
-        one taped `dynamics.integrate` call over the horizon; `linearize`
-        needs its tape.
+        u has shape (p, 3) or (3p,), u_k held over interval k. A given tape
+        gets one record per RK4 step (see `dynamics.integrate`).
         """
-        tape = []
-        states = integrate(
+        return integrate(
             self.x0, np.reshape(u, (-1, 3)), self.b, self.inertia, self.cfg.ts, self.substeps,
             self.t0, tape,
         )
-        r = _residual(states[1:], u, self.cfg)
+
+    def evaluate(self, u: np.ndarray):
+        """Cost r'r of a control sequence and the record `(u, tape, r)` of its rollout.
+
+        The rollout is taped, since `linearize` needs the tape.
+        """
+        tape = []
+        r = _residual(self.rollout(u, tape)[1:], u, self.cfg)
         return float(r @ r), (u, tape, r)
 
     def linearize(self, record):
@@ -262,35 +260,32 @@ def predict(
     cfg: MpcConfig,
     inertia: InertiaTensor,
     substeps: int = PREDICTION_SUBSTEPS,
-) -> PredictedTrajectory:
-    """Predicted trajectory under a control sequence (zero-order hold per step).
+) -> np.ndarray:
+    """Predicted interval-end states under a control sequence (zero-order hold per step).
 
-    The horizon is one untaped p-interval `dynamics.integrate` call, the
-    plant's own integrator, with the orbital-frame field held from each
-    interval's start. A blow-up raises the plant's divergence error, carrying
-    the end time of the substep whose state went non-finite.
+    Returns the (p+1, 7) array of states (q1..q4, wx..wz) at t0 + k Ts,
+    x0 first: one untaped `_Problem.rollout`, the plant's own integrator,
+    with the orbital-frame field held from each interval's start. A blow-up
+    raises the plant's divergence error, carrying the end time of the
+    substep whose state went non-finite.
     """
     if len(seq) != cfg.horizon:
         raise ValueError(f"sequence length {len(seq)} does not match horizon {cfg.horizon}")
-    prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
-    states = integrate(prob.x0, seq.dipoles, prob.b, prob.inertia, cfg.ts, substeps, t0)
-    out = tuple(AttitudeState(q=s[0:4], omega=s[4:7]) for s in states)
-    times = np.array([t0 + k * cfg.ts for k in range(cfg.horizon + 1)])
-    return PredictedTrajectory(states=out, times=times)
+    return _Problem(x0, t0, field_at, cfg, inertia, substeps).rollout(seq.dipoles)
 
 
-def total_cost(traj: PredictedTrajectory, seq: ControlSequence, cfg: MpcConfig) -> float:
-    """Discrete tracking cost r'r of a predicted trajectory and its control sequence.
+def total_cost(states: np.ndarray, seq: ControlSequence, cfg: MpcConfig) -> float:
+    """Discrete tracking cost r'r of predicted states and their control sequence.
 
-    Built from the same residual as the solver's cost, so the two are bitwise
-    comparable.
+    `states` is `predict`'s (p+1, 7) array, x0 first. The cost is built from
+    the same residual as the solver's, so the two are bitwise comparable.
     """
     p = cfg.horizon
     if len(seq) != p:
         raise ValueError(f"sequence length {len(seq)} does not match horizon {p}")
-    if len(traj.states) != p + 1:
-        raise ValueError(f"trajectory has {len(traj.states)} states, expected {p + 1}")
-    r = _residual([s.as_array() for s in traj.states[1:]], seq.dipoles, cfg)
+    if len(states) != p + 1:
+        raise ValueError(f"trajectory has {len(states)} states, expected {p + 1}")
+    r = _residual(states[1:], seq.dipoles, cfg)
     return float(r @ r)
 
 
@@ -329,35 +324,36 @@ def _box_qp(g: np.ndarray, hess: np.ndarray, u: np.ndarray, u_max: float):
     """
     v = u.copy()
     side = np.where(u >= u_max, 1, np.where(u <= -u_max, -1, 0))
-    # the ratios to the bounds divide by zero where a component does not move
-    with np.errstate(all="ignore"):
-        # finite in exact arithmetic; the cap only stops a rounding-driven cycle
-        for _ in range(4 * g.size + 4):
-            f = np.flatnonzero(side == 0)
-            target = v.copy()
-            if f.size:
-                held = np.flatnonzero(side)
-                # both blocks must stay C-ordered: hess[f][:, held] is F-ordered,
-                # its product takes another BLAS path and rounds differently,
-                # and the iterates, and so the pinned CSV digests, then move
-                rhs = g[f] + hess[f[:, None], held] @ (v - u)[held]
-                target[f] = u[f] - np.linalg.solve(hess[f[:, None], f], rhs)
-            step = target - v
+    # finite in exact arithmetic; the cap only stops a rounding-driven cycle
+    for _ in range(4 * g.size + 4):
+        f = np.flatnonzero(side == 0)
+        target = v.copy()
+        if f.size:
+            held = np.flatnonzero(side)
+            # both blocks must stay C-ordered: hess[f][:, held] is F-ordered,
+            # its product takes another BLAS path and rounds differently,
+            # and the iterates, and so the pinned CSV digests, then move
+            rhs = g[f] + hess[f[:, None], held] @ (v - u)[held]
+            target[f] = u[f] - np.linalg.solve(hess[f[:, None], f], rhs)
+        step = target - v
+        # the ratios to the bounds divide by zero where a component does not
+        # move, and overflow where it barely moves (a huge damping)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             room = np.where(
                 step > 0.0, (u_max - v) / step, np.where(step < 0.0, (-u_max - v) / step, np.inf)
             )
-            i = int(np.argmin(room))
-            if room[i] < 1.0:
-                v = v + room[i] * step
-                side[i] = 1 if step[i] > 0.0 else -1
-                v[i] = side[i] * u_max
-                continue
-            v = target
-            # > 0: a wrong-signed multiplier, the model descends off that bound
-            wrong = side * (g + hess @ (v - u)) > 0.0
-            if not wrong.any():
-                break
-            side[wrong] = 0
+        i = int(np.argmin(room))
+        if room[i] < 1.0:
+            v = v + room[i] * step
+            side[i] = 1 if step[i] > 0.0 else -1
+            v[i] = side[i] * u_max
+            continue
+        v = target
+        # > 0: a wrong-signed multiplier, the model descends off that bound
+        wrong = side * (g + hess @ (v - u)) > 0.0
+        if not wrong.any():
+            break
+        side[wrong] = 0
     return np.clip(v, -u_max, u_max)
 
 

@@ -156,8 +156,9 @@ def integrate(
     Finiteness is checked once per rollout, on the last state, since a
     non-finite component stays non-finite through every later step. If that
     state is not finite, the first interval whose end state is not finite is
-    stepped again from its start state to locate its first non-finite step,
-    and IntegrationDivergedError carries that step's end time.
+    stepped again from its start state in one kernel call, as `substeps`
+    one-step intervals, which keeps every step's end state; the first
+    non-finite one's end time goes into IntegrationDivergedError.
     A ts that is not finite and positive raises ValueError, and so does a
     substep count that is not an integer (a bool or a float, even a whole
     one; numpy integers are accepted) or is below 1.
@@ -174,12 +175,10 @@ def integrate(
     states = _rk4_rollout(tuple(x.tolist()), m, b, inertia, h, substeps, tape)
     if not all(map(math.isfinite, states[-1])):
         k = next(k for k, x in enumerate(states) if not all(map(math.isfinite, x))) - 1
-        x = states[k]
-        for j in range(substeps):
-            x = _rk4_rollout(x, m[k:k + 1], b[k:k + 1], inertia, h, 1, None)[-1]
-            if not all(map(math.isfinite, x)):
-                break
-        t = t0 + k * ts + (j + 1) * h
+        steps = _rk4_rollout(states[k], m[k:k + 1] * substeps, b[k:k + 1] * substeps, inertia,
+                             h, 1, None)
+        j = next(j for j, x in enumerate(steps) if not all(map(math.isfinite, x)))
+        t = t0 + k * ts + j * h
         raise IntegrationDivergedError(f"state became non-finite at t={t}", t=t)
     return np.array(states)
 

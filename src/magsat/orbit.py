@@ -53,7 +53,9 @@ class OrbitalElements:
     """Classical Keplerian elements; angles in radians, normalized to [0, 2pi).
 
     A perigee at or below the Earth radius is warned about but accepted: the
-    shipped sun-synchronous preset has a perigee only a few km above it.
+    shipped sun-synchronous preset has a perigee only a few km above it. A
+    semi-major axis whose mean motion, or field at perigee or apoapsis, is
+    not a finite float is rejected: the run could not evaluate its field.
     """
 
     a_km: float
@@ -73,6 +75,17 @@ class OrbitalElements:
             raise ValueError(f"eccentricity must lie in [0, 1), got {self.e}")
         for name in ("inclination", "raan", "argp", "mean_anomaly"):
             object.__setattr__(self, name, getattr(self, name) % TWO_PI)
+        # the field is largest at perigee and its r^3 largest at apoapsis, so
+        # an orbit whose mean motion and field there are finite floats can be
+        # evaluated at every time (a FieldSample rejects a non-finite field)
+        try:
+            computable = math.isfinite(mean_motion(self))
+            for theta in (0.0, math.pi):
+                dipole_field(self, theta, orbit_radius(self.a_km, self.e, theta))
+        except (ArithmeticError, ValueError):
+            computable = False
+        if not computable:
+            raise ValueError(f"a_km {self.a_km} is outside the range the field model can evaluate")
         perigee = self.a_km * (1.0 - self.e)
         if perigee <= EARTH_RADIUS_KM:
             warnings.warn(

@@ -114,12 +114,10 @@ def test_shift_warm_start_repeats_last():
 def test_predict_equilibrium_stays_put(field_at, detumble_cfg, table_inertia):
     x0 = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3))
     seq = ControlSequence(np.zeros((10, 3)))
-    traj = ms.predict(x0, seq, field_at, 0.0, detumble_cfg, table_inertia, substeps=5)
-    assert len(traj.states) == 11
-    for state in traj.states:
-        np.testing.assert_allclose(state.q, x0.q, atol=1e-15)
-        np.testing.assert_allclose(state.omega, np.zeros(3), atol=1e-18)
-    np.testing.assert_allclose(traj.times, 2.0 * np.arange(11), atol=0)
+    states = ms.predict(x0, seq, field_at, 0.0, detumble_cfg, table_inertia, substeps=5)
+    assert states.shape == (11, 7)
+    np.testing.assert_allclose(states[:, :4], np.tile(x0.q, (11, 1)), atol=1e-15)
+    np.testing.assert_allclose(states[:, 4:], np.zeros((11, 3)), atol=1e-18)
 
 
 def test_predict_equals_chained_integrator(field_at, table_inertia):
@@ -133,13 +131,13 @@ def test_predict_equals_chained_integrator(field_at, table_inertia):
                     u_max=0.1,
                     x_ref=AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3)))
     u = np.array([[0.07, -0.03, 0.05], [-0.1, 0.02, 0.0], [0.04, 0.1, -0.06]])
-    traj = ms.predict(x0, ControlSequence(u), field_at, 100.0, cfg, table_inertia, substeps=20)
+    states = ms.predict(x0, ControlSequence(u), field_at, 100.0, cfg, table_inertia, substeps=20)
     direct = x0
+    np.testing.assert_array_equal(states[0], x0.as_array())
     for k in range(3):
         direct = ms.propagate(direct, DipoleCommand(u[k]), field_at, 100.0 + 2.0 * k, 2.0, 20,
                               table_inertia)
-        np.testing.assert_array_equal(traj.states[k + 1].q, direct.q)
-        np.testing.assert_array_equal(traj.states[k + 1].omega, direct.omega)
+        np.testing.assert_array_equal(states[k + 1], direct.as_array())
 
 
 def test_predict_substep_halving_agrees(field_at, detumble_cfg, table_inertia):
@@ -150,9 +148,7 @@ def test_predict_substep_halving_agrees(field_at, detumble_cfg, table_inertia):
     seq = ControlSequence(rng.uniform(-0.1, 0.1, size=(10, 3)))
     t1 = ms.predict(x0, seq, field_at, 0.0, detumble_cfg, table_inertia, substeps=10)
     t2 = ms.predict(x0, seq, field_at, 0.0, detumble_cfg, table_inertia, substeps=20)
-    end1 = t1.states[-1].as_array()
-    end2 = t2.states[-1].as_array()
-    assert np.max(np.abs(end1 - end2)) < 1e-9
+    assert np.max(np.abs(t1[-1] - t2[-1])) < 1e-9
 
 
 # The relative horizon-cost error of the PREDICTION_SUBSTEPS prediction
@@ -187,12 +183,11 @@ def test_cost_and_gradient_reject_length_mismatch(field_at, detumble_cfg, table_
     x0 = detumble_cfg.x_ref
     seq = ControlSequence(np.zeros((10, 3)))
     short = ControlSequence(np.zeros((3, 3)))
-    traj = ms.predict(x0, seq, field_at, 0.0, detumble_cfg, table_inertia)
+    states = ms.predict(x0, seq, field_at, 0.0, detumble_cfg, table_inertia)
     with pytest.raises(ValueError, match="sequence length 3"):
-        ms.total_cost(traj, short, detumble_cfg)
-    cut = ms.PredictedTrajectory(states=traj.states[:4], times=traj.times[:4])
+        ms.total_cost(states, short, detumble_cfg)
     with pytest.raises(ValueError, match="trajectory has 4 states"):
-        ms.total_cost(cut, seq, detumble_cfg)
+        ms.total_cost(states[:4], seq, detumble_cfg)
     with pytest.raises(ValueError, match="sequence length 3"):
         ms.gradient(x0, short, 0.0, field_at, detumble_cfg, table_inertia)
 
@@ -229,10 +224,9 @@ def test_total_cost_single_step_rate_weight():
     x_ref = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3))
     cfg = MpcConfig(q_diag=np.array([0, 0, 0, 0, 500.0, 0, 0]), r_diag=np.ones(3),
                     horizon=1, ts=2.0, u_max=0.1, x_ref=x_ref)
-    x1 = AttitudeState(q=x_ref.q, omega=np.array([0.01, 0.0, 0.0]))
-    traj = ms.PredictedTrajectory(states=(x_ref, x1), times=np.array([0.0, 2.0]))
+    states = np.array([[0, 0, 0, 1.0, 0, 0, 0], [0, 0, 0, 1.0, 0.01, 0, 0]])
     seq = ControlSequence(np.zeros((1, 3)))
-    assert math.isclose(ms.total_cost(traj, seq, cfg), 0.1, rel_tol=1e-12)
+    assert math.isclose(ms.total_cost(states, seq, cfg), 0.1, rel_tol=1e-12)
 
 
 def test_total_cost_linear_in_state_weights(field_at, table_inertia):
@@ -374,9 +368,9 @@ def test_solve_detumble_first_step_reduces_rates(field_at, detumble_cfg, table_i
     )
     res = ms.solve(x0, 0.0, field_at, detumble_cfg, table_inertia, substeps=5)
     assert np.max(np.abs(res.command.m)) > 0.0
-    traj = ms.predict(x0, res.sequence, field_at, 0.0, detumble_cfg, table_inertia,
-                      substeps=5)
-    assert np.linalg.norm(traj.states[-1].omega) < np.linalg.norm(x0.omega)
+    states = ms.predict(x0, res.sequence, field_at, 0.0, detumble_cfg, table_inertia,
+                        substeps=5)
+    assert np.linalg.norm(states[-1, 4:]) < np.linalg.norm(x0.omega)
 
 
 def test_solve_degraded_flag_when_capped(monkeypatch):
@@ -593,9 +587,9 @@ def test_sensitivity_matches_central_differences(field_at, table_inertia):
             for delta in (h, -h):
                 v = u.copy()
                 v[j] += delta
-                traj = ms.predict(x0, ControlSequence(v.reshape(horizon, 3)), field_at, t0,
-                                  cfg, table_inertia, substeps=5)
-                ends.append(np.concatenate([s.as_array() for s in traj.states[1:]]))
+                states = ms.predict(x0, ControlSequence(v.reshape(horizon, 3)), field_at, t0,
+                                    cfg, table_inertia, substeps=5)
+                ends.append(states[1:].reshape(-1))
             fd[:, j] = (ends[0] - ends[1]) / (2.0 * h)
         np.testing.assert_allclose(sens, fd, rtol=1e-6, atol=1e-9)
         for k in range(horizon):

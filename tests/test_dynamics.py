@@ -285,6 +285,9 @@ def test_step_blowup_carries_time(table_inertia):
     pytest.param("rollout", 1e10, 13.0, id="rollout"),
     pytest.param("rollout", 10.0, 14.5, id="rollout-interval-1"),
     pytest.param("rollout-3", 10.0, 14.5, id="rollout-3-intervals-interval-1"),
+    pytest.param("propagate", 12.0, 14.0, id="propagate-last-substep"),
+    pytest.param("rollout", 12.0, 14.0, id="rollout-last-substep"),
+    pytest.param("rollout-3", 9.1, 16.0, id="rollout-3-intervals-last-substep-of-interval-1"),
 ])
 def test_blowup_within_interval_carries_substep_time(via, rate, t_fail, table_inertia):
     # at 1e10 rad/s substep 1 of 4 stays finite (rates near 1e100) and
@@ -294,7 +297,10 @@ def test_blowup_within_interval_carries_substep_time(via, rate, t_fail, table_in
     # chained intervals), the prediction (p = 2) and a taped rollout, as the
     # solver makes, report it alike. A 3-interval rollout checks finiteness
     # only on its last state, where intervals 1 and 2 both end non-finite: it
-    # must find the first of them, interval 1, and not the last
+    # must find the first of them, interval 1, and not the last. At 12 rad/s
+    # the 4th substep, the last of interval 0, is the first non-finite one
+    # (t = 14), and at 9.1 rad/s the 8th, the last of interval 1 (t = 16), so
+    # an off-by-one at the interval's end fails
     state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.array([rate, rate, 0]))
     field_at = constant_field([0, 0, 1e-5])
     with pytest.raises(IntegrationDivergedError) as err:

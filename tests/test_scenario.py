@@ -252,6 +252,29 @@ def test_config_rejects_integer_beyond_float_range(path, key):
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("a_km", [1e-101, 6e99, 1e300])
+def test_config_rejects_orbit_the_field_model_cannot_evaluate(a_km, tmp_path, capsys):
+    # at 1e-101 km the mean motion overflows to inf; at 6e99 and 1e300 km a
+    # cube of the radius raises OverflowError. Either would end the run with
+    # a traceback at its first field sample
+    doc = short_config(elements=dict(SSO_ELEMENTS, a_km=a_km))
+    with pytest.raises(ConfigError, match="a_km"):
+        scenario_from_dict(doc)
+    path = tmp_path / "orbit.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "a_km" in err
+    assert "Traceback" not in err
+
+
+def test_config_accepts_the_ends_of_the_computable_orbit_range():
+    with pytest.warns(UserWarning, match="perigee"):
+        low = scenario_from_dict(short_config(elements=dict(SSO_ELEMENTS, a_km=1e-100)))
+    high = scenario_from_dict(short_config(elements=dict(SSO_ELEMENTS, a_km=3e99)))
+    assert (low.elements.a_km, high.elements.a_km) == (1e-100, 3e99)
+
+
 def test_cli_integer_beyond_float_range_exits_2(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(short_config(duration=HUGE_INT)))
