@@ -66,6 +66,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import AttitudeState, DipoleCommand, InertiaTensor, integrate, sensitivity
+from .errors import store_finite
 from .orbit import FieldSample
 
 # Prediction substeps per sampling interval. The plant integrates at the
@@ -106,16 +107,12 @@ class MpcConfig:
     x_ref: AttitudeState
 
     def __post_init__(self):
-        q = np.asarray(self.q_diag, dtype=float)
-        r = np.asarray(self.r_diag, dtype=float)
-        if q.shape != (7,):
-            raise ValueError(f"q_diag must have shape (7,), got {q.shape}")
-        if r.shape != (3,):
-            raise ValueError(f"r_diag must have shape (3,), got {r.shape}")
-        if not np.all(np.isfinite(q)) or np.any(q < 0.0):
-            raise ValueError("q_diag entries must be finite and >= 0")
-        if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
-            raise ValueError("r_diag entries must be finite and > 0")
+        store_finite(self, "q_diag", (7,))
+        store_finite(self, "r_diag", (3,))
+        if np.any(self.q_diag < 0.0):
+            raise ValueError("q_diag entries must be >= 0")
+        if np.any(self.r_diag <= 0.0):
+            raise ValueError("r_diag entries must be > 0")
         if not 1 <= self.horizon < math.inf or int(self.horizon) != self.horizon:
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon}")
         if not (math.isfinite(self.ts) and self.ts > 0.0):
@@ -125,11 +122,10 @@ class MpcConfig:
         norm = float(np.linalg.norm(self.x_ref.q))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"reference quaternion norm {norm} is not unit within 1e-9")
-        object.__setattr__(self, "q_diag", q)
-        object.__setattr__(self, "r_diag", r)
         object.__setattr__(self, "horizon", int(self.horizon))
         # the cost residual's row scales sqrt(Ts Q) and sqrt(Ts R), built once
-        object.__setattr__(self, "_row_scales", (np.sqrt(self.ts * q), np.sqrt(self.ts * r)))
+        scales = (np.sqrt(self.ts * self.q_diag), np.sqrt(self.ts * self.r_diag))
+        object.__setattr__(self, "_row_scales", scales)
 
 
 @dataclass(frozen=True)
@@ -139,12 +135,7 @@ class ControlSequence:
     dipoles: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.dipoles, dtype=float)
-        if d.ndim != 2 or d.shape[1] != 3 or d.shape[0] < 1:
-            raise ValueError(f"control sequence must have shape (p, 3), got {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("control sequence has non-finite entries")
-        object.__setattr__(self, "dipoles", d)
+        store_finite(self, "dipoles", (None, 3))
 
     def __len__(self) -> int:
         return self.dipoles.shape[0]

@@ -51,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IntegrationDivergedError
+from .errors import IntegrationDivergedError, store_finite
 from .orbit import FieldSample
 
 
@@ -63,16 +63,8 @@ class AttitudeState:
     omega: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        w = np.asarray(self.omega, dtype=float)
-        if q.shape != (4,):
-            raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
-        if w.shape != (3,):
-            raise ValueError(f"angular velocity must have shape (3,), got {w.shape}")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(w))):
-            raise ValueError("attitude state has non-finite components")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "omega", w)
+        store_finite(self, "q", (4,))
+        store_finite(self, "omega", (3,))
 
     def as_array(self) -> np.ndarray:
         """Pack into the 7-component vector (q1..q4, wx..wz)."""
@@ -106,12 +98,7 @@ class DipoleCommand:
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (3,):
-            raise ValueError(f"dipole command must have shape (3,), got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("dipole command has non-finite components")
-        object.__setattr__(self, "m", m)
+        store_finite(self, "m", (3,))
 
 
 def propagate(

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a value type's array.
+
+`store_finite` converts, checks and stores the array fields of the frozen
+value types (`AttitudeState`, `DipoleCommand`, `FieldSample`,
+`ControlSequence` and `MpcConfig`'s weights); it sits here because every
+layer can import this module without a cycle.
+"""
+
+import numpy as np
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -26,3 +34,20 @@ class Terminated(BaseException):
     Like KeyboardInterrupt it is not an Exception, so no broad handler
     swallows the request to stop.
     """
+
+
+def store_finite(instance, field: str, shape: tuple) -> None:
+    """Store `instance.field` of a frozen dataclass as a float array of `shape`.
+
+    A None entry of `shape` matches any length >= 1. A wrong shape or a
+    non-finite entry raises a ValueError naming `Type.field`.
+    """
+    a = np.asarray(getattr(instance, field), dtype=float)
+    where = f"{type(instance).__name__}.{field}"
+    if a.ndim != len(shape) or not all(
+        n == k if k is not None else n >= 1 for n, k in zip(a.shape, shape)
+    ):
+        raise ValueError(f"{where} must have shape {shape}, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{where} has non-finite entries")
+    object.__setattr__(instance, field, a)

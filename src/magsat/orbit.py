@@ -16,10 +16,11 @@ and semi-major axes are carried in km and converted at the point of use.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import store_finite
 
 EARTH_MU_KM3_S2 = 398600.4418  # WGS-84
 EARTH_RADIUS_KM = 6378.137     # WGS-84
@@ -40,22 +41,17 @@ class FieldSample:
     b: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        if b.shape != (3,):
-            raise ValueError(f"field vector must have shape (3,), got {b.shape}")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("field vector has non-finite components")
-        object.__setattr__(self, "b", b)
+        store_finite(self, "b", (3,))
 
 
 @dataclass(frozen=True)
 class OrbitalElements:
     """Classical Keplerian elements; angles in radians, normalized to [0, 2pi).
 
-    A perigee at or below the Earth radius is warned about but accepted: the
-    shipped sun-synchronous preset has a perigee only a few km above it. A
-    semi-major axis whose mean motion, or field at perigee or apoapsis, is
-    not a finite float is rejected: the run could not evaluate its field.
+    A semi-major axis whose mean motion, or field at perigee or apoapsis, is
+    not a finite float is rejected: the run could not evaluate its field. So
+    is a perigee at or below the Earth radius, a_km * (1 - e) <= 6378.137 km
+    (the shipped sun-synchronous preset clears it by about 2.7 km).
     """
 
     a_km: float
@@ -88,10 +84,9 @@ class OrbitalElements:
             raise ValueError(f"a_km {self.a_km} is outside the range the field model can evaluate")
         perigee = self.a_km * (1.0 - self.e)
         if perigee <= EARTH_RADIUS_KM:
-            warnings.warn(
-                f"perigee radius {perigee:.1f} km is at or below the Earth radius "
-                f"({EARTH_RADIUS_KM} km)",
-                stacklevel=2,
+            raise ValueError(
+                f"perigee radius a_km * (1 - e) = {perigee} km (a_km {self.a_km}, e {self.e}) "
+                f"is at or below the Earth radius ({EARTH_RADIUS_KM} km)"
             )
 
 

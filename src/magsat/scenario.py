@@ -33,7 +33,7 @@ from .controller import (
 )
 from .dynamics import AttitudeState, InertiaTensor, propagate
 from .errors import ConfigError, SolverContractError
-from .orbit import OrbitalElements, field_function
+from .orbit import OrbitalElements, field_function, mean_motion
 from .quantizer import quantize_vector
 
 RATE_THRESHOLD_DEG_S = 0.5  # operational meaning of "rates settled"
@@ -80,6 +80,14 @@ class ScenarioConfig:
             raise ConfigError(f"duration {self.duration} s exceeds {MAX_STEPS} sampling intervals")
         if self.mpc.horizon > MAX_HORIZON:
             raise ConfigError(f"horizon {self.mpc.horizon} exceeds {MAX_HORIZON}")
+        # the last solve samples the field before (steps + horizon) ts, so
+        # that time and its mean anomaly must be finite floats
+        last = (self.steps + self.mpc.horizon) * self.mpc.ts
+        if not math.isfinite(last * mean_motion(self.elements)):
+            raise ConfigError(
+                f"mpc.ts {self.mpc.ts} s takes the horizon's field samples past "
+                f"the float range of the orbit's time or mean anomaly"
+            )
         if not 1 <= self.substeps <= MAX_SUBSTEPS or int(self.substeps) != self.substeps:
             raise ConfigError(f"substeps {self.substeps} is not an integer in 1..{MAX_SUBSTEPS}")
         object.__setattr__(self, "substeps", int(self.substeps))
@@ -371,15 +379,13 @@ def scenario_from_dict(d: dict, name: str = "") -> ScenarioConfig:
     inertia = _parse_inertia(_require(d, "inertia", "config"))
     mpc = _parse_mpc(_require(d, "mpc", "config"))
     q0, omega0 = _parse_state(_require(d, "x0", "config"), "x0")
-    scale = 1.0
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(q0))
-    if (norm == 0.0 or math.isinf(norm)) and np.any(q0):
-        # the sum of squares overflowed or underflowed: normalize the
-        # quaternion divided by its largest entry instead
-        scale = float(np.max(np.abs(q0)))
-        q0 = q0 / scale
-        norm = float(np.linalg.norm(q0))
+    # dividing by a power of two near the largest entry is exact, so the sum
+    # of squares stays in the float range and the unit quaternion and the
+    # norm have the bits a plain norm gives wherever that one does not
+    # overflow or underflow (the - 1 keeps ldexp finite near 1.8e308)
+    scale = math.ldexp(1.0, math.frexp(np.max(np.abs(q0)))[1] - 1)
+    q0 = q0 / scale
+    norm = float(np.linalg.norm(q0))
     if norm <= 0.0:
         raise ConfigError(f"x0.q norm {norm} cannot be normalized")
     x0 = AttitudeState(q=q0 / norm, omega=omega0)

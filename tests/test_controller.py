@@ -11,6 +11,7 @@ from magsat import (
     AttitudeState,
     ControlSequence,
     DipoleCommand,
+    FieldSample,
     MpcConfig,
 )
 from magsat import controller
@@ -92,6 +93,38 @@ def test_mpc_config_rejects_bad_horizon_and_times():
     with pytest.raises(ValueError):
         MpcConfig(q_diag=np.zeros(7), r_diag=np.ones(3), horizon=1, ts=1.0,
                   u_max=0.0, x_ref=x_ref)
+
+
+# a valid argument set of every value type whose arrays `store_finite` checks
+_VALID_VALUES = {
+    AttitudeState: dict(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3)),
+    DipoleCommand: dict(m=np.zeros(3)),
+    FieldSample: dict(b=np.full(3, 3e-5)),
+    ControlSequence: dict(dipoles=np.zeros((2, 3))),
+    MpcConfig: dict(q_diag=np.ones(7), r_diag=np.ones(3), horizon=1, ts=1.0, u_max=0.1,
+                    x_ref=AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3))),
+}
+
+
+@pytest.mark.parametrize("cls, field", [
+    (AttitudeState, "q"), (AttitudeState, "omega"), (DipoleCommand, "m"), (FieldSample, "b"),
+    (ControlSequence, "dipoles"), (MpcConfig, "q_diag"), (MpcConfig, "r_diag"),
+])
+def test_value_array_check_names_the_field(cls, field):
+    kwargs = _VALID_VALUES[cls]
+    good = kwargs[field]
+    wrong_shapes = [np.concatenate([good, good[..., :1]], axis=-1)]
+    if cls is ControlSequence:
+        wrong_shapes += [np.zeros((0, 3)), np.zeros(3)]
+    nan = good.copy()
+    nan.flat[-1] = np.nan
+    cases = [(bad, "must have shape") for bad in wrong_shapes] + [(nan, "has non-finite")]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{field} {message}"):
+            cls(**dict(kwargs, **{field: bad}))
+    stored = getattr(cls(**dict(kwargs, **{field: good.tolist()})), field)
+    assert stored.dtype == np.float64
+    np.testing.assert_array_equal(stored, good)
 
 
 def test_control_sequence_validation():
@@ -398,6 +431,36 @@ def test_solve_stops_no_step_when_every_trial_is_rejected(monkeypatch):
     assert res.iterations == 1
     assert res.cost == res.zero_cost
     np.testing.assert_array_equal(res.sequence.dipoles, np.zeros((cfg.mpc.horizon, 3)))
+
+
+def test_solve_stops_no_step_when_the_damped_step_stops_moving_u(monkeypatch):
+    # from a warm start strictly inside the box and off zero, each rejection
+    # raises the damping and shrinks the step until every component rounds
+    # away in u, long before lam * diag(H) overflows; the solve must stop
+    # there on the warm start
+    cfg = load_config("attitude-paper")
+    field_at = ms.field_function(cfg.elements)
+    first = ms.solve(cfg.x0, 0.0, field_at, cfg.mpc, cfg.inertia).sequence.dipoles
+    inside = np.where(np.abs(first) >= cfg.mpc.u_max, 0.999 * first, first)
+    inside[inside == 0.0] = 1e-3
+    box_qp, steps = controller._box_qp, []
+
+    def recording_box_qp(grad, hess, u, u_max):
+        u_new = box_qp(grad, hess, u, u_max)
+        steps.append(u_new - u)
+        return u_new
+
+    monkeypatch.setattr(controller, "_box_qp", recording_box_qp)
+    monkeypatch.setattr(controller, "ARMIJO_C1", math.inf)
+    res = ms.solve(cfg.x0, 0.0, field_at, cfg.mpc, cfg.inertia, warm=ControlSequence(inside))
+    assert res.stop_reason == "no_step"
+    assert res.degraded
+    assert res.iterations == 1
+    assert res.cost == res.warm_cost
+    np.testing.assert_array_equal(res.sequence.dipoles, inside)
+    # the last trial step was exactly zero, and every earlier one was not
+    assert not np.any(steps[-1])
+    assert all(np.any(d) for d in steps[:-1])
 
 
 def test_solve_is_invariant_to_weight_scale():

@@ -6,7 +6,7 @@ import pytest
 import magsat as ms
 from magsat import FieldSample, OrbitalElements
 from magsat.dynamics import _body_field
-from magsat.orbit import EARTH_DIPOLE_T_M3, EARTH_MU_KM3_S2
+from magsat.orbit import EARTH_DIPOLE_T_M3, EARTH_MU_KM3_S2, EARTH_RADIUS_KM
 
 TWO_PI = 2.0 * math.pi
 
@@ -301,9 +301,14 @@ def test_elements_normalize_angles():
     assert el.mean_anomaly == 0.0
 
 
-def test_elements_warn_on_low_perigee():
-    with pytest.warns(UserWarning, match="perigee"):
+def test_elements_reject_low_perigee():
+    # a perigee at or below the Earth radius is not an orbit the field model
+    # describes (at tiny a_km its field overflows the solver's Jacobians)
+    with pytest.raises(ValueError, match=r"perigee.*a_km 6691\.6, e 0\.06"):
         OrbitalElements(a_km=6691.6, e=0.06, inclination=0.0, raan=0.0,
+                        argp=0.0, mean_anomaly=0.0)
+    with pytest.raises(ValueError, match="perigee"):
+        OrbitalElements(a_km=EARTH_RADIUS_KM, e=0.0, inclination=0.0, raan=0.0,
                         argp=0.0, mean_anomaly=0.0)
 
 

@@ -21,7 +21,7 @@ import magsat.orbit
 import magsat.scenario
 from magsat import ConfigError, IntegrationDivergedError, field_function, solve
 from magsat.cli import main
-from magsat.presets import SSO_ELEMENTS
+from magsat.presets import SSO_ELEMENTS, get_scenario_preset
 from magsat.scenario import (
     CSV_HEADER,
     MAX_HORIZON,
@@ -269,10 +269,29 @@ def test_config_rejects_orbit_the_field_model_cannot_evaluate(a_km, tmp_path, ca
 
 
 def test_config_accepts_the_ends_of_the_computable_orbit_range():
-    with pytest.warns(UserWarning, match="perigee"):
-        low = scenario_from_dict(short_config(elements=dict(SSO_ELEMENTS, a_km=1e-100)))
+    # the low end is a circular orbit one ulp above the Earth radius, the
+    # lowest perigee accepted; the high end the largest a_km the field allows
+    a_low = math.nextafter(magsat.orbit.EARTH_RADIUS_KM, math.inf)
+    low = scenario_from_dict(short_config(elements=dict(SSO_ELEMENTS, a_km=a_low, e=0.0)))
     high = scenario_from_dict(short_config(elements=dict(SSO_ELEMENTS, a_km=3e99)))
-    assert (low.elements.a_km, high.elements.a_km) == (1e-100, 3e99)
+    assert (low.elements.a_km, high.elements.a_km) == (a_low, 3e99)
+
+
+def test_config_rejects_sampling_time_past_the_orbit_phase_range(tmp_path, capsys):
+    # one step of 1e308 s is accepted on its own, but the horizon samples
+    # the field at k * 1e308 s, which is inf for k >= 2. Unit state weights
+    # keep MpcConfig's row scales sqrt(Ts Q) finite
+    doc = get_scenario_preset("detumble-paper")
+    doc["mpc"].update(ts=1e308, q_diag=[1.0] * 7)
+    doc["duration"] = 1e308
+    with pytest.raises(ConfigError, match="mpc.ts"):
+        scenario_from_dict(doc)
+    path = tmp_path / "ts.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "mpc.ts" in err
+    assert "Traceback" not in err
 
 
 def test_cli_integer_beyond_float_range_exits_2(tmp_path, capsys):
