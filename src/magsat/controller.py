@@ -115,11 +115,13 @@ class MpcConfig:
             raise ValueError("r_diag entries must be > 0")
         if not 1 <= self.horizon < math.inf or int(self.horizon) != self.horizon:
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon}")
-        if not (math.isfinite(self.ts) and self.ts > 0.0):
-            raise ValueError(f"sampling time must be positive, got {self.ts}")
+        # in Python floats an overflowing product is inf, with no numpy warning
+        top = float(self.ts) * float(max(self.q_diag.max(), self.r_diag.max()))
+        if not (self.ts > 0.0 and math.isfinite(top)):
+            raise ValueError(f"ts {self.ts} s must be positive and finite times each weight")
         if not (math.isfinite(self.u_max) and self.u_max > 0.0):
             raise ValueError(f"u_max must be positive, got {self.u_max}")
-        norm = float(np.linalg.norm(self.x_ref.q))
+        norm = math.hypot(*self.x_ref.q)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"reference quaternion norm {norm} is not unit within 1e-9")
         object.__setattr__(self, "horizon", int(self.horizon))

@@ -141,8 +141,10 @@ def integrate(
     starts from each record's new state. Without a tape each step's stages
     are dropped as soon as the next step starts.
     Finiteness is checked once per rollout, on the last state, since a
-    non-finite component stays non-finite through every later step. If that
-    state is not finite, the first interval whose end state is not finite is
+    non-finite component stays non-finite through every later step; a
+    quaternion whose norm before renormalization is zero becomes NaN, so it
+    is a divergence too. If the last state is not finite, the first
+    interval whose end state is not finite is
     stepped again from its start state in one kernel call, as `substeps`
     one-step intervals, which keeps every step's end state; the first
     non-finite one's end time goes into IntegrationDivergedError.
@@ -349,7 +351,8 @@ def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps:
             n1 = x1 + h6 * (r1 + u1 + 2.0 * (s1 + t1))
             n2 = x2 + h6 * (r2 + u2 + 2.0 * (s2 + t2))
             n3 = x3 + h6 * (r3 + u3 + 2.0 * (s3 + t3))
-            norm = sqrt(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3)
+            # a zero norm gives a NaN quaternion, which `integrate` reports
+            norm = sqrt(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3) or math.nan
             n0 = n0 / norm
             n1 = n1 / norm
             n2 = n2 / norm

@@ -48,10 +48,12 @@ class FieldSample:
 class OrbitalElements:
     """Classical Keplerian elements; angles in radians, normalized to [0, 2pi).
 
-    A semi-major axis whose mean motion, or field at perigee or apoapsis, is
-    not a finite float is rejected: the run could not evaluate its field. So
-    is a perigee at or below the Earth radius, a_km * (1 - e) <= 6378.137 km
-    (the shipped sun-synchronous preset clears it by about 2.7 km).
+    The elements are stored as Python floats. A perigee at or below the Earth
+    radius, a_km * (1 - e) <= 6378.137 km, is rejected (the shipped
+    sun-synchronous preset clears it by about 2.7 km). So is a semi-major
+    axis whose mean motion or field at apoapsis leaves the float range: the
+    run could not evaluate its field. Above the surface those are the only
+    two values that can overflow.
     """
 
     a_km: float
@@ -65,29 +67,27 @@ class OrbitalElements:
         for name in ("a_km", "e", "inclination", "raan", "argp", "mean_anomaly"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"orbital element {name} is not finite")
+            # a Python float, so a cube past the float range raises OverflowError
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.a_km <= 0.0:
             raise ValueError(f"semi-major axis must be positive, got {self.a_km} km")
         if not 0.0 <= self.e < 1.0:
             raise ValueError(f"eccentricity must lie in [0, 1), got {self.e}")
         for name in ("inclination", "raan", "argp", "mean_anomaly"):
             object.__setattr__(self, name, getattr(self, name) % TWO_PI)
-        # the field is largest at perigee and its r^3 largest at apoapsis, so
-        # an orbit whose mean motion and field there are finite floats can be
-        # evaluated at every time (a FieldSample rejects a non-finite field)
-        try:
-            computable = math.isfinite(mean_motion(self))
-            for theta in (0.0, math.pi):
-                dipole_field(self, theta, orbit_radius(self.a_km, self.e, theta))
-        except (ArithmeticError, ValueError):
-            computable = False
-        if not computable:
-            raise ValueError(f"a_km {self.a_km} is outside the range the field model can evaluate")
         perigee = self.a_km * (1.0 - self.e)
         if perigee <= EARTH_RADIUS_KM:
             raise ValueError(
                 f"perigee radius a_km * (1 - e) = {perigee} km (a_km {self.a_km}, e {self.e}) "
                 f"is at or below the Earth radius ({EARTH_RADIUS_KM} km)"
             )
+        # above the surface the field is finite at perigee, so only the mean
+        # motion's a_km^3 and the apoapsis field's r^3 can leave the float range
+        try:
+            mean_motion(self)
+            dipole_field(self, math.pi, orbit_radius(self.a_km, self.e, math.pi))
+        except ArithmeticError:
+            raise ValueError(f"a_km {self.a_km} is outside the range the field model can evaluate")
 
 
 def solve_kepler(mean_anomaly: float, e: float) -> float:

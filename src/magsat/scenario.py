@@ -33,7 +33,7 @@ from .controller import (
 )
 from .dynamics import AttitudeState, InertiaTensor, propagate
 from .errors import ConfigError, SolverContractError
-from .orbit import OrbitalElements, field_function, mean_motion
+from .orbit import OrbitalElements, field_function
 from .quantizer import quantize_vector
 
 RATE_THRESHOLD_DEG_S = 0.5  # operational meaning of "rates settled"
@@ -81,9 +81,10 @@ class ScenarioConfig:
         if self.mpc.horizon > MAX_HORIZON:
             raise ConfigError(f"horizon {self.mpc.horizon} exceeds {MAX_HORIZON}")
         # the last solve samples the field before (steps + horizon) ts, so
-        # that time and its mean anomaly must be finite floats
+        # that time must be a finite float. An accepted orbit's mean motion
+        # is below 1.24e-3 rad/s, so its mean anomaly is then finite too
         last = (self.steps + self.mpc.horizon) * self.mpc.ts
-        if not math.isfinite(last * mean_motion(self.elements)):
+        if not math.isfinite(last):
             raise ConfigError(
                 f"mpc.ts {self.mpc.ts} s takes the horizon's field samples past "
                 f"the float range of the orbit's time or mean anomaly"
@@ -386,8 +387,8 @@ def scenario_from_dict(d: dict, name: str = "") -> ScenarioConfig:
     scale = math.ldexp(1.0, math.frexp(np.max(np.abs(q0)))[1] - 1)
     q0 = q0 / scale
     norm = float(np.linalg.norm(q0))
-    if norm <= 0.0:
-        raise ConfigError(f"x0.q norm {norm} cannot be normalized")
+    if not 0.0 < scale * norm < math.inf:
+        raise ConfigError(f"x0.q norm {scale * norm} cannot be normalized")
     x0 = AttitudeState(q=q0 / norm, omega=omega0)
     pwm = d.get("pwm", False)
     if not isinstance(pwm, bool):

@@ -48,6 +48,10 @@ json_values = st.recursive(
 
 @settings(database=None, derandomize=True, max_examples=500, deadline=None)
 @given(path=st.sampled_from(list(key_paths(preset_document()))), value=json_values)
+# a reference norm and a weight times Ts that leave the float range, which
+# the draws miss; each once printed a numpy overflow warning
+@example(path=("mpc", "x_ref", "q", 0), value=1e300)
+@example(path=("mpc", "r_diag", 0), value=1.7976931348623157e308)
 def test_single_key_replacement_raises_only_config_error(path, value):
     doc = preset_document()
     node = doc

@@ -321,6 +321,20 @@ def test_blowup_within_interval_carries_substep_time(via, rate, t_fail, table_in
     assert str(err.value) == f"state became non-finite at t={t_fail}"
 
 
+def test_zero_quaternion_norm_reports_as_divergence():
+    # attitude-paper's x0 spun at 1e41 rad/s about y: the first 10 s substep
+    # overflows the quaternion's sum of squares, so renormalizing sends it
+    # to zero, and the second substep's pre-renormalization norm is exactly
+    # 0.0. That is a divergence at the substep's end time, not a
+    # ZeroDivisionError
+    q0 = np.array([0.0, 0.1, 0.0, 1.0]) / math.hypot(0.1, 1.0)
+    x = np.concatenate([q0, [0.0, -1e41, 0.0]])
+    with pytest.raises(IntegrationDivergedError) as err:
+        integrate(x, np.zeros((1, 3)), np.array([[3e-5, -1e-5, 2e-5]]), (0.02, 0.03, 0.04),
+                  30.0, 3, 0.0)
+    assert err.value.t == 20.0
+
+
 def test_taped_and_untaped_rollouts_agree(table_inertia):
     # the tape only records the steps: the states are bitwise the same with
     # and without one, and it holds one 36-float record per RK4 step

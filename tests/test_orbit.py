@@ -312,6 +312,22 @@ def test_elements_reject_low_perigee():
                         argp=0.0, mean_anomaly=0.0)
 
 
+def test_elements_store_numpy_scalars_as_python_floats():
+    # numpy's ** returns inf where Python's raises OverflowError, so a
+    # numpy a_km of 6e99 would pass the field check with a zero field
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="a_km 6e"):
+            OrbitalElements(a_km=np.float64(6e99), e=0.0, inclination=0.0, raan=0.0,
+                            argp=0.0, mean_anomaly=0.0)
+        el = OrbitalElements(a_km=np.float64(3e99), e=np.float64(0.5), inclination=0.0,
+                             raan=0.0, argp=0.0, mean_anomaly=np.float64(1.0))
+    assert (el.a_km, el.e, el.mean_anomaly) == (3e99, 0.5, 1.0)
+    assert all(type(v) is float for v in (el.a_km, el.e, el.mean_anomaly))
+
+
 def test_table_elements_do_not_warn(sso_elements):
     # perigee sits a couple of km above the Earth radius: low, but accepted
     import warnings

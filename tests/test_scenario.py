@@ -254,9 +254,10 @@ def test_config_rejects_integer_beyond_float_range(path, key):
 
 @pytest.mark.parametrize("a_km", [1e-101, 6e99, 1e300])
 def test_config_rejects_orbit_the_field_model_cannot_evaluate(a_km, tmp_path, capsys):
-    # at 1e-101 km the mean motion overflows to inf; at 6e99 and 1e300 km a
-    # cube of the radius raises OverflowError. Either would end the run with
-    # a traceback at its first field sample
+    # 1e-101 km is refused by the perigee rule, ahead of its mean motion,
+    # which overflows to inf; at 6e99 and 1e300 km a cube of the apoapsis
+    # radius raises OverflowError. Either would end the run with a traceback
+    # at its first field sample
     doc = short_config(elements=dict(SSO_ELEMENTS, a_km=a_km))
     with pytest.raises(ConfigError, match="a_km"):
         scenario_from_dict(doc)
@@ -292,6 +293,26 @@ def test_config_rejects_sampling_time_past_the_orbit_phase_range(tmp_path, capsy
     err = capsys.readouterr().err
     assert "mpc.ts" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edits, key", [
+    # Ts * q_diag overflows, so every cost would be nan, though the horizon's
+    # last time (1 + 10) * 1e305 s is finite
+    ({("mpc", "ts"): 1e305, ("duration",): 1e305}, "mpc: ts"),
+    # the norm is inf, which the summary would write as Infinity
+    ({("x0", "q"): [1.7e308, 1e308, 0.0, 0.0], ("duration",): 30.0}, "x0.q norm"),
+])
+def test_cli_config_whose_derived_values_leave_float_range_exits_2(edits, key, tmp_path, capsys):
+    doc = get_scenario_preset("attitude-paper")
+    for path, value in edits.items():
+        set_at(doc, path, value)
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "run.csv")]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_cli_integer_beyond_float_range_exits_2(tmp_path, capsys):
@@ -704,7 +725,8 @@ def test_cli_run_writes_csv_and_summary(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 6
-    summary = json.loads(out_json.read_text())
+    # NaN and Infinity are not JSON, though json.loads reads them by default
+    summary = json.loads(out_json.read_text(), parse_constant=lambda c: pytest.fail(c))
     assert summary["steps"] == 5
     assert summary["pwm_enabled"] is False
     assert "settle_time_s" in summary
@@ -794,6 +816,22 @@ def test_cli_blowup_exits_3_with_partial_csv(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(out_csv)]) == 3
     assert out_csv.read_text().splitlines()[0] == CSV_HEADER
     assert "diverged" in capsys.readouterr().err
+
+
+def test_cli_zero_quaternion_norm_exits_3_with_partial_csv(tmp_path, capsys):
+    # at 1e41 rad/s the quaternion's norm before renormalization reaches
+    # 0.0 in the second 10 s substep of the first interval
+    doc = get_scenario_preset("attitude-paper")
+    doc["x0"] = {"q": doc["x0"]["q"], "omega": [0.0, -1e41, 0.0]}
+    doc["duration"] = 60.0
+    path = tmp_path / "spin.json"
+    path.write_text(json.dumps(doc))
+    out_csv = tmp_path / "partial.csv"
+    assert main(["run", str(path), "--out", str(out_csv)]) == 3
+    assert out_csv.read_text().splitlines() == [CSV_HEADER]
+    err = capsys.readouterr().err
+    assert "state became non-finite at t=20.0" in err
+    assert "Traceback" not in err
 
 
 def test_cli_contract_violation_exits_4_with_partial_csv(tmp_path, monkeypatch, capsys):
