@@ -37,15 +37,16 @@ first-order test u_max * |g_P| < CONVERGENCE_RTOL * (1 + |J|), g_P the
 gradient less the held components. "settled": an accepted step whose actual
 and predicted (undamped model) decreases are both at most FTOL * J; the
 point is returned without a Jacobian. "iteration_cap": MAX_ITERATIONS
-accepted steps. "no_step": no damped step passed the Armijo test before the
-step stopped moving u or lam * diag(H) overflowed. (When the box holds
-every direction, g_P = 0 and the solve stops "converged" before it tries a
-step.) The last two flag the result degraded. Every accepted step lowers
-the cost, so the last accepted point is returned.
+accepted steps. "no_step": the gradient or the Gauss-Newton Hessian has an
+entry the floats cannot hold, or no damped step passed the Armijo test
+before the step stopped moving u or lam * diag(H) overflowed. (When the box
+holds every direction, g_P = 0 and the solve stops "converged" before it
+tries a step.) The last two flag the result degraded. Every accepted step
+lowers the cost, so the last accepted point is returned.
 
 Each evaluation is one rollout, as one zero-order-hold sequence through the
 plant's integrator `dynamics.integrate`, and it keeps its tape (one flat
-record per RK4 step: its four stage states, the new state and the
+record per RK4 step: its four stage states, the new quaternion and the
 pre-renormalization norm) and its residual, because any evaluated point may
 be linearized. The Jacobian at an accepted point - the winning start or an
 accepted trial - is built from that point's own tape, so no accepted point
@@ -97,6 +98,12 @@ class MpcConfig:
     r_diag: 3 positive control weights, horizon: prediction steps, ts:
     sampling time in s, u_max: per-axis dipole bound in A*m^2, x_ref:
     reference state with a unit quaternion.
+
+    The horizon follows `dynamics.integrate`'s rule for substeps: an int or
+    a numpy integer of at least 1, stored as int; a bool or a float, even a
+    whole one, raises ValueError. Ts times each weight must be a finite
+    float. `ScenarioConfig` bounds the horizon and the reference's weighted
+    cost.
     """
 
     q_diag: np.ndarray
@@ -113,8 +120,10 @@ class MpcConfig:
             raise ValueError("q_diag entries must be >= 0")
         if np.any(self.r_diag <= 0.0):
             raise ValueError("r_diag entries must be > 0")
-        if not 1 <= self.horizon < math.inf or int(self.horizon) != self.horizon:
-            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon}")
+        # `integrate`'s integer rule: a bool or a float, even a whole one, is refused
+        horizon = self.horizon
+        if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
+            raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
         # in Python floats an overflowing product is inf, with no numpy warning
         top = float(self.ts) * float(max(self.q_diag.max(), self.r_diag.max()))
         if not (self.ts > 0.0 and math.isfinite(top)):
@@ -124,7 +133,7 @@ class MpcConfig:
         norm = math.hypot(*self.x_ref.q)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"reference quaternion norm {norm} is not unit within 1e-9")
-        object.__setattr__(self, "horizon", int(self.horizon))
+        object.__setattr__(self, "horizon", int(horizon))
         # the cost residual's row scales sqrt(Ts Q) and sqrt(Ts R), built once
         scales = (np.sqrt(self.ts * self.q_diag), np.sqrt(self.ts * self.r_diag))
         object.__setattr__(self, "_row_scales", scales)
@@ -394,20 +403,26 @@ def solve(
     lam, nu = _DAMPING0, 2.0
     iterations, stop_reason = 0, None
     while True:
-        r, jac = linearize(record)
-        grad = 2.0 * (jac.T @ r)
+        # the model may leave the float range; a non-finite entry stops the solve below
+        with np.errstate(over="ignore", invalid="ignore"):
+            r, jac = linearize(record)
+            grad = 2.0 * (jac.T @ r)
         # g_P of the first-order test is grad less the held set, the
         # components on a bound that the gradient pushes outward
         held = ((u >= u_max) & (grad < 0.0)) | ((u <= -u_max) & (grad > 0.0))
         g_p = np.where(held, 0.0, grad)
-        if u_max * float(np.linalg.norm(g_p)) < CONVERGENCE_RTOL * (1.0 + abs(cost)):
+        if u_max * math.hypot(*g_p.tolist()) < CONVERGENCE_RTOL * (1.0 + abs(cost)):
             stop_reason = "converged"
             break
         if iterations >= MAX_ITERATIONS:
             stop_reason = "iteration_cap"
             break
         iterations += 1
-        hess = 2.0 * (jac.T @ jac)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hess = 2.0 * (jac.T @ jac)
+        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+            stop_reason = "no_step"
+            break
         diag = np.diag(hess)
         # raise the damping until a step passes the Armijo test, or until the
         # step no longer moves u or lam * diag(H) (all >= 0) overflows

@@ -33,7 +33,7 @@ the only rollout of such a sequence: the plant (`propagate`) is a
 one-interval call and the MPC prediction a p-interval one, so they agree bit
 for bit at equal substep counts and fail at the same substep. A caller that
 will build a Jacobian passes a tape, and `integrate` appends one flat record
-of 36 floats per RK4 step to it; `sensitivity` turns the tape into the
+of 33 floats per RK4 step to it; `sensitivity` turns the tape into the
 Jacobian of every interval-end state w.r.t. every dipole. Only the solver's
 rollouts keep a tape: the plant and the prediction keep none, so an
 800-substep plant interval holds no more than one step's stages at a time.
@@ -136,10 +136,11 @@ def integrate(
     of ts / substeps. All p * substeps steps run in one `_rk4_rollout` call.
     Returns the p+1 interval-end states, shape (p+1, 7) with x first. A
     caller that will build a Jacobian (`sensitivity`) passes a list as
-    `tape`, and every step appends its flat record (x, xa, xb, xc, new state,
-    norm; 36 floats) to it, in order, p * substeps of them; the next step
-    starts from each record's new state. Without a tape each step's stages
-    are dropped as soon as the next step starts.
+    `tape`, and every step appends its flat record (x, xa, xb, xc, the new
+    renormalized quaternion, norm; 33 floats) to it, in order, p * substeps
+    of them; each record's x is the state the step before it ended at. The
+    record holds only what `sensitivity` reads. Without a tape each step's
+    stages are dropped as soon as the next step starts.
     Finiteness is checked once per rollout, on the last state, since a
     non-finite component stays non-finite through every later step; a
     quaternion whose norm before renormalization is zero becomes NaN, so it
@@ -228,10 +229,11 @@ def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps:
     Returns the interval-end states, x first. Each step evaluates the
     right-hand side at x and at the stage states xa, xb and xc, renormalizes
     the new quaternion and, given a tape, appends the step's record (x, xa,
-    xb, xc, new state, pre-renormalization norm; 36 floats). Every value is a
-    local scalar: x0..x6 is the state, r, s, t and u are the slopes k1..k4
-    and n the new state. Each slope is `_rhs`'s arithmetic written out in
-    place, in the same order, so no call or tuple is made per stage.
+    xb, xc, new quaternion, pre-renormalization norm; 33 floats). Every
+    value is a local scalar: x0..x6 is the state, r, s, t and u are the
+    slopes k1..k4 and n the new state. Each slope is `_rhs`'s arithmetic
+    written out in place, in the same order, so no call or tuple is made
+    per stage.
     """
     ix, iy, iz = inertia
     gx, gy, gz = iy - iz, iz - ix, ix - iy
@@ -363,7 +365,7 @@ def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps:
             if tape is not None:
                 tape.append((x0, x1, x2, x3, x4, x5, x6, xa0, xa1, xa2, xa3, xa4, xa5, xa6,
                              xb0, xb1, xb2, xb3, xb4, xb5, xb6, xc0, xc1, xc2, xc3, xc4, xc5,
-                             xc6, n0, n1, n2, n3, n4, n5, n6, norm))
+                             xc6, n0, n1, n2, n3, norm))
             x0, x1, x2, x3, x4, x5, x6 = n0, n1, n2, n3, n4, n5, n6
         states.append((x0, x1, x2, x3, x4, x5, x6))
     return states
@@ -414,7 +416,7 @@ def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float) -
     """d(x_1..x_p)/d(m_0..m_{p-1}) of an `integrate` rollout, shape (7p, 3p), from its tape.
 
     m and b are the rollout's dipoles and orbital-frame fields, shape (p, 3).
-    The tape becomes one (p, substeps, 36) array in a single pass. The
+    The tape becomes one (p, substeps, 33) array in a single pass. The
     right-hand side's Jacobians [df/dx | df/dm] at every recorded stage come
     from constant coefficient tensors (`_stage_jacobians`), in a fixed handful
     of array operations. They are composed into each step's Jacobian, passed
@@ -426,8 +428,8 @@ def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float) -
     p = len(m)
     substeps = len(tape) // p
     h = ts / substeps
-    recs = np.fromiter(itertools.chain.from_iterable(tape), float, 36 * len(tape))
-    recs = recs.reshape(p, substeps, 36)
+    recs = np.fromiter(itertools.chain.from_iterable(tape), float, 33 * len(tape))
+    recs = recs.reshape(p, substeps, 33)
     xs = recs[..., :28].reshape(p, 4 * substeps, 7)
     jac = _stage_jacobians(xs, m, b, inertia).reshape(p, substeps, 4, 7, 10)
     # the RK4 tableau on the stage Jacobians, then the renormalization
@@ -438,7 +440,7 @@ def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float) -
     k4 = jac[:, :, 3] + h * (a[:, :, 3] @ k3)
     phi = (h / 6.0) * (k1 + k4 + 2.0 * (k2 + k3))
     phi[..., :7] += np.eye(7)
-    n, norm = recs[..., 28:32], recs[..., 35, None, None]
+    n, norm = recs[..., 28:32], recs[..., 32, None, None]
     rows = phi[..., :4, :]
     phi[..., :4, :] = (rows - n[..., :, None] * (n[..., None, :] @ rows)) / norm
     interval = phi[:, 0].copy()

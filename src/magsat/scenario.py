@@ -89,9 +89,20 @@ class ScenarioConfig:
                 f"mpc.ts {self.mpc.ts} s takes the horizon's field samples past "
                 f"the float range of the orbit's time or mean anomaly"
             )
-        if not 1 <= self.substeps <= MAX_SUBSTEPS or int(self.substeps) != self.substeps:
-            raise ConfigError(f"substeps {self.substeps} is not an integer in 1..{MAX_SUBSTEPS}")
-        object.__setattr__(self, "substeps", int(self.substeps))
+        # a state far below the reference costs about horizon * sum(ts q_i
+        # x_ref_i^2), which must be finite; in Python floats, so numpy
+        # prints no warning
+        ts, x_ref = float(self.mpc.ts), self.mpc.x_ref.as_array().tolist()
+        share = sum(ts * w * x * x for w, x in zip(self.mpc.q_diag.tolist(), x_ref))
+        if not math.isfinite(self.mpc.horizon * share):
+            raise ConfigError(
+                "mpc.x_ref weighted by ts * q_diag over the horizon leaves the float range"
+            )
+        # `integrate`'s integer rule: a bool or a float, even a whole one, is refused
+        n = self.substeps
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 < n <= MAX_SUBSTEPS:
+            raise ConfigError(f"substeps {n!r} is not an integer in 1..{MAX_SUBSTEPS}")
+        object.__setattr__(self, "substeps", int(n))
 
     @property
     def steps(self) -> int:
@@ -295,12 +306,6 @@ def _number(value, where: str) -> float:
     return x
 
 
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer")
-    return value
-
-
 def _vector(value, n: int, where: str) -> np.ndarray:
     if not isinstance(value, (list, tuple)) or len(value) != n:
         raise ConfigError(f"{where} must be a list of {n} numbers")
@@ -325,10 +330,14 @@ def _angle(d: dict, base: str, where: str, n: Optional[int] = None):
     return value * _RAD_PER_DEG if key == deg_key else value
 
 
-def _validated(where: str, build):
-    """build(), with a validated type's ValueError reported as a ConfigError of `where`."""
+def _build(where: str, cls, *args, **kwargs):
+    """cls(*args, **kwargs), with the type's own ValueError reported as a ConfigError of `where`.
+
+    The arguments are read before the call, so a parse error is raised once,
+    without the prefix.
+    """
     try:
-        return build()
+        return cls(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -339,14 +348,15 @@ def _parse_elements(value, where: str = "elements") -> OrbitalElements:
             raise ConfigError(f"unknown elements preset {value!r}")
         value = presets.get_element_preset(value)
     d = _object(value, _ELEMENT_KEYS, where, "a preset name or an object")
-    return _validated(where, lambda: OrbitalElements(
+    return _build(
+        where, OrbitalElements,
         a_km=_read(d, "a_km", where),
         e=_read(d, "e", where),
         inclination=_angle(d, "i", where),
         raan=_angle(d, "raan", where),
         argp=_angle(d, "argp", where),
         mean_anomaly=_angle(d, "mean_anomaly", where),
-    ))
+    )
 
 
 def _parse_state(value, where: str) -> tuple[np.ndarray, np.ndarray]:
@@ -356,21 +366,21 @@ def _parse_state(value, where: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _parse_inertia(value, where: str = "inertia") -> InertiaTensor:
     d = _object(value, _INERTIA_KEYS, where, "an object with ix, iy, iz")
-    return _validated(where, lambda: InertiaTensor(*(_read(d, k, where) for k in _INERTIA_KEYS)))
+    return _build(where, InertiaTensor, *(_read(d, k, where) for k in _INERTIA_KEYS))
 
 
 def _parse_mpc(value, where: str = "mpc") -> MpcConfig:
     d = _object(value, _MPC_KEYS, where)
     q_ref, omega_ref = _parse_state(_require(d, "x_ref", where), f"{where}.x_ref")
-    horizon = _integer(_require(d, "horizon", where), f"{where}.horizon")
-    return _validated(where, lambda: MpcConfig(
+    return _build(
+        where, MpcConfig,
         q_diag=_read(d, "q_diag", where, n=7),
         r_diag=_read(d, "r_diag", where, n=3),
-        horizon=horizon,
+        horizon=_require(d, "horizon", where),
         ts=_read(d, "ts", where),
         u_max=_read(d, "u_max", where),
         x_ref=AttitudeState(q=q_ref, omega=omega_ref),
-    ))
+    )
 
 
 def scenario_from_dict(d: dict, name: str = "") -> ScenarioConfig:
@@ -393,7 +403,6 @@ def scenario_from_dict(d: dict, name: str = "") -> ScenarioConfig:
     pwm = d.get("pwm", False)
     if not isinstance(pwm, bool):
         raise ConfigError("'pwm' must be a boolean")
-    substeps = _integer(d.get("substeps", 20), "substeps")
     output = d.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("'output' must be a string path or null")
@@ -404,7 +413,7 @@ def scenario_from_dict(d: dict, name: str = "") -> ScenarioConfig:
         x0=x0,
         duration=_number(_require(d, "duration", "config"), "duration"),
         pwm_enabled=pwm,
-        substeps=substeps,
+        substeps=d.get("substeps", 20),
         output_path=output,
         x0_quat_norm_before=scale * norm,
         name=name,

@@ -1,12 +1,16 @@
 """Property tests of the config boundary: bad input only ever raises ConfigError,
-and `ScenarioConfig.steps` agrees with exact rational arithmetic.
+every accepted config runs clean, and `ScenarioConfig.steps` agrees with exact
+rational arithmetic.
 
 Needs `hypothesis` (the `[test]` extra); skipped without it. Derandomized and
 without an example database, so every run draws the same examples.
 """
 
+import json
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,11 +19,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from magsat import ConfigError, presets  # noqa: E402
+from magsat.cli import main  # noqa: E402
 from magsat.scenario import MAX_STEPS, scenario_from_dict  # noqa: E402
 
 
-def preset_document() -> dict:
-    doc = presets.get_scenario_preset("detumble-paper")
+def preset_document(name: str = "detumble-paper") -> dict:
+    doc = presets.get_scenario_preset(name)
     doc["elements"] = presets.get_element_preset(doc["elements"])
     return doc
 
@@ -62,6 +67,79 @@ def test_single_key_replacement_raises_only_config_error(path, value):
         scenario_from_dict(doc)
     except ConfigError:
         pass
+
+
+def get_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def number_paths(doc: dict) -> list:
+    """Paths of the numeric leaves a scaled document may change: all but the work counts."""
+    fixed = {("mpc", "horizon"), ("substeps",), ("duration",)}
+    return [
+        path for path in key_paths(doc)
+        if path not in fixed and type(get_at(doc, path)) in (int, float)
+    ]
+
+
+# one or two numeric leaves of a preset, each times 10^k with k in -320..308
+# (a zero leaf counts as 1), a quarter of them negated: magnitudes across the
+# whole float range, on a run of two solves with a short horizon
+scaled_documents = st.sampled_from(sorted(presets.SCENARIO_PRESETS)).flatmap(
+    lambda name: st.tuples(
+        st.just(name),
+        st.lists(
+            st.tuples(
+                st.sampled_from(number_paths(preset_document(name))),
+                st.integers(min_value=-320, max_value=308),
+                st.sampled_from((1.0, 1.0, 1.0, -1.0)),
+            ),
+            min_size=1, max_size=2, unique_by=lambda leaf: leaf[0],
+        ),
+    )
+)
+
+
+@settings(database=None, derandomize=True, max_examples=100, deadline=None)
+@given(
+    scaled=scaled_documents,
+    horizon=st.integers(min_value=1, max_value=3),
+    substeps=st.integers(min_value=1, max_value=3),
+)
+# one of each class of run that once warned: the first-order test's norm of a
+# gradient past the float range, a reference whose cost overflows, and a
+# model (the state Jacobian) that overflows while the states stay finite
+@example(scaled=("detumble-paper", [(("mpc", "q_diag", 4), 304, 1.0)]), horizon=2, substeps=3)
+@example(scaled=("detumble-paper", [(("mpc", "x_ref", "omega", 1), 233, 1.0)]), horizon=2,
+         substeps=3)
+@example(scaled=("attitude-paper", [(("x0", "omega", 1), 31, 1.0)]), horizon=2, substeps=3)
+def test_every_accepted_config_runs_clean(scaled, horizon, substeps):
+    # a numpy warning raises here (pyproject's error::RuntimeWarning); every
+    # document is refused, or runs to exit 0 or 3 with only finite output
+    name, leaves = scaled
+    doc = preset_document(name)
+    for path, k, sign in leaves:
+        node = get_at(doc, path[:-1])
+        value = sign * (node[path[-1]] or 1.0) * 10.0**k
+        node[path[-1]] = math.copysign(1.797e308, value) if math.isinf(value) else value
+    doc["mpc"]["horizon"] = horizon
+    doc["substeps"] = substeps
+    doc["duration"] = 2.0 * doc["mpc"]["ts"]
+    try:
+        scenario_from_dict(doc)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        config, csv, summary = (Path(tmp) / f for f in ("c.json", "run.csv", "s.json"))
+        config.write_text(json.dumps(doc))
+        status = main(["run", str(config), "--out", str(csv), "--summary", str(summary)])
+        assert status in (0, 3)
+        for row in csv.read_text().splitlines()[1:]:
+            assert all(math.isfinite(float(cell)) for cell in row.split(",")), row
+        if status == 0:  # NaN and Infinity are not JSON
+            json.loads(summary.read_text(), parse_constant=lambda c: pytest.fail(c))
 
 
 def config_with(duration: float, ts: float):

@@ -95,6 +95,18 @@ def test_mpc_config_rejects_bad_horizon_and_times():
                   u_max=0.0, x_ref=x_ref)
 
 
+def test_mpc_config_horizon_follows_integrates_integer_rule():
+    # an int or a numpy integer, stored as int; a bool or a float, even a
+    # whole one, is refused, as `dynamics.integrate` refuses its substeps
+    args = dict(q_diag=np.zeros(7), r_diag=np.ones(3), ts=1.0, u_max=0.1,
+                x_ref=AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3)))
+    for horizon in (True, 10.0, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="horizon"):
+            MpcConfig(horizon=horizon, **args)
+    cfg = MpcConfig(horizon=np.int64(3), **args)
+    assert type(cfg.horizon) is int and cfg.horizon == 3
+
+
 # a valid argument set of every value type whose arrays `store_finite` checks
 _VALID_VALUES = {
     AttitudeState: dict(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3)),
@@ -461,6 +473,20 @@ def test_solve_stops_no_step_when_the_damped_step_stops_moving_u(monkeypatch):
     # the last trial step was exactly zero, and every earlier one was not
     assert not np.any(steps[-1])
     assert all(np.any(d) for d in steps[:-1])
+
+
+def test_solve_stops_no_step_when_the_model_leaves_the_float_range():
+    # at a rate of 1e31 rad/s the states stay finite over the horizon but
+    # the state Jacobian overflows; the solve must stop on the start without
+    # a numpy warning (pyproject's error::RuntimeWarning raises one here)
+    cfg = load_config("attitude-paper")
+    mpc = dataclasses.replace(cfg.mpc, horizon=2)
+    x0 = AttitudeState(q=cfg.x0.q, omega=np.array([0.0, 1e31, 0.0]))
+    res = ms.solve(x0, 0.0, ms.field_function(cfg.elements), mpc, cfg.inertia)
+    assert res.stop_reason == "no_step"
+    assert res.iterations == 1
+    assert res.cost == res.zero_cost
+    np.testing.assert_array_equal(res.sequence.dipoles, np.zeros((2, 3)))
 
 
 def test_solve_is_invariant_to_weight_scale():

@@ -337,7 +337,7 @@ def test_zero_quaternion_norm_reports_as_divergence():
 
 def test_taped_and_untaped_rollouts_agree(table_inertia):
     # the tape only records the steps: the states are bitwise the same with
-    # and without one, and it holds one 36-float record per RK4 step
+    # and without one, and it holds one 33-float record per RK4 step
     rng = np.random.default_rng(17)
     x0 = np.concatenate([random_unit_quaternion(rng), rng.normal(size=3) * 0.05])
     m = rng.uniform(-0.1, 0.1, size=(3, 3))
@@ -347,14 +347,14 @@ def test_taped_and_untaped_rollouts_agree(table_inertia):
     taped = integrate(*args, tape=tape)
     np.testing.assert_array_equal(taped, integrate(*args))
     assert len(tape) == 3 * 7
-    assert all(len(rec) == 36 for rec in tape)
-    np.testing.assert_array_equal(tape[-1][28:35], taped[-1])
+    assert all(len(rec) == 33 for rec in tape)
+    np.testing.assert_array_equal(tape[-1][28:32], taped[-1, :4])
 
 
 def test_plant_keeps_no_tape(table_inertia):
     # an untaped interval holds one step's stages at a time, so its peak
     # memory does not grow with the substep count (a kept tape of 8000
-    # 36-float records would take several MiB)
+    # 33-float records would take several MiB)
     state = AttitudeState(q=np.array([0.5, -0.5, 0.5, 0.5]), omega=np.array([0.05, -0.07, 0.03]))
     m = DipoleCommand(np.array([0.1, -0.1, 0.1]))
     field_at = constant_field([3e-5, 1e-5, -2e-5])
@@ -586,7 +586,7 @@ def _rk4_stages(x, m, b, inertia, h):
 @pytest.mark.parametrize("substeps", [1, 3, 20, 800])
 @pytest.mark.parametrize("inertia", ["table", "random"])
 def test_integrate_matches_step_by_step_oracle_bitwise(substeps, inertia, table_inertia):
-    # interval-end states, taped and untaped, and every 36-float tape record
+    # interval-end states, taped and untaped, and every 33-float tape record
     # are the oracle's bit for bit
     rng = np.random.default_rng(1000 + substeps)
     inertia = (table_inertia.as_tuple() if inertia == "table"
@@ -606,7 +606,7 @@ def test_integrate_matches_step_by_step_oracle_bitwise(substeps, inertia, table_
     for mk, bk in zip(m.tolist(), b.tolist()):
         for _ in range(substeps):
             xa, xb, xc, new, norm = _rk4_stages(x, mk, bk, inertia, h)
-            expected_tape.append((*x, *xa, *xb, *xc, *new, norm))
+            expected_tape.append((*x, *xa, *xb, *xc, *new[:4], norm))
             x = new
         expected_states.append(x)
     assert states.tobytes() == np.array(expected_states).tobytes()

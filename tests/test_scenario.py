@@ -301,6 +301,8 @@ def test_config_rejects_sampling_time_past_the_orbit_phase_range(tmp_path, capsy
     ({("mpc", "ts"): 1e305, ("duration",): 1e305}, "mpc: ts"),
     # the norm is inf, which the summary would write as Infinity
     ({("x0", "q"): [1.7e308, 1e308, 0.0, 0.0], ("duration",): 30.0}, "x0.q norm"),
+    # horizon * Ts * q_i * x_ref_i^2 overflows, so every cost would be inf
+    ({("mpc", "x_ref", "omega", 1): 1e233, ("duration",): 30.0}, "mpc.x_ref"),
 ])
 def test_cli_config_whose_derived_values_leave_float_range_exits_2(edits, key, tmp_path, capsys):
     doc = get_scenario_preset("attitude-paper")
@@ -408,10 +410,50 @@ def test_replace_revalidates():
     assert dataclasses.replace(cfg, pwm_enabled=True).pwm_enabled
     with pytest.raises(ConfigError):
         dataclasses.replace(cfg, duration=0.5)
-    assert dataclasses.replace(cfg, substeps=3.0).substeps == 3
+    with pytest.raises(ConfigError, match="substeps"):
+        dataclasses.replace(cfg, substeps=3.0)
     for value in (math.inf, -math.inf, math.nan):
         with pytest.raises(ConfigError, match="substeps"):
             dataclasses.replace(cfg, substeps=value)
+
+
+def test_substeps_follows_integrates_integer_rule():
+    # an int or a numpy integer, stored as int; a bool or a float, even a
+    # whole one, is refused, in a replace as in a document
+    cfg = scenario_from_dict(short_config())
+    for value in (True, 3.0):
+        with pytest.raises(ConfigError, match="substeps"):
+            dataclasses.replace(cfg, substeps=value)
+    replaced = dataclasses.replace(cfg, substeps=np.int64(3))
+    assert type(replaced.substeps) is int and replaced.substeps == 3
+    for path in (("substeps",), ("mpc", "horizon")):
+        for value in (True, 3.0, "3"):
+            doc = short_config()
+            set_at(doc, path, value)
+            with pytest.raises(ConfigError, match=path[-1]):
+                scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("elements", "e"), None, "missing key 'e' in elements"),
+    (("inertia", "ix"), "x", "inertia.ix must be a number, got 'x'"),
+    (("mpc", "ts"), None, "missing key 'ts' in mpc"),
+    # a type's own error keeps its one prefix
+    (("inertia", "ix"), -1.0,
+     "inertia: moments of inertia must be positive, got (-1.0, 0.03, 0.04)"),
+])
+def test_config_errors_are_reported_once(path, value, message):
+    doc = short_config(elements=dict(SSO_ELEMENTS))
+    node = doc
+    for part in path[:-1]:
+        node = node[part]
+    if value is None:  # delete the key
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == message
 
 
 # --- closed loop ------------------------------------------------------------------------
