@@ -45,14 +45,15 @@ tries a step.) The last two flag the result degraded. Every accepted step
 lowers the cost, so the last accepted point is returned.
 
 Each evaluation is one rollout, as one zero-order-hold sequence through the
-plant's integrator `dynamics.integrate`, and it keeps its tape (one flat
-record per RK4 step: its four stage states, the new quaternion and the
-pre-renormalization norm) and its residual, because any evaluated point may
-be linearized. The Jacobian at an accepted point - the winning start or an
-accepted trial - is built from that point's own tape, so no accepted point
-is rolled out twice. A rejected trial that more damping leaves on the same
-box corner is evaluated again. `predict` is the same rollout without a
-tape, since it is never linearized; it returns the state array itself.
+plant's integrator `dynamics.integrate`, and it keeps its tape (one packed
+record of 33 doubles per RK4 step: its four stage states, the new
+quaternion and the pre-renormalization norm) and its residual, because any
+evaluated point may be linearized. The Jacobian at an accepted point - the
+winning start or an accepted trial - is built from that point's own tape,
+so no accepted point is rolled out twice. A rejected trial that more
+damping leaves on the same box corner is evaluated again. `predict` is the
+same rollout without a tape, since it is never linearized; it returns the
+state array itself.
 
 Everything here is deterministic: identical inputs produce identical
 outputs, bit for bit.

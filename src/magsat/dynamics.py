@@ -26,17 +26,19 @@ stage's quaternion. The quaternion is renormalized after every step.
 `_rhs` the reference right-hand side: a plain function of the state, the
 dipole, the orbital-frame field and the inertia that calls `_body_field`.
 `_rk4_rollout` runs every RK4 step of a whole rollout in one call, with each
-stage value a local float, and evaluates each slope in place with `_rhs`'s
-arithmetic written out in the same order, so no call is made per stage; the
-tests hold all three to one step-by-step oracle bit for bit. `integrate` is
-the only rollout of such a sequence: the plant (`propagate`) is a
-one-interval call and the MPC prediction a p-interval one, so they agree bit
-for bit at equal substep counts and fail at the same substep. A caller that
-will build a Jacobian passes a tape, and `integrate` appends one flat record
-of 33 floats per RK4 step to it; `sensitivity` turns the tape into the
-Jacobian of every interval-end state w.r.t. every dipole. Only the solver's
-rollouts keep a tape: the plant and the prediction keep none, so an
-800-substep plant interval holds no more than one step's stages at a time.
+stage value a local float, and evaluates each slope in place, so no call is
+made per stage. It computes `_rhs`'s values, bit for bit, with `_rhs`'s
+power-of-two factors folded into the step sizes and the field; the tests
+hold all three to one step-by-step oracle bit for bit. `integrate` is the
+only rollout of such a sequence: the plant (`propagate`) is a one-interval
+call and the MPC prediction a p-interval one, so they agree bit for bit at
+equal substep counts and fail at the same substep. A caller that will build
+a Jacobian passes a tape, and `integrate` appends one packed record of 33
+doubles per RK4 step to it; `sensitivity` reads the tape as one array and
+turns it into the Jacobian of every interval-end state w.r.t. every dipole.
+Only the solver's rollouts keep a tape: the plant and the prediction keep
+none, so an 800-substep plant interval holds no more than one step's stages
+at a time.
 The right-hand side's Jacobian at every stage comes from a few constant
 coefficient tensors, read off `_rhs` and `_body_field` at import, so it is
 not written twice.
@@ -44,8 +46,8 @@ not written twice.
 
 from __future__ import annotations
 
-import itertools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -136,11 +138,12 @@ def integrate(
     of ts / substeps. All p * substeps steps run in one `_rk4_rollout` call.
     Returns the p+1 interval-end states, shape (p+1, 7) with x first. A
     caller that will build a Jacobian (`sensitivity`) passes a list as
-    `tape`, and every step appends its flat record (x, xa, xb, xc, the new
-    renormalized quaternion, norm; 33 floats) to it, in order, p * substeps
-    of them; each record's x is the state the step before it ended at. The
-    record holds only what `sensitivity` reads. Without a tape each step's
-    stages are dropped as soon as the next step starts.
+    `tape`, and every step appends its record (x, xa, xb, xc, the new
+    renormalized quaternion, norm), packed as 33 doubles in one `bytes`, to
+    it, in order, p * substeps of them; each record's x is the state the
+    step before it ended at. The record holds only what `sensitivity`
+    reads. Without a tape each step's stages are dropped as soon as the next
+    step starts.
     Finiteness is checked once per rollout, on the last state, since a
     non-finite component stays non-finite through every later step; a
     quaternion whose norm before renormalization is zero becomes NaN, so it
@@ -179,7 +182,7 @@ def _body_field(q, b) -> tuple:
     R(q) is the direction cosine matrix of the orbital-to-body quaternion
     (q1..q4, scalar-last), written out for any q, unit or not. It is the
     reference rotation: `_rhs` calls it, `_DVDQ` is read off it and
-    `_rk4_rollout` writes this arithmetic out in place, in the same order.
+    `_rk4_rollout` computes its values in place, bit for bit.
     """
     q1, q2, q3, q4 = q
     bx, by, bz = b
@@ -205,7 +208,7 @@ def _rhs(x, m, b, inertia) -> tuple:
 
     b is the orbital-frame field, rotated into body axes by `_body_field`.
     It is the reference right-hand side: `_KIN` is read off it and
-    `_rk4_rollout` writes this arithmetic out in place, in the same order.
+    `_rk4_rollout` computes its values in place, bit for bit.
     """
     q1, q2, q3, q4, wx, wy, wz = x
     mx, my, mz = m
@@ -222,6 +225,10 @@ def _rhs(x, m, b, inertia) -> tuple:
     )
 
 
+# one tape record: the 33 doubles of one RK4 step, in `_rk4_rollout`'s order
+_pack = struct.Struct("33d").pack
+
+
 def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps: int,
                  tape: list | None) -> list:
     """`substeps` RK4 steps of length h per held interval (m[k], b[k]) from x.
@@ -229,22 +236,36 @@ def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps:
     Returns the interval-end states, x first. Each step evaluates the
     right-hand side at x and at the stage states xa, xb and xc, renormalizes
     the new quaternion and, given a tape, appends the step's record (x, xa,
-    xb, xc, new quaternion, pre-renormalization norm; 33 floats). Every
-    value is a local scalar: x0..x6 is the state, r, s, t and u are the
-    slopes k1..k4 and n the new state. Each slope is `_rhs`'s arithmetic
-    written out in place, in the same order, so no call or tuple is made
-    per stage.
+    xb, xc, new quaternion, pre-renormalization norm) to it, packed as 33
+    doubles. Every value is a local scalar: x0..x6 is the state, r, s, t and
+    u are the slopes k1..k4 and n the new state. Each slope is written out in
+    place, so no call or tuple is made per stage, and gives `_rhs`'s values,
+    bit for bit. `_rhs`'s factors 0.5 and 2.0 are folded into the step sizes
+    and the field, and a power of two moved between two factors leaves their
+    product's rounding as it was: the kinematic r0..r3 (and s, t, u) hold
+    twice the slope and are stepped by h4 = h2 / 2 and h12 = h6 / 2, and
+    bx2, by2, bz2 are the field doubled once per interval. `yy - xx`,
+    `x0 * x5 - x1 * x4` and `zz - (xx + yy)` round as `-xx + yy`,
+    `-x1 * x4 + x0 * x5` and `-xx - yy + zz` do, signed zeros included (the
+    last since a square is never -0.0). The fourth kinematic row keeps
+    `_rhs`'s order: negating the sum would flip the sign of an exact zero.
+    The folds could differ from `_rhs` only where a field product or a
+    kinematic slope is subnormal or within a factor 2 of overflow.
     """
     ix, iy, iz = inertia
     gx, gy, gz = iy - iz, iz - ix, ix - iy
     sqrt = math.sqrt
+    pack = _pack
     h2 = 0.5 * h
+    h4 = 0.5 * h2
     h6 = h / 6.0
+    h12 = 0.5 * h6
     x0, x1, x2, x3, x4, x5, x6 = x
     states = [x]
     for (mx, my, mz), (bx, by, bz) in zip(m, b):
+        bx2, by2, bz2 = 2.0 * bx, 2.0 * by, 2.0 * bz
         for _ in range(substeps):
-            # r = f(x), `_rhs`'s body
+            # r = f(x), `_rhs`'s values
             xx = x0 * x0
             yy = x1 * x1
             zz = x2 * x2
@@ -255,20 +276,20 @@ def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps:
             q24 = x1 * x3
             q23 = x1 * x2
             q14 = x0 * x3
-            v1 = (xx - yy - zz + ww) * bx + 2.0 * ((q12 + q34) * by + (q13 - q24) * bz)
-            v2 = 2.0 * ((q12 - q34) * bx + (q23 + q14) * bz) + (-xx + yy - zz + ww) * by
-            v3 = 2.0 * ((q13 + q24) * bx + (q23 - q14) * by) + (-xx - yy + zz + ww) * bz
-            r0 = 0.5 * (x3 * x4 - x2 * x5 + x1 * x6)
-            r1 = 0.5 * (x2 * x4 + x3 * x5 - x0 * x6)
-            r2 = 0.5 * (-x1 * x4 + x0 * x5 + x3 * x6)
-            r3 = 0.5 * (-x0 * x4 - x1 * x5 - x2 * x6)
+            v1 = (xx - yy - zz + ww) * bx + ((q12 + q34) * by2 + (q13 - q24) * bz2)
+            v2 = (q12 - q34) * bx2 + (q23 + q14) * bz2 + (yy - xx - zz + ww) * by
+            v3 = (q13 + q24) * bx2 + (q23 - q14) * by2 + (zz - (xx + yy) + ww) * bz
+            r0 = x3 * x4 - x2 * x5 + x1 * x6
+            r1 = x2 * x4 + x3 * x5 - x0 * x6
+            r2 = x0 * x5 - x1 * x4 + x3 * x6
+            r3 = -x0 * x4 - x1 * x5 - x2 * x6
             r4 = (gx * x5 * x6 + (my * v3 - mz * v2)) / ix
             r5 = (gy * x6 * x4 + (mz * v1 - mx * v3)) / iy
             r6 = (gz * x4 * x5 + (mx * v2 - my * v1)) / iz
-            xa0 = x0 + h2 * r0
-            xa1 = x1 + h2 * r1
-            xa2 = x2 + h2 * r2
-            xa3 = x3 + h2 * r3
+            xa0 = x0 + h4 * r0
+            xa1 = x1 + h4 * r1
+            xa2 = x2 + h4 * r2
+            xa3 = x3 + h4 * r3
             xa4 = x4 + h2 * r4
             xa5 = x5 + h2 * r5
             xa6 = x6 + h2 * r6
@@ -283,20 +304,20 @@ def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps:
             q24 = xa1 * xa3
             q23 = xa1 * xa2
             q14 = xa0 * xa3
-            v1 = (xx - yy - zz + ww) * bx + 2.0 * ((q12 + q34) * by + (q13 - q24) * bz)
-            v2 = 2.0 * ((q12 - q34) * bx + (q23 + q14) * bz) + (-xx + yy - zz + ww) * by
-            v3 = 2.0 * ((q13 + q24) * bx + (q23 - q14) * by) + (-xx - yy + zz + ww) * bz
-            s0 = 0.5 * (xa3 * xa4 - xa2 * xa5 + xa1 * xa6)
-            s1 = 0.5 * (xa2 * xa4 + xa3 * xa5 - xa0 * xa6)
-            s2 = 0.5 * (-xa1 * xa4 + xa0 * xa5 + xa3 * xa6)
-            s3 = 0.5 * (-xa0 * xa4 - xa1 * xa5 - xa2 * xa6)
+            v1 = (xx - yy - zz + ww) * bx + ((q12 + q34) * by2 + (q13 - q24) * bz2)
+            v2 = (q12 - q34) * bx2 + (q23 + q14) * bz2 + (yy - xx - zz + ww) * by
+            v3 = (q13 + q24) * bx2 + (q23 - q14) * by2 + (zz - (xx + yy) + ww) * bz
+            s0 = xa3 * xa4 - xa2 * xa5 + xa1 * xa6
+            s1 = xa2 * xa4 + xa3 * xa5 - xa0 * xa6
+            s2 = xa0 * xa5 - xa1 * xa4 + xa3 * xa6
+            s3 = -xa0 * xa4 - xa1 * xa5 - xa2 * xa6
             s4 = (gx * xa5 * xa6 + (my * v3 - mz * v2)) / ix
             s5 = (gy * xa6 * xa4 + (mz * v1 - mx * v3)) / iy
             s6 = (gz * xa4 * xa5 + (mx * v2 - my * v1)) / iz
-            xb0 = x0 + h2 * s0
-            xb1 = x1 + h2 * s1
-            xb2 = x2 + h2 * s2
-            xb3 = x3 + h2 * s3
+            xb0 = x0 + h4 * s0
+            xb1 = x1 + h4 * s1
+            xb2 = x2 + h4 * s2
+            xb3 = x3 + h4 * s3
             xb4 = x4 + h2 * s4
             xb5 = x5 + h2 * s5
             xb6 = x6 + h2 * s6
@@ -311,20 +332,20 @@ def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps:
             q24 = xb1 * xb3
             q23 = xb1 * xb2
             q14 = xb0 * xb3
-            v1 = (xx - yy - zz + ww) * bx + 2.0 * ((q12 + q34) * by + (q13 - q24) * bz)
-            v2 = 2.0 * ((q12 - q34) * bx + (q23 + q14) * bz) + (-xx + yy - zz + ww) * by
-            v3 = 2.0 * ((q13 + q24) * bx + (q23 - q14) * by) + (-xx - yy + zz + ww) * bz
-            t0 = 0.5 * (xb3 * xb4 - xb2 * xb5 + xb1 * xb6)
-            t1 = 0.5 * (xb2 * xb4 + xb3 * xb5 - xb0 * xb6)
-            t2 = 0.5 * (-xb1 * xb4 + xb0 * xb5 + xb3 * xb6)
-            t3 = 0.5 * (-xb0 * xb4 - xb1 * xb5 - xb2 * xb6)
+            v1 = (xx - yy - zz + ww) * bx + ((q12 + q34) * by2 + (q13 - q24) * bz2)
+            v2 = (q12 - q34) * bx2 + (q23 + q14) * bz2 + (yy - xx - zz + ww) * by
+            v3 = (q13 + q24) * bx2 + (q23 - q14) * by2 + (zz - (xx + yy) + ww) * bz
+            t0 = xb3 * xb4 - xb2 * xb5 + xb1 * xb6
+            t1 = xb2 * xb4 + xb3 * xb5 - xb0 * xb6
+            t2 = xb0 * xb5 - xb1 * xb4 + xb3 * xb6
+            t3 = -xb0 * xb4 - xb1 * xb5 - xb2 * xb6
             t4 = (gx * xb5 * xb6 + (my * v3 - mz * v2)) / ix
             t5 = (gy * xb6 * xb4 + (mz * v1 - mx * v3)) / iy
             t6 = (gz * xb4 * xb5 + (mx * v2 - my * v1)) / iz
-            xc0 = x0 + h * t0
-            xc1 = x1 + h * t1
-            xc2 = x2 + h * t2
-            xc3 = x3 + h * t3
+            xc0 = x0 + h2 * t0
+            xc1 = x1 + h2 * t1
+            xc2 = x2 + h2 * t2
+            xc3 = x3 + h2 * t3
             xc4 = x4 + h * t4
             xc5 = x5 + h * t5
             xc6 = x6 + h * t6
@@ -339,20 +360,20 @@ def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps:
             q24 = xc1 * xc3
             q23 = xc1 * xc2
             q14 = xc0 * xc3
-            v1 = (xx - yy - zz + ww) * bx + 2.0 * ((q12 + q34) * by + (q13 - q24) * bz)
-            v2 = 2.0 * ((q12 - q34) * bx + (q23 + q14) * bz) + (-xx + yy - zz + ww) * by
-            v3 = 2.0 * ((q13 + q24) * bx + (q23 - q14) * by) + (-xx - yy + zz + ww) * bz
-            u0 = 0.5 * (xc3 * xc4 - xc2 * xc5 + xc1 * xc6)
-            u1 = 0.5 * (xc2 * xc4 + xc3 * xc5 - xc0 * xc6)
-            u2 = 0.5 * (-xc1 * xc4 + xc0 * xc5 + xc3 * xc6)
-            u3 = 0.5 * (-xc0 * xc4 - xc1 * xc5 - xc2 * xc6)
+            v1 = (xx - yy - zz + ww) * bx + ((q12 + q34) * by2 + (q13 - q24) * bz2)
+            v2 = (q12 - q34) * bx2 + (q23 + q14) * bz2 + (yy - xx - zz + ww) * by
+            v3 = (q13 + q24) * bx2 + (q23 - q14) * by2 + (zz - (xx + yy) + ww) * bz
+            u0 = xc3 * xc4 - xc2 * xc5 + xc1 * xc6
+            u1 = xc2 * xc4 + xc3 * xc5 - xc0 * xc6
+            u2 = xc0 * xc5 - xc1 * xc4 + xc3 * xc6
+            u3 = -xc0 * xc4 - xc1 * xc5 - xc2 * xc6
             u4 = (gx * xc5 * xc6 + (my * v3 - mz * v2)) / ix
             u5 = (gy * xc6 * xc4 + (mz * v1 - mx * v3)) / iy
             u6 = (gz * xc4 * xc5 + (mx * v2 - my * v1)) / iz
-            n0 = x0 + h6 * (r0 + u0 + 2.0 * (s0 + t0))
-            n1 = x1 + h6 * (r1 + u1 + 2.0 * (s1 + t1))
-            n2 = x2 + h6 * (r2 + u2 + 2.0 * (s2 + t2))
-            n3 = x3 + h6 * (r3 + u3 + 2.0 * (s3 + t3))
+            n0 = x0 + h12 * (r0 + u0 + 2.0 * (s0 + t0))
+            n1 = x1 + h12 * (r1 + u1 + 2.0 * (s1 + t1))
+            n2 = x2 + h12 * (r2 + u2 + 2.0 * (s2 + t2))
+            n3 = x3 + h12 * (r3 + u3 + 2.0 * (s3 + t3))
             # a zero norm gives a NaN quaternion, which `integrate` reports
             norm = sqrt(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3) or math.nan
             n0 = n0 / norm
@@ -363,9 +384,9 @@ def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps:
             n5 = x5 + h6 * (r5 + u5 + 2.0 * (s5 + t5))
             n6 = x6 + h6 * (r6 + u6 + 2.0 * (s6 + t6))
             if tape is not None:
-                tape.append((x0, x1, x2, x3, x4, x5, x6, xa0, xa1, xa2, xa3, xa4, xa5, xa6,
-                             xb0, xb1, xb2, xb3, xb4, xb5, xb6, xc0, xc1, xc2, xc3, xc4, xc5,
-                             xc6, n0, n1, n2, n3, norm))
+                tape.append(pack(x0, x1, x2, x3, x4, x5, x6, xa0, xa1, xa2, xa3, xa4, xa5, xa6,
+                                 xb0, xb1, xb2, xb3, xb4, xb5, xb6, xc0, xc1, xc2, xc3, xc4, xc5,
+                                 xc6, n0, n1, n2, n3, norm))
             x0, x1, x2, x3, x4, x5, x6 = n0, n1, n2, n3, n4, n5, n6
         states.append((x0, x1, x2, x3, x4, x5, x6))
     return states
@@ -416,7 +437,8 @@ def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float) -
     """d(x_1..x_p)/d(m_0..m_{p-1}) of an `integrate` rollout, shape (7p, 3p), from its tape.
 
     m and b are the rollout's dipoles and orbital-frame fields, shape (p, 3).
-    The tape becomes one (p, substeps, 33) array in a single pass. The
+    The tape's packed records are joined and read as one (p, substeps, 33)
+    array, with no float object made per value. The
     right-hand side's Jacobians [df/dx | df/dm] at every recorded stage come
     from constant coefficient tensors (`_stage_jacobians`), in a fixed handful
     of array operations. They are composed into each step's Jacobian, passed
@@ -428,8 +450,7 @@ def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float) -
     p = len(m)
     substeps = len(tape) // p
     h = ts / substeps
-    recs = np.fromiter(itertools.chain.from_iterable(tape), float, 33 * len(tape))
-    recs = recs.reshape(p, substeps, 33)
+    recs = np.frombuffer(b"".join(tape)).reshape(p, substeps, 33)
     xs = recs[..., :28].reshape(p, 4 * substeps, 7)
     jac = _stage_jacobians(xs, m, b, inertia).reshape(p, substeps, 4, 7, 10)
     # the RK4 tableau on the stage Jacobians, then the renormalization

@@ -346,9 +346,9 @@ def test_taped_and_untaped_rollouts_agree(table_inertia):
     tape = []
     taped = integrate(*args, tape=tape)
     np.testing.assert_array_equal(taped, integrate(*args))
-    assert len(tape) == 3 * 7
-    assert all(len(rec) == 33 for rec in tape)
-    np.testing.assert_array_equal(tape[-1][28:32], taped[-1, :4])
+    recs = np.frombuffer(b"".join(tape)).reshape(-1, 33)
+    assert len(tape) == len(recs) == 3 * 7
+    np.testing.assert_array_equal(recs[-1, 28:32], taped[-1, :4])
 
 
 def test_plant_keeps_no_tape(table_inertia):
@@ -583,6 +583,20 @@ def _rk4_stages(x, m, b, inertia, h):
     return xa, xb, xc, tuple(qi / norm for qi in new[:4]) + new[4:], norm
 
 
+def _oracle_rollout(x0, m, b, inertia, ts, substeps):
+    """The interval-end states and the 33-value tape records of `_rk4_stages`, step by step."""
+    h = ts / substeps
+    x = tuple(x0.tolist())
+    states, tape = [x], []
+    for mk, bk in zip(m.tolist(), b.tolist()):
+        for _ in range(substeps):
+            xa, xb, xc, new, norm = _rk4_stages(x, mk, bk, inertia, h)
+            tape.append((*x, *xa, *xb, *xc, *new[:4], norm))
+            x = new
+        states.append(x)
+    return np.array(states), np.array(tape)
+
+
 @pytest.mark.parametrize("substeps", [1, 3, 20, 800])
 @pytest.mark.parametrize("inertia", ["table", "random"])
 def test_integrate_matches_step_by_step_oracle_bitwise(substeps, inertia, table_inertia):
@@ -599,19 +613,11 @@ def test_integrate_matches_step_by_step_oracle_bitwise(substeps, inertia, table_
     b = rng.uniform(-0.05, 0.05, size=(p, 3))
     tape = []
     states = integrate(x0, m, b, inertia, ts, substeps, t0, tape=tape)
-
-    h = ts / substeps
-    x = tuple(x0.tolist())
-    expected_states, expected_tape = [x], []
-    for mk, bk in zip(m.tolist(), b.tolist()):
-        for _ in range(substeps):
-            xa, xb, xc, new, norm = _rk4_stages(x, mk, bk, inertia, h)
-            expected_tape.append((*x, *xa, *xb, *xc, *new[:4], norm))
-            x = new
-        expected_states.append(x)
-    assert states.tobytes() == np.array(expected_states).tobytes()
-    assert len(tape) == p * substeps
-    assert np.array(tape).tobytes() == np.array(expected_tape).tobytes()
+    expected_states, expected_tape = _oracle_rollout(x0, m, b, inertia, ts, substeps)
+    assert states.tobytes() == expected_states.tobytes()
+    recs = np.frombuffer(b"".join(tape)).reshape(-1, 33)
+    assert len(tape) == len(recs) == p * substeps
+    assert recs.tobytes() == expected_tape.tobytes()
     assert integrate(x0, m, b, inertia, ts, substeps, t0).tobytes() == states.tobytes()
 
 
@@ -639,3 +645,43 @@ def test_integrate_matches_oracle_bitwise_over_many_short_rollouts():
             expected.append(x)
         got = integrate(x0, m, b, inertia, ts, substeps, 0.0)
         assert got.tobytes() == np.array(expected).tobytes(), draw
+
+
+# q1 = q2 and wx = -wy make the fourth kinematic row's first two products
+# cancel exactly, and q4 is -0.0, so a stage's q4 carries the sign of that
+# row's zero: `_rhs` gives +0.0 there, a negated sum -(a + b + c) gives -0.0
+CANCELLING_START = (math.sqrt(0.5), math.sqrt(0.5), 0.0, -0.0, 0.01, -0.01, 0.0)
+
+
+def _signed_zero_starts():
+    """Starts with exact +0.0 and -0.0 in q and omega, three chosen ones first."""
+    q = (np.array([0.0, 0.1, 0.0, 1.0]) / math.hypot(0.1, 1.0)).tolist()
+    yield (*q, 0.0, 0.0, 0.0)  # attitude-paper's start, at rest
+    yield CANCELLING_START
+    yield (0.6, 0.8, 0.0, -0.0, -0.0, 0.0, 0.01)  # a -0.0 scalar part
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        x = np.concatenate([rng.normal(size=4), rng.normal(size=3) * 0.01])
+        x[rng.choice(7, size=int(rng.integers(1, 4)), replace=False)] = rng.choice([0.0, -0.0])
+        yield tuple(x.tolist())
+
+
+def test_integrate_keeps_the_oracles_signed_zeros_bitwise():
+    # the kernel folds `_rhs`'s factors 0.5 and 2.0 into the step sizes and
+    # the field, and writes some sums without a unary minus: exact only if
+    # every zero keeps its sign. Each start runs a zero-dipole interval, then
+    # a driven one, at the attitude preset's scale (Ts 30 s in 3 substeps)
+    # and at short steps, and its states and every tape value must be the
+    # oracle's bit for bit
+    rng = np.random.default_rng(43)
+    inertia = (0.02, 0.03, 0.04)
+    for draw, x0 in enumerate(_signed_zero_starts()):
+        x0 = np.array(x0)
+        ts, substeps = ((30.0, 3), (1.0, 2), (0.1, 1))[draw % 3]
+        m = np.array([[0.0, -0.0, 0.0], rng.uniform(-0.1, 0.1, size=3).tolist()])
+        b = rng.uniform(-5e-5, 5e-5, size=(2, 3))
+        tape = []
+        states = integrate(x0, m, b, inertia, ts, substeps, 0.0, tape=tape)
+        expected_states, expected_tape = _oracle_rollout(x0, m, b, inertia, ts, substeps)
+        assert states.tobytes() == expected_states.tobytes(), draw
+        assert np.frombuffer(b"".join(tape)).tobytes() == expected_tape.tobytes(), draw
