@@ -50,10 +50,16 @@ record of 33 doubles per RK4 step: its four stage states, the new
 quaternion and the pre-renormalization norm) and its residual, because any
 evaluated point may be linearized. The Jacobian at an accepted point - the
 winning start or an accepted trial - is built from that point's own tape,
-so no accepted point is rolled out twice. A rejected trial that more
-damping leaves on the same box corner is evaluated again. `predict` is the
-same rollout without a tape, since it is never linearized; it returns the
-state array itself.
+so no accepted trial is rolled out twice. The exception is the all-zero
+start when a warm start opposes it, since the warm start nearly always
+wins: a zero dipole applies no torque, so its cost comes from a
+torque-free rollout with no tape (`_torque_free._integrate_torque_free`),
+the same cost bit for bit, and it is rolled out again, taped, only if it
+wins. Without a warm start it wins unopposed and is rolled out taped at
+once. A rejected trial that more damping leaves on the same box corner is
+evaluated again.
+`predict` is the same rollout without a tape, since it is never
+linearized; it returns the state array itself.
 
 Everything here is deterministic: identical inputs produce identical
 outputs, bit for bit.
@@ -61,13 +67,22 @@ outputs, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import AttitudeState, DipoleCommand, InertiaTensor, integrate, sensitivity
+from ._torque_free import _integrate_torque_free
+from .dynamics import (
+    AttitudeState,
+    DipoleCommand,
+    InertiaTensor,
+    _jacobian_tables,
+    integrate,
+    sensitivity,
+)
 from .errors import store_finite
 from .orbit import FieldSample
 
@@ -139,6 +154,15 @@ class MpcConfig:
         scales = (np.sqrt(self.ts * self.q_diag), np.sqrt(self.ts * self.r_diag))
         object.__setattr__(self, "_row_scales", scales)
 
+    @functools.cached_property
+    def _r_jac(self) -> np.ndarray:
+        """The control rows of the residual's Jacobian, diag(sqrt(Ts R)) per interval.
+
+        Built on first use, not in `__post_init__`: a config is built
+        before `ScenarioConfig` bounds its horizon.
+        """
+        return np.diag(np.tile(self._row_scales[1], self.horizon))
+
 
 @dataclass(frozen=True)
 class ControlSequence:
@@ -203,7 +227,8 @@ class _Problem:
     it untaped. `evaluate` makes it taped and returns the cost with a record
     of the rollout and its residual; `linearize` builds the residual's
     Jacobian from such a record, so the derivatives at an evaluated point
-    need no second rollout.
+    need no second rollout. `evaluate_zero` costs the all-zero sequence from
+    a torque-free rollout with no tape.
     """
 
     def __init__(
@@ -223,8 +248,12 @@ class _Problem:
         self.inertia = inertia.as_tuple()
         self.substeps = substeps
         # row scales of the residual's Jacobian, as `_residual` applies them
-        self.q_scale, r_scale = cfg._row_scales
-        self.r_jac = np.diag(np.tile(r_scale, cfg.horizon))
+        self.q_scale = cfg._row_scales[0]
+
+    @functools.cached_property
+    def tables(self) -> tuple:
+        """`sensitivity`'s inertia tables, built on the first linearization."""
+        return _jacobian_tables(self.inertia)
 
     def rollout(self, u: np.ndarray, tape: list | None = None) -> np.ndarray:
         """The p+1 interval-end states under u, shape (p+1, 7) with x0 first.
@@ -246,13 +275,34 @@ class _Problem:
         r = _residual(self.rollout(u, tape)[1:], u, self.cfg)
         return float(r @ r), (u, tape, r)
 
+    def evaluate_zero(self):
+        """Cost r'r of the all-zero sequence and, only if its rollout was taped, its record.
+
+        A zero dipole applies no torque, so the rollout is
+        `_torque_free._integrate_torque_free`'s, untaped: its states differ from
+        `rollout`'s at most in the sign of an exact zero, and the residual
+        squares every one, so the cost is `evaluate`'s bit for bit. Where
+        that rollout cannot vouch for its states, the sequence is
+        `evaluate`d instead, which raises `integrate`'s divergence error if
+        there is one, and the record comes back with the cost.
+        """
+        u = np.zeros(3 * self.cfg.horizon)
+        states = _integrate_torque_free(self.x0, self.cfg.horizon, self.inertia, self.cfg.ts,
+                                        self.substeps)
+        if states is None:
+            return self.evaluate(u)
+        r = _residual(states[1:], u, self.cfg)
+        return float(r @ r), None
+
     def linearize(self, record):
         """Residual r (J = r'r) of an evaluated point, from its record, and its Jacobian dr/du."""
         u, tape, r = record
-        sens = sensitivity(tape, np.reshape(u, (-1, 3)), self.b, self.inertia, self.cfg.ts)
-        n = self.r_jac.shape[0]
+        sens = sensitivity(tape, np.reshape(u, (-1, 3)), self.b, self.inertia, self.cfg.ts,
+                           self.tables)
+        r_jac = self.cfg._r_jac
+        n = r_jac.shape[0]
         q_rows = (sens.reshape(-1, 7, n) * self.q_scale[:, None]).reshape(-1, n)
-        return r, np.vstack([q_rows, self.r_jac])
+        return r, np.vstack([q_rows, r_jac])
 
 
 def predict(
@@ -310,54 +360,59 @@ def gradient(
 
 
 def _box_qp(g: np.ndarray, hess: np.ndarray, u: np.ndarray, u_max: float):
-    """Next iterate v = u + d, d minimizing g'd + d'Hd/2 exactly over the box |v| <= u_max.
+    """Next iterate u + d, d minimizing g'd + d'Hd/2 exactly over the box |u + d| <= u_max.
 
     H is positive definite and u lies in the box. Primal active-set method
-    on v from v = u, holding every component of u that is exactly on a bound
-    (+1 upper, -1 lower, 0 free): minimize over the free components with the
-    others held; if a bound blocks the way, step to it and hold that
-    component at exactly +-u_max; otherwise free every held component whose
-    multiplier has the wrong sign, or stop when none has. Freeing several at
-    once still ends: the step over a freed set moves at least one freed
-    component inward and lowers the model, so the model falls from one
-    subspace minimizer to the next and no set repeats. A held component sits
-    exactly on its bound, so the iterate depends only on the final set, and
-    the start set only decides how many passes reach it. The clip only
+    on the step d from d = 0, holding every component of u that is exactly
+    on a bound (+1 upper, -1 lower, 0 free): minimize over the free
+    components with the others held; if a bound blocks the way, step to it
+    and hold that component at its offset lo or hi; otherwise free every
+    held component whose multiplier has the wrong sign, or stop when none
+    has. Freeing several at once still ends: the step over a freed set
+    moves at least one freed component inward and lowers the model, so the
+    model falls from one subspace minimizer to the next and no set repeats.
+    Both the ratio test and the multipliers read d, not u + d, in which a
+    free step below one ulp of u would round away. The iterate depends only
+    on the final set, and the start set only decides how many passes reach
+    it. Each component held at the end is exactly +-u_max; the clip only
     guards a free component's rounding past the box.
     """
-    v = u.copy()
+    lo, hi = -u_max - u, u_max - u
+    d = np.zeros(g.size)
     side = np.where(u >= u_max, 1, np.where(u <= -u_max, -1, 0))
     # finite in exact arithmetic; the cap only stops a rounding-driven cycle
     for _ in range(4 * g.size + 4):
         f = np.flatnonzero(side == 0)
-        target = v.copy()
+        target = d.copy()
         if f.size:
             held = np.flatnonzero(side)
             # both blocks must stay C-ordered: hess[f][:, held] is F-ordered,
             # its product takes another BLAS path and rounds differently,
             # and the iterates, and so the pinned CSV digests, then move
-            rhs = g[f] + hess[f[:, None], held] @ (v - u)[held]
-            target[f] = u[f] - np.linalg.solve(hess[f[:, None], f], rhs)
-        step = target - v
+            rhs = g[f] + hess[f[:, None], held] @ d[held]
+            target[f] = -np.linalg.solve(hess[f[:, None], f], rhs)
+        step = target - d
         # the ratios to the bounds divide by zero where a component does not
         # move, and overflow where it barely moves (a huge damping)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             room = np.where(
-                step > 0.0, (u_max - v) / step, np.where(step < 0.0, (-u_max - v) / step, np.inf)
+                step > 0.0, (hi - d) / step, np.where(step < 0.0, (lo - d) / step, np.inf)
             )
         i = int(np.argmin(room))
         if room[i] < 1.0:
-            v = v + room[i] * step
+            d = d + room[i] * step
             side[i] = 1 if step[i] > 0.0 else -1
-            v[i] = side[i] * u_max
+            d[i] = hi[i] if side[i] > 0 else lo[i]
             continue
-        v = target
+        d = target
         # > 0: a wrong-signed multiplier, the model descends off that bound
-        wrong = side * (g + hess @ (v - u)) > 0.0
+        wrong = side * (g + hess @ d) > 0.0
         if not wrong.any():
             break
         side[wrong] = 0
-    return np.clip(v, -u_max, u_max)
+    v = np.clip(u + d, -u_max, u_max)
+    v[side > 0], v[side < 0] = u_max, -u_max
+    return v
 
 
 def solve(
@@ -379,9 +434,12 @@ def solve(
     Levenberg-Marquardt damping and accepts the step by an Armijo test on
     the true cost, raising the damping on each rejection and adjusting it by
     the gain ratio on acceptance. It stops for one of the four reasons in
-    the module docstring. Each evaluation of a start or a trial is one
-    rollout; the Jacobian at the winning start and at each accepted trial
-    comes from that rollout's tape.
+    the module docstring. Each evaluation of the warm start or a trial is
+    one taped rollout, and the Jacobian at an accepted trial comes from its
+    tape. Against a warm start the zero start is costed by a torque-free
+    rollout with no tape (`_Problem.evaluate_zero`) and rolled out taped
+    only if it wins; without one it is rolled out taped at once. Either way
+    the Jacobian at the winning start comes from a taped rollout of it.
     """
     p, u_max = cfg.horizon, cfg.u_max
     prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
@@ -394,12 +452,18 @@ def solve(
         if np.max(np.abs(w)) > u_max:
             raise ValueError("warm start violates the dipole bound")
     u = np.zeros(3 * p)
-    zero_cost, record = evaluate(u)
-    cost, warm_cost = zero_cost, None
-    if warm is not None:
+    if warm is None:
+        # unopposed, the zero sequence wins, so it is rolled out taped at once
+        zero_cost, record = evaluate(u)
+        warm_cost = None
+    else:
+        zero_cost, record = prob.evaluate_zero()
         warm_cost, warm_record = evaluate(w)
-        if warm_cost < cost:  # the zero sequence wins ties
-            u, cost, record = w, warm_cost, warm_record
+    cost = zero_cost
+    if warm_cost is not None and warm_cost < cost:  # the zero sequence wins ties
+        u, cost, record = w, warm_cost, warm_record
+    elif record is None:  # the zero sequence won, and its cost-only rollout kept no tape
+        record = evaluate(u)[1]
 
     lam, nu = _DAMPING0, 2.0
     iterations, stop_reason = 0, None

@@ -32,7 +32,12 @@ power-of-two factors folded into the step sizes and the field; the tests
 hold all three to one step-by-step oracle bit for bit. `integrate` is the
 only rollout of such a sequence: the plant (`propagate`) is a one-interval
 call and the MPC prediction a p-interval one, so they agree bit for bit at
-equal substep counts and fail at the same substep. A caller that will build
+equal substep counts and fail at the same substep. The one other rollout is
+the solver's cost of the all-zero sequence, in `_torque_free`:
+`_rk4_rollout` with the torque terms and the tape dropped, whose states
+are `integrate`'s up to the sign of an exact zero. The plant and the
+prediction never use it, so every logged state keeps `integrate`'s zeros.
+A caller that will build
 a Jacobian passes a tape, and `integrate` appends one packed record of 33
 doubles per RK4 step to it; `sensitivity` reads the tape as one array and
 turns it into the Jacobian of every interval-end state w.r.t. every dipole.
@@ -53,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IntegrationDivergedError, store_finite
+from .errors import IntegrationDivergedError, _step_count, store_finite
 from .orbit import FieldSample
 
 
@@ -156,13 +161,7 @@ def integrate(
     substep count that is not an integer (a bool or a float, even a whole
     one; numpy integers are accepted) or is below 1.
     """
-    if not (math.isfinite(ts) and ts > 0.0):
-        raise ValueError(f"interval length must be finite and positive, got {ts}")
-    if isinstance(substeps, bool) or not isinstance(substeps, (int, np.integer)):
-        raise ValueError(f"substeps must be an integer, got {substeps!r}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
-    substeps = int(substeps)
+    substeps = _step_count(ts, substeps)
     h = ts / substeps
     m, b = m.tolist(), b.tolist()
     states = _rk4_rollout(tuple(x.tolist()), m, b, inertia, h, substeps, tape)
@@ -410,21 +409,30 @@ _DVDQ = np.imag([[[_body_field(_UNIT[a, :4] + 1j * _UNIT[j, :4], d) for j in ran
 _DVDQ = _DVDQ.transpose(0, 1, 3, 2).reshape(3, 48)
 
 
-def _stage_jacobians(xs: np.ndarray, m: np.ndarray, b: np.ndarray, inertia: tuple) -> np.ndarray:
+def _jacobian_tables(inertia: tuple) -> tuple:
+    """The inertia's part of `_stage_jacobians`: the (7, 70) state table and I^-1 as a column.
+
+    The state table is _KIN with the gyroscopic entries filled in. A caller
+    that linearizes one problem many times builds these once.
+    """
+    ix, iy, iz = inertia
+    kin = _KIN.copy()
+    kin[4:, 4:, 4:7] = _GYRO * [[(iy - iz) / ix], [(iz - ix) / iy], [(ix - iy) / iz]]
+    return kin.reshape(7, 70), 1.0 / np.array(inertia)[:, None]
+
+
+def _stage_jacobians(xs: np.ndarray, m: np.ndarray, b: np.ndarray, tables: tuple) -> np.ndarray:
     """[df/dx | df/dm] of `_rhs` at the stage states xs, shape (p, n, 7) -> (p, n, 7, 10).
 
     xs[k] holds stages of interval k, which holds the dipole m[k] and the
-    orbital-frame field b[k]. The kinematic rows and the gyroscopic entries
-    are linear in the state; the torque rows are I^-1 [m]x dv/dq and the
-    dipole columns -I^-1 [v]x, with v = (1/2) (dv/dq) q since v is
-    homogeneous of degree two in q.
+    orbital-frame field b[k]; `tables` is `_jacobian_tables(inertia)`. The
+    kinematic rows and the gyroscopic entries are linear in the state; the
+    torque rows are I^-1 [m]x dv/dq and the dipole columns -I^-1 [v]x, with
+    v = (1/2) (dv/dq) q since v is homogeneous of degree two in q.
     """
-    ix, iy, iz = inertia
-    inv = np.array(((1.0 / ix,), (1.0 / iy,), (1.0 / iz,)))
-    kin = _KIN.copy()
-    kin[4:, 4:, 4:7] = _GYRO * [[(iy - iz) / ix], [(iz - ix) / iy], [(ix - iy) / iz]]
+    kin, inv = tables
     shape = xs.shape[:2]
-    jac = (xs @ kin.reshape(7, 70)).reshape(shape + (7, 10))
+    jac = (xs @ kin).reshape(shape + (7, 10))
     q = xs[..., :4]
     dvdq = (q @ (b @ _DVDQ).reshape(-1, 4, 12)).reshape(shape + (3, 4))
     jac[..., 4:, :4] = (inv * (m @ _CROSS).reshape(-1, 1, 3, 3)) @ dvdq
@@ -433,10 +441,12 @@ def _stage_jacobians(xs: np.ndarray, m: np.ndarray, b: np.ndarray, inertia: tupl
     return jac
 
 
-def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float) -> np.ndarray:
+def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float,
+                tables: tuple | None = None) -> np.ndarray:
     """d(x_1..x_p)/d(m_0..m_{p-1}) of an `integrate` rollout, shape (7p, 3p), from its tape.
 
     m and b are the rollout's dipoles and orbital-frame fields, shape (p, 3).
+    `tables` is `_jacobian_tables(inertia)`, built here when not given.
     The tape's packed records are joined and read as one (p, substeps, 33)
     array, with no float object made per value. The
     right-hand side's Jacobians [df/dx | df/dm] at every recorded stage come
@@ -452,7 +462,8 @@ def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float) -
     h = ts / substeps
     recs = np.frombuffer(b"".join(tape)).reshape(p, substeps, 33)
     xs = recs[..., :28].reshape(p, 4 * substeps, 7)
-    jac = _stage_jacobians(xs, m, b, inertia).reshape(p, substeps, 4, 7, 10)
+    jac = _stage_jacobians(xs, m, b, tables or _jacobian_tables(inertia))
+    jac = jac.reshape(p, substeps, 4, 7, 10)
     # the RK4 tableau on the stage Jacobians, then the renormalization
     a = jac[..., :7]
     k1 = jac[:, :, 0]

@@ -1,10 +1,14 @@
-"""Exception types shared across the package, and the one check of a value type's array.
+"""Exception types shared across the package, and the checks more than one module shares.
 
 `store_finite` converts, checks and stores the array fields of the frozen
 value types (`AttitudeState`, `DipoleCommand`, `FieldSample`,
-`ControlSequence` and `MpcConfig`'s weights); it sits here because every
-layer can import this module without a cycle.
+`ControlSequence` and `MpcConfig`'s weights), and `_step_count` checks the
+step arguments of both rollouts, `dynamics.integrate` and the torque-free
+`_torque_free._integrate_torque_free`. They sit here because every layer
+can import this module without a cycle.
 """
+
+import math
 
 import numpy as np
 
@@ -51,3 +55,14 @@ def store_finite(instance, field: str, shape: tuple) -> None:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{where} has non-finite entries")
     object.__setattr__(instance, field, a)
+
+
+def _step_count(ts: float, substeps) -> int:
+    """`substeps` as an int, once ts and substeps pass `dynamics.integrate`'s argument rule."""
+    if not (math.isfinite(ts) and ts > 0.0):
+        raise ValueError(f"interval length must be finite and positive, got {ts}")
+    if isinstance(substeps, bool) or not isinstance(substeps, (int, np.integer)):
+        raise ValueError(f"substeps must be an integer, got {substeps!r}")
+    if substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
+    return int(substeps)

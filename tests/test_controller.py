@@ -254,6 +254,15 @@ def test_solver_functions_reject_zero_substeps(call, field_at, detumble_cfg, tab
         calls[call]()
 
 
+def test_solve_with_a_warm_start_rejects_zero_substeps(field_at, detumble_cfg, table_inertia):
+    # against a warm start the first rollout is the zero sequence's
+    # torque-free one, which checks its arguments by `integrate`'s rule
+    warm = ControlSequence(np.zeros((detumble_cfg.horizon, 3)))
+    with pytest.raises(ValueError, match="substeps must be >= 1"):
+        ms.solve(detumble_cfg.x_ref, 0.0, field_at, detumble_cfg, table_inertia, warm=warm,
+                 substeps=0)
+
+
 # --- cost ------------------------------------------------------------------------------
 
 def test_total_cost_zero_at_reference(field_at, detumble_cfg, table_inertia):
@@ -585,19 +594,26 @@ def test_box_qp_frees_every_wrong_signed_bound_in_one_pass(monkeypatch):
 
 @pytest.fixture
 def solver_events(monkeypatch):
-    """In call order: each rollout's controls as bytes, and "linearize" per Jacobian."""
+    """In call order: each taped rollout's controls as bytes, "zero" per cost-only
+    zero-sequence rollout, and "linearize" per Jacobian."""
     events = []
     evaluate, linearize = controller._Problem.evaluate, controller._Problem.linearize
+    evaluate_zero = controller._Problem.evaluate_zero
 
     def spy_evaluate(self, controls):
         events.append(np.array(controls).tobytes())
         return evaluate(self, controls)
+
+    def spy_evaluate_zero(self):
+        events.append("zero")
+        return evaluate_zero(self)
 
     def spy_linearize(self, record):
         events.append("linearize")
         return linearize(self, record)
 
     monkeypatch.setattr(controller._Problem, "evaluate", spy_evaluate)
+    monkeypatch.setattr(controller._Problem, "evaluate_zero", spy_evaluate_zero)
     monkeypatch.setattr(controller._Problem, "linearize", spy_linearize)
     return events
 
@@ -605,19 +621,41 @@ def solver_events(monkeypatch):
 def test_solve_rolls_out_each_sequence_once(solver_events):
     # each evaluated point keeps its tape: the first Jacobian comes from the
     # winning start's rollout and every later one from the accepted trial's.
-    # The starts are the zero sequence and the warm start, in that order,
-    # and nothing else is rolled out before the first Jacobian
+    # The starts are the zero sequence, cost-only, and the warm start, in
+    # that order. The warm start is a cold solve's answer shifted, as in
+    # closed loop, and it wins, so nothing else is rolled out before the
+    # first Jacobian
     cfg = load_config("attitude-paper")
     events = solver_events
-    p = cfg.mpc.horizon
-    warm = ControlSequence(np.full((p, 3), 0.5 * cfg.mpc.u_max))
-    res = ms.solve(cfg.x0, 0.0, ms.field_function(cfg.elements), cfg.mpc, cfg.inertia,
-                   warm=warm)
-    assert events[:3] == [np.zeros((p, 3)).tobytes(), warm.dipoles.tobytes(), "linearize"]
+    field_at = ms.field_function(cfg.elements)
+    warm = shift_warm_start(ms.solve(cfg.x0, 0.0, field_at, cfg.mpc, cfg.inertia).sequence)
+    events.clear()
+    res = ms.solve(cfg.x0, 0.0, field_at, cfg.mpc, cfg.inertia, warm=warm)
+    assert res.warm_cost < res.zero_cost
+    assert events[:3] == ["zero", warm.dipoles.tobytes(), "linearize"]
     assert res.iterations > 0  # accepted trials were rolled out
     seen = [e for e in events if e != "linearize"]
     assert len(seen) >= res.iterations + 2  # both starts and each accepted trial
     assert len(set(seen)) == len(seen)
+
+
+def test_a_winning_zero_start_is_rolled_out_taped_once(solver_events, field_at, detumble_cfg,
+                                                       table_inertia):
+    # at rest on the reference the zero sequence costs 0 and beats any warm
+    # start, so after its cost-only rollout it is rolled out once more, taped,
+    # for the first Jacobian. Without a warm start it wins unopposed and is
+    # rolled out taped at once, with no cost-only rollout
+    x0, p = detumble_cfg.x_ref, detumble_cfg.horizon
+    zeros = np.zeros(3 * p).tobytes()
+    warm = ControlSequence(np.full((p, 3), 0.5 * detumble_cfg.u_max))
+    res = ms.solve(x0, 0.0, field_at, detumble_cfg, table_inertia, warm=warm)
+    assert res.cost == res.zero_cost == 0.0 < res.warm_cost
+    assert solver_events[:4] == ["zero", warm.dipoles.tobytes(), zeros, "linearize"]
+    assert solver_events.count(zeros) == 1
+    solver_events.clear()
+    ms.solve(x0, 0.0, field_at, detumble_cfg, table_inertia)
+    assert solver_events[:2] == [zeros, "linearize"]
+    assert "zero" not in solver_events
 
 
 def test_settled_stop_skips_only_a_tail_that_buys_nothing(solver_events, monkeypatch):

@@ -2,11 +2,12 @@
 
 The returned sequence respects the dipole bound, never costs more than the
 zero or warm-start sequence, and two calls on the same input agree bit for
-bit. The box-constrained quadratic step solver returns a point that is
-feasible, satisfies the KKT conditions, is bitwise repeatable and does not
-depend on the start active set. Needs `hypothesis` (the `[test]` extra);
-skipped without it. Derandomized and without an example database, so every
-run draws the same examples.
+bit. The zero sequence's cost-only evaluation costs what its taped one
+does, bit for bit, or fails alike. The box-constrained quadratic step
+solver returns a point that is feasible, satisfies the KKT conditions, is
+bitwise repeatable and does not depend on the start active set. Needs
+`hypothesis` (the `[test]` extra); skipped without it. Derandomized and
+without an example database, so every run draws the same examples.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 import magsat as ms  # noqa: E402
 from magsat import AttitudeState, ControlSequence, MpcConfig, controller  # noqa: E402
@@ -78,6 +79,59 @@ def test_solve_bound_dominance_and_determinism(sso_elements, table_inertia, prob
 
 
 @st.composite
+def zero_starts(draw):
+    """A start state, time, MPC config and prediction substeps for the zero sequence.
+
+    The quaternion and the rates hold exact +0.0 and -0.0 entries, some
+    starts spin about one axis, and the rates reach 10^k rad/s for k in
+    -3..160, far past where a rollout leaves the float range.
+    """
+    horizon = draw(st.integers(min_value=1, max_value=10))
+    substeps = draw(st.integers(min_value=1, max_value=3))
+    zero = st.sampled_from([0.0, -0.0])
+    q = unit(draw(st.lists(st.one_of(zero, reals(-1.0, 1.0)), min_size=4, max_size=4)))
+    rate = 10.0 ** draw(st.integers(min_value=-3, max_value=160))
+    if draw(st.booleans()):
+        omega = np.array([-0.0, 0.0, 0.0])
+        omega[draw(st.integers(min_value=0, max_value=2))] = rate * draw(st.sampled_from([-1, 1]))
+    else:
+        omega = rate * np.array(draw(st.lists(st.one_of(zero, reals(-1.0, 1.0)), min_size=3,
+                                              max_size=3)))
+    cfg = MpcConfig(
+        q_diag=np.array(draw(vectors(7, 0.0, 1000.0))),
+        r_diag=np.array(draw(vectors(3, 1e-8, 1e-2))),
+        horizon=horizon,
+        ts=draw(reals(0.1, 1e4)),
+        u_max=0.1,
+        x_ref=AttitudeState(q=unit(draw(vectors(4, -1.0, 1.0))), omega=np.zeros(3)),
+    )
+    return AttitudeState(q=q, omega=omega), draw(reals(0.0, 5400.0)), cfg, substeps
+
+
+def cost_or_failure(call):
+    """The cost `call` returns as bytes, or the type, message and time of what it raised."""
+    try:
+        return np.float64(call()[0]).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the two paths must fail alike
+        return type(exc), str(exc), getattr(exc, "t", None)
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(problem=zero_starts())
+def test_zero_sequence_cost_only_evaluation_matches_the_taped_one(
+    sso_elements, table_inertia, problem
+):
+    # the zero sequence's cost-only rollout is torque-free and untaped; it
+    # must cost what the taped rollout of `evaluate` costs, bit for bit, or
+    # fail as it does: the same exception with the same time
+    x0, t0, cfg, substeps = problem
+    prob = controller._Problem(x0, t0, ms.field_function(sso_elements), cfg, table_inertia,
+                               substeps)
+    zeros = np.zeros(3 * cfg.horizon)
+    assert cost_or_failure(prob.evaluate_zero) == cost_or_failure(lambda: prob.evaluate(zeros))
+
+
+@st.composite
 def box_qps(draw):
     """A positive definite H, a gradient, u_max, u in the box |u| <= u_max, n <= 12, and a mask.
 
@@ -133,8 +187,25 @@ def held_start_box_qp(g, hess, u, u_max, held):
     return u_new
 
 
+def sub_ulp_step_qp():
+    """A QP whose steps are far below one ulp of the bounds they leave.
+
+    Component 0 is free and steps by about -6e-195, and its coupling frees
+    component 1 from -1. Component 1's step in turn frees component 2 from
+    +1, but only on d: on u + d that step rounds away, and a QP that reads
+    its multipliers there ends on another set than the oracle.
+    """
+    hess = np.eye(7)
+    hess[:3, :3] = [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]
+    g = np.zeros(7)
+    g[0] = 9.98689665e-195
+    u = np.array([0.0, -1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+    return g, hess, u, 1.0, np.zeros(7, dtype=bool)
+
+
 @settings(database=None, derandomize=True, max_examples=300, deadline=None)
 @given(qp=box_qps())
+@example(qp=sub_ulp_step_qp())
 def test_box_qp_bounds_kkt_and_determinism(qp):
     g, hess, u, u_max, mask = qp
     start = u.copy()
