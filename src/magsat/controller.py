@@ -79,11 +79,10 @@ from .dynamics import (
     AttitudeState,
     DipoleCommand,
     InertiaTensor,
-    _jacobian_tables,
     integrate,
     sensitivity,
 )
-from .errors import store_finite
+from .errors import _read_only, store_finite
 from .orbit import FieldSample
 
 # Prediction substeps per sampling interval. The plant integrates at the
@@ -150,18 +149,21 @@ class MpcConfig:
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"reference quaternion norm {norm} is not unit within 1e-9")
         object.__setattr__(self, "horizon", int(horizon))
-        # the cost residual's row scales sqrt(Ts Q) and sqrt(Ts R), built once
-        scales = (np.sqrt(self.ts * self.q_diag), np.sqrt(self.ts * self.r_diag))
+        # the cost residual's row scales sqrt(Ts Q) and sqrt(Ts R) and its
+        # reference state, built once and read-only, since every solve shares them
+        scales = _read_only(np.sqrt(self.ts * self.q_diag), np.sqrt(self.ts * self.r_diag))
         object.__setattr__(self, "_row_scales", scales)
+        object.__setattr__(self, "_x_ref", _read_only(self.x_ref.as_array())[0])
 
     @functools.cached_property
     def _r_jac(self) -> np.ndarray:
         """The control rows of the residual's Jacobian, diag(sqrt(Ts R)) per interval.
 
         Built on first use, not in `__post_init__`: a config is built
-        before `ScenarioConfig` bounds its horizon.
+        before `ScenarioConfig` bounds its horizon. Read-only, like
+        `_row_scales`.
         """
-        return np.diag(np.tile(self._row_scales[1], self.horizon))
+        return _read_only(np.diag(np.tile(self._row_scales[1], self.horizon)))[0]
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,7 @@ class SolveResult:
 def shift_warm_start(seq: ControlSequence) -> ControlSequence:
     """Shift a solution one step, repeating the last entry (closed-loop warm start)."""
     d = seq.dipoles
-    return ControlSequence(np.vstack([d[1:], d[-1:]]))
+    return ControlSequence(np.concatenate([d[1:], d[-1:]]))
 
 
 def _residual(ends, u: np.ndarray, cfg: MpcConfig) -> np.ndarray:
@@ -215,8 +217,8 @@ def _residual(ends, u: np.ndarray, cfg: MpcConfig) -> np.ndarray:
     build the cost here, so they agree bit for bit.
     """
     q_scale, r_scale = cfg._row_scales
-    q_rows = (np.asarray(ends) - cfg.x_ref.as_array()) * q_scale
-    r_rows = np.reshape(u, (-1, 3)) * r_scale
+    q_rows = (np.asarray(ends) - cfg._x_ref) * q_scale
+    r_rows = u.reshape(-1, 3) * r_scale
     return np.concatenate([q_rows.reshape(-1), r_rows.reshape(-1)])
 
 
@@ -229,6 +231,11 @@ class _Problem:
     Jacobian from such a record, so the derivatives at an evaluated point
     need no second rollout. `evaluate_zero` costs the all-zero sequence from
     a torque-free rollout with no tape.
+
+    Only the start state and the field schedule are built per problem. What
+    stays fixed over a run is bound once, read-only, and shared by every
+    problem: the inertia's Jacobian tables (`InertiaTensor._tables`) and the
+    config's row scales, reference state and control rows (`MpcConfig`).
     """
 
     def __init__(
@@ -246,14 +253,11 @@ class _Problem:
         # orbital-frame field at the p interval start times (zero-order hold)
         self.b = np.array([field_at(t0 + k * cfg.ts).b for k in range(cfg.horizon)])
         self.inertia = inertia.as_tuple()
+        # `sensitivity`'s inertia tables, built once per inertia
+        self.tables = inertia._tables
         self.substeps = substeps
         # row scales of the residual's Jacobian, as `_residual` applies them
         self.q_scale = cfg._row_scales[0]
-
-    @functools.cached_property
-    def tables(self) -> tuple:
-        """`sensitivity`'s inertia tables, built on the first linearization."""
-        return _jacobian_tables(self.inertia)
 
     def rollout(self, u: np.ndarray, tape: list | None = None) -> np.ndarray:
         """The p+1 interval-end states under u, shape (p+1, 7) with x0 first.
@@ -262,7 +266,7 @@ class _Problem:
         gets one record per RK4 step (see `dynamics.integrate`).
         """
         return integrate(
-            self.x0, np.reshape(u, (-1, 3)), self.b, self.inertia, self.cfg.ts, self.substeps,
+            self.x0, u.reshape(-1, 3), self.b, self.inertia, self.cfg.ts, self.substeps,
             self.t0, tape,
         )
 
@@ -297,12 +301,17 @@ class _Problem:
     def linearize(self, record):
         """Residual r (J = r'r) of an evaluated point, from its record, and its Jacobian dr/du."""
         u, tape, r = record
-        sens = sensitivity(tape, np.reshape(u, (-1, 3)), self.b, self.inertia, self.cfg.ts,
+        sens = sensitivity(tape, u.reshape(-1, 3), self.b, self.inertia, self.cfg.ts,
                            self.tables)
         r_jac = self.cfg._r_jac
         n = r_jac.shape[0]
-        q_rows = (sens.reshape(-1, 7, n) * self.q_scale[:, None]).reshape(-1, n)
-        return r, np.vstack([q_rows, r_jac])
+        # the scaled state rows, then the control rows, in one C-ordered array:
+        # `jac.T @ r` and `jac.T @ jac` round by their operands' memory order
+        jac = np.empty((len(sens) + n, n))
+        np.multiply(sens.reshape(-1, 7, n), self.q_scale[:, None],
+                    out=jac[: len(sens)].reshape(-1, 7, n))
+        jac[len(sens):] = r_jac
+        return r, jac
 
 
 def predict(
@@ -375,11 +384,14 @@ def _box_qp(g: np.ndarray, hess: np.ndarray, u: np.ndarray, u_max: float):
     free step below one ulp of u would round away. The iterate depends only
     on the final set, and the start set only decides how many passes reach
     it. Each component held at the end is exactly +-u_max; the clip only
-    guards a free component's rounding past the box.
+    guards a free component's rounding past the box. It is written as
+    minimum(maximum(.)), which gives np.clip's values: the two differ only
+    in the sign of a zero tied with a bound, and u_max > 0.
     """
     lo, hi = -u_max - u, u_max - u
     d = np.zeros(g.size)
-    side = np.where(u >= u_max, 1, np.where(u <= -u_max, -1, 0))
+    side = np.zeros(g.size, int)
+    side[u >= u_max], side[u <= -u_max] = 1, -1
     # finite in exact arithmetic; the cap only stops a rounding-driven cycle
     for _ in range(4 * g.size + 4):
         f = np.flatnonzero(side == 0)
@@ -398,7 +410,7 @@ def _box_qp(g: np.ndarray, hess: np.ndarray, u: np.ndarray, u_max: float):
             room = np.where(
                 step > 0.0, (hi - d) / step, np.where(step < 0.0, (lo - d) / step, np.inf)
             )
-        i = int(np.argmin(room))
+        i = int(room.argmin())
         if room[i] < 1.0:
             d = d + room[i] * step
             side[i] = 1 if step[i] > 0.0 else -1
@@ -410,7 +422,7 @@ def _box_qp(g: np.ndarray, hess: np.ndarray, u: np.ndarray, u_max: float):
         if not wrong.any():
             break
         side[wrong] = 0
-    v = np.clip(u + d, -u_max, u_max)
+    v = np.minimum(np.maximum(u + d, -u_max), u_max)
     v[side > 0], v[side < 0] = u_max, -u_max
     return v
 
@@ -474,9 +486,9 @@ def solve(
             grad = 2.0 * (jac.T @ r)
         # g_P of the first-order test is grad less the held set, the
         # components on a bound that the gradient pushes outward
-        held = ((u >= u_max) & (grad < 0.0)) | ((u <= -u_max) & (grad > 0.0))
-        g_p = np.where(held, 0.0, grad)
-        if u_max * math.hypot(*g_p.tolist()) < CONVERGENCE_RTOL * (1.0 + abs(cost)):
+        g_p = [0.0 if (ui >= u_max and gi < 0.0) or (ui <= -u_max and gi > 0.0) else gi
+               for ui, gi in zip(u.tolist(), grad.tolist())]
+        if u_max * math.hypot(*g_p) < CONVERGENCE_RTOL * (1.0 + abs(cost)):
             stop_reason = "converged"
             break
         if iterations >= MAX_ITERATIONS:

@@ -51,6 +51,7 @@ not written twice.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -58,7 +59,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IntegrationDivergedError, _step_count, store_finite
+from .errors import IntegrationDivergedError, _read_only, _step_count, store_finite
 from .orbit import FieldSample
 
 
@@ -96,6 +97,11 @@ class InertiaTensor:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.ix, self.iy, self.iz)
+
+    @functools.cached_property
+    def _tables(self) -> tuple:
+        """`_jacobian_tables` of this inertia, built on first use and shared by every solve."""
+        return _jacobian_tables(self.as_tuple())
 
 
 @dataclass(frozen=True)
@@ -407,18 +413,20 @@ _KIN[..., :7] = np.imag([[_rhs(_UNIT[l] + 1j * _UNIT[j], (0, 0, 0), (0, 0, 0), (
 _DVDQ = np.imag([[[_body_field(_UNIT[a, :4] + 1j * _UNIT[j, :4], d) for j in range(4)]
                   for a in range(4)] for d in _UNIT[:3, :3]])
 _DVDQ = _DVDQ.transpose(0, 1, 3, 2).reshape(3, 48)
+_read_only(_CROSS, _GYRO, _UNIT, _KIN, _DVDQ)
 
 
 def _jacobian_tables(inertia: tuple) -> tuple:
     """The inertia's part of `_stage_jacobians`: the (7, 70) state table and I^-1 as a column.
 
-    The state table is _KIN with the gyroscopic entries filled in. A caller
-    that linearizes one problem many times builds these once.
+    The state table is _KIN with the gyroscopic entries filled in. Both are
+    read-only: `InertiaTensor._tables` builds them once per inertia, and
+    every solve of a run reads the same two arrays.
     """
     ix, iy, iz = inertia
     kin = _KIN.copy()
     kin[4:, 4:, 4:7] = _GYRO * [[(iy - iz) / ix], [(iz - ix) / iy], [(ix - iy) / iz]]
-    return kin.reshape(7, 70), 1.0 / np.array(inertia)[:, None]
+    return _read_only(kin.reshape(7, 70), 1.0 / np.array(inertia)[:, None])
 
 
 def _stage_jacobians(xs: np.ndarray, m: np.ndarray, b: np.ndarray, tables: tuple) -> np.ndarray:
@@ -446,7 +454,8 @@ def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float,
     """d(x_1..x_p)/d(m_0..m_{p-1}) of an `integrate` rollout, shape (7p, 3p), from its tape.
 
     m and b are the rollout's dipoles and orbital-frame fields, shape (p, 3).
-    `tables` is `_jacobian_tables(inertia)`, built here when not given.
+    `tables` is `_jacobian_tables(inertia)`, built here when not given (the
+    solver passes `InertiaTensor._tables`, built once per inertia).
     The tape's packed records are joined and read as one (p, substeps, 33)
     array, with no float object made per value. The
     right-hand side's Jacobians [df/dx | df/dm] at every recorded stage come
@@ -455,7 +464,9 @@ def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float,
     through the renormalization q <- q/|q| (Jacobian (I - n n')/|q|)
     and chained into each interval's (7, 10) map of (start state, dipole).
     Those are chained over the intervals into the block lower-triangular
-    sensitivity of every interval-end state to every dipole.
+    sensitivity of every interval-end state to every dipole: the p diagonal
+    blocks, each interval's own dipole map, go in with one indexed copy,
+    and the p - 1 products of the chain fill the blocks below them in place.
     """
     p = len(m)
     substeps = len(tape) // p
@@ -471,7 +482,7 @@ def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float,
     k3 = jac[:, :, 2] + (0.5 * h) * (a[:, :, 2] @ k2)
     k4 = jac[:, :, 3] + h * (a[:, :, 3] @ k3)
     phi = (h / 6.0) * (k1 + k4 + 2.0 * (k2 + k3))
-    phi[..., :7] += np.eye(7)
+    phi[..., :7] += _UNIT
     n, norm = recs[..., 28:32], recs[..., 32, None, None]
     rows = phi[..., :4, :]
     phi[..., :4, :] = (rows - n[..., :, None] * (n[..., None, :] @ rows)) / norm
@@ -479,9 +490,11 @@ def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float,
     for j in range(1, substeps):
         interval = phi[:, j, :, :7] @ interval
         interval[..., 7:] += phi[:, j, :, 7:]
-    sens = np.zeros((p, 7, 3 * p))
-    sens[0, :, 0:3] = interval[0, :, 7:]
+    # every diagonal block in one indexed copy: sens[k, :, k] is (p, 7, 3), as interval[..., 7:]
+    k = np.arange(p)
+    sens = np.zeros((p, 7, p, 3))
+    sens[k, :, k] = interval[..., 7:]
+    sens = sens.reshape(p, 7, 3 * p)
     for k in range(1, p):
         sens[k, :, : 3 * k] = interval[k, :, :7] @ sens[k - 1, :, : 3 * k]
-        sens[k, :, 3 * k : 3 * k + 3] = interval[k, :, 7:]
     return sens.reshape(7 * p, 3 * p)

@@ -2,7 +2,8 @@
 
 `store_finite` converts, checks and stores the array fields of the frozen
 value types (`AttitudeState`, `DipoleCommand`, `FieldSample`,
-`ControlSequence` and `MpcConfig`'s weights), and `_step_count` checks the
+`ControlSequence` and `MpcConfig`'s weights), `_read_only` freezes the
+arrays that every solve of a run shares, and `_step_count` checks the
 step arguments of both rollouts, `dynamics.integrate` and the torque-free
 `_torque_free._integrate_torque_free`. They sit here because every layer
 can import this module without a cycle.
@@ -44,17 +45,28 @@ def store_finite(instance, field: str, shape: tuple) -> None:
     """Store `instance.field` of a frozen dataclass as a float array of `shape`.
 
     A None entry of `shape` matches any length >= 1. A wrong shape or a
-    non-finite entry raises a ValueError naming `Type.field`.
+    non-finite entry raises a ValueError naming `Type.field`. An array of
+    exactly `shape` passes the shape check on one tuple comparison, and the
+    per-axis match runs only for any other, so every input meets the same
+    two checks, shape then finiteness, with the same messages.
     """
     a = np.asarray(getattr(instance, field), dtype=float)
-    where = f"{type(instance).__name__}.{field}"
-    if a.ndim != len(shape) or not all(
+    if a.shape != shape and (a.ndim != len(shape) or not all(
         n == k if k is not None else n >= 1 for n, k in zip(a.shape, shape)
-    ):
-        raise ValueError(f"{where} must have shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{where} has non-finite entries")
+    )):
+        raise ValueError(
+            f"{type(instance).__name__}.{field} must have shape {shape}, got {a.shape}"
+        )
+    if not np.isfinite(a).all():
+        raise ValueError(f"{type(instance).__name__}.{field} has non-finite entries")
     object.__setattr__(instance, field, a)
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, each made read-only: constants that every later solve shares."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _step_count(ts: float, substeps) -> int:

@@ -41,4 +41,4 @@ def quantize(u_mpc: float, u_max: float) -> float:
 
 def quantize_vector(m: DipoleCommand, u_max: float) -> DipoleCommand:
     """Componentwise quantization of a dipole command."""
-    return DipoleCommand(np.array([quantize(float(v), u_max) for v in m.m]))
+    return DipoleCommand(np.array([quantize(v, u_max) for v in m.m.tolist()]))

@@ -14,9 +14,10 @@ from magsat import (
     FieldSample,
     MpcConfig,
 )
-from magsat import controller
+from magsat import controller, dynamics
 from magsat.controller import shift_warm_start
 from magsat.dynamics import integrate, sensitivity
+from magsat.presets import get_scenario_preset
 from magsat.scenario import load_config
 
 
@@ -123,20 +124,64 @@ _VALID_VALUES = {
     (ControlSequence, "dipoles"), (MpcConfig, "q_diag"), (MpcConfig, "r_diag"),
 ])
 def test_value_array_check_names_the_field(cls, field):
+    # an array of exactly the field's shape takes `store_finite`'s fast shape
+    # check and any other input the per-axis match; ControlSequence's (None, 3)
+    # sends every input through the match. Both paths must apply one rule,
+    # shape then finiteness, and raise the same full messages
     kwargs = _VALID_VALUES[cls]
     good = kwargs[field]
-    wrong_shapes = [np.concatenate([good, good[..., :1]], axis=-1)]
+    shape = (None, 3) if cls is ControlSequence else good.shape
+    wrong_shapes = [np.concatenate([good, good[..., :1]], axis=-1), good[..., None]]
     if cls is ControlSequence:
         wrong_shapes += [np.zeros((0, 3)), np.zeros(3)]
-    nan = good.copy()
-    nan.flat[-1] = np.nan
-    cases = [(bad, "must have shape") for bad in wrong_shapes] + [(nan, "has non-finite")]
+    where = f"{cls.__name__}.{field}"
+    cases = [(bad, f"{where} must have shape {shape}, got {bad.shape}") for bad in wrong_shapes]
+    for value in (np.nan, np.inf, -np.inf):
+        for i in (0, -1):
+            bad = good.copy()
+            bad.flat[i] = value
+            cases.append((bad, f"{where} has non-finite entries"))
+            # a wrong shape is named first, even with a non-finite entry
+            bad = bad[..., None]
+            cases.append((bad, f"{where} must have shape {shape}, got {bad.shape}"))
     for bad, message in cases:
-        with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{field} {message}"):
+        with pytest.raises(ValueError) as err:
             cls(**dict(kwargs, **{field: bad}))
-    stored = getattr(cls(**dict(kwargs, **{field: good.tolist()})), field)
-    assert stored.dtype == np.float64
-    np.testing.assert_array_equal(stored, good)
+        assert str(err.value) == message
+    for value in (good.tolist(), good.astype(np.int64), good.astype(np.int64).tolist()):
+        stored = getattr(cls(**dict(kwargs, **{field: value})), field)
+        assert stored.dtype == np.float64 and stored.shape == good.shape
+        np.testing.assert_array_equal(stored, np.asarray(value, dtype=float))
+
+
+def test_shared_solver_constants_are_read_only_and_built_once_per_run(monkeypatch):
+    # every solve of a run reads these arrays, so a write into one would
+    # silently change every later solve: each refuses it. The inertia's
+    # Jacobian tables are built once per run, not once per solve
+    doc = get_scenario_preset("detumble-paper")
+    doc["duration"] = 20.0
+    cfg = ms.scenario_from_dict(doc)
+    built = []
+    build = dynamics._jacobian_tables
+    monkeypatch.setattr(dynamics, "_jacobian_tables",
+                        lambda inertia: built.append(inertia) or build(inertia))
+    log = ms.run_scenario(cfg)
+    assert len(log) == 10
+    assert built == [cfg.inertia.as_tuple()]
+    mpc = cfg.mpc
+    shared = {
+        "_KIN": dynamics._KIN, "_DVDQ": dynamics._DVDQ, "_CROSS": dynamics._CROSS,
+        "_GYRO": dynamics._GYRO, "_UNIT": dynamics._UNIT,
+        "q scales": mpc._row_scales[0], "r scales": mpc._row_scales[1],
+        "_r_jac": mpc._r_jac, "_x_ref": mpc._x_ref,
+        "state table": cfg.inertia._tables[0], "inverse inertia": cfg.inertia._tables[1],
+    }
+    for name, a in shared.items():
+        before = a.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+        assert a.tobytes() == before.tobytes(), name
+    assert built == [cfg.inertia.as_tuple()]
 
 
 def test_control_sequence_validation():

@@ -12,6 +12,7 @@ from magsat import (
     InertiaTensor,
     IntegrationDivergedError,
 )
+from magsat import controller
 from magsat.dynamics import (
     _DVDQ,
     _KIN,
@@ -20,7 +21,9 @@ from magsat.dynamics import (
     _rhs,
     _stage_jacobians,
     integrate,
+    sensitivity,
 )
+from magsat.presets import get_scenario_preset
 from magsat._torque_free import _integrate_torque_free, _rk4_free_rollout
 
 IDENTITY = (0.0, 0.0, 0.0, 1.0)
@@ -734,3 +737,90 @@ def test_torque_free_rollout_is_the_oracles_at_zero_dipole_up_to_a_zeros_sign():
             assert got.tobytes() == kernel.tobytes(), draw
         compared += 1
     assert compared >= 350
+
+
+# --- bitwise oracle: the Jacobian before its blocks were built in place -------------
+
+def _oracle_sensitivity(tape, m, b, inertia, ts):
+    """`sensitivity` as it was before its diagonal blocks became one indexed copy.
+
+    It builds its own inertia tables and identity and writes each interval's
+    diagonal block inside the chaining loop. The kept `sensitivity` must
+    give its bytes exactly.
+    """
+    p = len(m)
+    substeps = len(tape) // p
+    h = ts / substeps
+    recs = np.frombuffer(b"".join(tape)).reshape(p, substeps, 33)
+    xs = recs[..., :28].reshape(p, 4 * substeps, 7)
+    jac = _stage_jacobians(xs, m, b, _jacobian_tables(inertia))
+    jac = jac.reshape(p, substeps, 4, 7, 10)
+    a = jac[..., :7]
+    k1 = jac[:, :, 0]
+    k2 = jac[:, :, 1] + (0.5 * h) * (a[:, :, 1] @ k1)
+    k3 = jac[:, :, 2] + (0.5 * h) * (a[:, :, 2] @ k2)
+    k4 = jac[:, :, 3] + h * (a[:, :, 3] @ k3)
+    phi = (h / 6.0) * (k1 + k4 + 2.0 * (k2 + k3))
+    phi[..., :7] += np.eye(7)
+    n, norm = recs[..., 28:32], recs[..., 32, None, None]
+    rows = phi[..., :4, :]
+    phi[..., :4, :] = (rows - n[..., :, None] * (n[..., None, :] @ rows)) / norm
+    interval = phi[:, 0].copy()
+    for j in range(1, substeps):
+        interval = phi[:, j, :, :7] @ interval
+        interval[..., 7:] += phi[:, j, :, 7:]
+    sens = np.zeros((p, 7, 3 * p))
+    sens[0, :, 0:3] = interval[0, :, 7:]
+    for k in range(1, p):
+        sens[k, :, : 3 * k] = interval[k, :, :7] @ sens[k - 1, :, : 3 * k]
+        sens[k, :, 3 * k : 3 * k + 3] = interval[k, :, 7:]
+    return sens.reshape(7 * p, 3 * p)
+
+
+def test_sensitivity_matches_its_oracle_bitwise_on_random_rollouts():
+    # the pinned CSVs cannot show a rounding-level Jacobian change (the
+    # quantizer absorbs it), so the Jacobian itself must be the oracle's,
+    # bit for bit: horizons 1-10, substeps 1-3, Ts 0.1, 2 and 30 s, q not
+    # unit, exact +-0.0 in q, omega and some dipoles, with the tables built
+    # per call and the inertia's shared ones
+    rng = np.random.default_rng(53)
+    for draw in range(200):
+        p, substeps = int(rng.integers(1, 11)), int(rng.integers(1, 4))
+        ts = (0.1, 2.0, 30.0)[draw % 3]
+        rate = 0.01 if ts == 30.0 else 0.3
+        x0 = np.concatenate([rng.normal(size=4), rng.normal(size=3) * rate])
+        x0[rng.choice(7, size=int(rng.integers(0, 4)), replace=False)] = rng.choice([0.0, -0.0])
+        m = rng.uniform(-0.1, 0.1, size=(p, 3))
+        if draw % 4 == 0:
+            m[int(rng.integers(p))] = rng.choice([0.0, -0.0], size=3)
+        b = rng.uniform(-5e-5, 5e-5, size=(p, 3))
+        inertia = InertiaTensor(*rng.uniform(0.02, 0.04, size=3).tolist())
+        tape = []
+        integrate(x0, m, b, inertia.as_tuple(), ts, substeps, 0.0, tape)
+        expected = _oracle_sensitivity(tape, m, b, inertia.as_tuple(), ts).tobytes()
+        assert sensitivity(tape, m, b, inertia.as_tuple(), ts).tobytes() == expected, draw
+        shared = sensitivity(tape, m, b, inertia.as_tuple(), ts, inertia._tables)
+        assert shared.tobytes() == expected, draw
+
+
+@pytest.mark.parametrize("preset, duration", [("detumble-paper", 60.0), ("attitude-paper", 120.0)])
+def test_sensitivity_matches_its_oracle_bitwise_on_every_preset_linearization(
+    preset, duration, monkeypatch
+):
+    # every Jacobian the solver builds over the start of each preset run
+    compared = []
+    kept = controller.sensitivity
+
+    def compare(tape, m, b, inertia, ts, tables):
+        sens = kept(tape, m, b, inertia, ts, tables)
+        expected = _oracle_sensitivity(tape, m, b, inertia, ts)
+        compared.append(sens.tobytes() == expected.tobytes())
+        return sens
+
+    monkeypatch.setattr(controller, "sensitivity", compare)
+    doc = get_scenario_preset(preset)
+    doc["duration"] = duration
+    cfg = ms.scenario_from_dict(doc)
+    ms.run_scenario(cfg)
+    assert len(compared) >= cfg.steps  # every solve linearizes at least once
+    assert all(compared), compared.index(False)
