@@ -1,11 +1,10 @@
 """The solver's torque-free rollout of the all-zero dipole sequence.
 
-`_integrate_torque_free` takes `dynamics.integrate`'s arguments less the
-dipoles, the fields, the start time and the tape, checks them by the same
-rule (`errors._step_count`) and runs `_rk4_free_rollout`, which is
-`dynamics._rk4_rollout` with the torque terms and the tape dropped. Its one
-caller is `controller._Problem.evaluate_zero`; the plant and the prediction
-never use it.
+`_rk4_free_rollout` is `dynamics._rk4_rollout` with the torque terms and the
+tape dropped. Its one caller is `controller._Problem.evaluate_zero`, which
+checks its step arguments by `integrate`'s rule and falls back to a taped
+rollout where this one cannot vouch for its states; the plant and the
+prediction never use it.
 
 It is a file of its own, not part of dynamics.py, because CPython compiles
 a source file whole, and a run from source with no bytecode cache pays for
@@ -16,31 +15,6 @@ with this code inside it, the peak RSS of a detumble `magsat run` rose by
 """
 
 import math
-
-import numpy as np
-
-from .errors import _step_count
-
-
-def _integrate_torque_free(x: np.ndarray, p: int, inertia: tuple, ts: float,
-                           substeps: int) -> np.ndarray | None:
-    """`dynamics.integrate`'s (p+1, 7) states over p zero-dipole intervals, torque-free.
-
-    Under a zero dipole the full kernel adds 0 * v, a signed zero, to each
-    gyroscopic term, so while the body-frame field v stays finite these
-    states are `integrate`'s in magnitude and differ at most in the sign of
-    an exact zero. Returns None when the last state is not finite or its
-    quaternion collapsed to zero (a pre-renormalization norm that overflowed
-    at the last step): there `integrate` may raise, or a stage may have
-    grown large enough for the full kernel's 0 * inf torque to be NaN, so
-    the caller rolls out with `integrate` instead.
-    """
-    substeps = _step_count(ts, substeps)
-    states = _rk4_free_rollout(tuple(x.tolist()), p, inertia, ts / substeps, substeps)
-    last = states[-1]
-    if all(map(math.isfinite, last)) and any(last[:4]):
-        return np.array(states)
-    return None
 
 
 def _rk4_free_rollout(x: tuple, p: int, inertia: tuple, h: float, substeps: int) -> list:

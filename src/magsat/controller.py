@@ -51,13 +51,13 @@ quaternion and the pre-renormalization norm) and its residual, because any
 evaluated point may be linearized. The Jacobian at an accepted point - the
 winning start or an accepted trial - is built from that point's own tape,
 so no accepted trial is rolled out twice. The exception is the all-zero
-start when a warm start opposes it, since the warm start nearly always
-wins: a zero dipole applies no torque, so its cost comes from a
-torque-free rollout with no tape (`_torque_free._integrate_torque_free`),
-the same cost bit for bit, and it is rolled out again, taped, only if it
-wins. Without a warm start it wins unopposed and is rolled out taped at
-once. A rejected trial that more damping leaves on the same box corner is
-evaluated again.
+start, since a warm start nearly always beats it: a zero dipole applies
+no torque, so its cost comes from a torque-free rollout with no tape
+(`_torque_free._rk4_free_rollout`), the same cost bit for bit, and it is
+rolled out again, taped, only if it wins. Every solve starts that way;
+without a warm start the zero sequence wins unopposed, so a cold solve
+pays one extra torque-free rollout. A rejected trial that more damping
+leaves on the same box corner is evaluated again.
 `predict` is the same rollout without a tape, since it is never
 linearized; it returns the state array itself.
 
@@ -67,14 +67,13 @@ outputs, bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._torque_free import _integrate_torque_free
+from ._torque_free import _rk4_free_rollout
 from .dynamics import (
     AttitudeState,
     DipoleCommand,
@@ -82,7 +81,7 @@ from .dynamics import (
     integrate,
     sensitivity,
 )
-from .errors import _read_only, store_finite
+from .errors import _count, _read_only, _step_count, store_finite
 from .orbit import FieldSample
 
 # Prediction substeps per sampling interval. The plant integrates at the
@@ -95,6 +94,8 @@ from .orbit import FieldSample
 # 2 substeps flag more solves degraded.
 PREDICTION_SUBSTEPS = 3
 MAX_ITERATIONS = 50
+# Longest horizon a config may ask for: the solver's Jacobian is 10p x 3p
+MAX_HORIZON = 100
 CONVERGENCE_RTOL = 1e-8
 # relative-reduction stopping test: an accepted step that lowered the cost,
 # and that the undamped model predicted to lower it, by at most FTOL * J
@@ -114,11 +115,11 @@ class MpcConfig:
     sampling time in s, u_max: per-axis dipole bound in A*m^2, x_ref:
     reference state with a unit quaternion.
 
-    The horizon follows `dynamics.integrate`'s rule for substeps: an int or
-    a numpy integer of at least 1, stored as int; a bool or a float, even a
-    whole one, raises ValueError. Ts times each weight must be a finite
-    float. `ScenarioConfig` bounds the horizon and the reference's weighted
-    cost.
+    The horizon follows the one integer rule of `dynamics.integrate`'s
+    substeps (`errors._count`): an int or a numpy integer in 1..MAX_HORIZON,
+    stored as int; a bool or a float, even a whole one, raises ValueError.
+    Ts times each weight must be a finite float. `ScenarioConfig` bounds the
+    reference's weighted cost.
     """
 
     q_diag: np.ndarray
@@ -135,10 +136,7 @@ class MpcConfig:
             raise ValueError("q_diag entries must be >= 0")
         if np.any(self.r_diag <= 0.0):
             raise ValueError("r_diag entries must be > 0")
-        # `integrate`'s integer rule: a bool or a float, even a whole one, is refused
-        horizon = self.horizon
-        if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
-            raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
+        object.__setattr__(self, "horizon", _count(self.horizon, "horizon", MAX_HORIZON))
         # in Python floats an overflowing product is inf, with no numpy warning
         top = float(self.ts) * float(max(self.q_diag.max(), self.r_diag.max()))
         if not (self.ts > 0.0 and math.isfinite(top)):
@@ -148,22 +146,13 @@ class MpcConfig:
         norm = math.hypot(*self.x_ref.q)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"reference quaternion norm {norm} is not unit within 1e-9")
-        object.__setattr__(self, "horizon", int(horizon))
-        # the cost residual's row scales sqrt(Ts Q) and sqrt(Ts R) and its
-        # reference state, built once and read-only, since every solve shares them
+        # the cost residual's row scales sqrt(Ts Q) and sqrt(Ts R), its
+        # reference state and the control rows of its Jacobian, diag(sqrt(Ts R))
+        # per interval, built once and read-only, since every solve shares them
         scales = _read_only(np.sqrt(self.ts * self.q_diag), np.sqrt(self.ts * self.r_diag))
         object.__setattr__(self, "_row_scales", scales)
         object.__setattr__(self, "_x_ref", _read_only(self.x_ref.as_array())[0])
-
-    @functools.cached_property
-    def _r_jac(self) -> np.ndarray:
-        """The control rows of the residual's Jacobian, diag(sqrt(Ts R)) per interval.
-
-        Built on first use, not in `__post_init__`: a config is built
-        before `ScenarioConfig` bounds its horizon. Read-only, like
-        `_row_scales`.
-        """
-        return _read_only(np.diag(np.tile(self._row_scales[1], self.horizon)))[0]
+        object.__setattr__(self, "_r_jac", _read_only(np.diag(np.tile(scales[1], self.horizon)))[0])
 
 
 @dataclass(frozen=True)
@@ -232,7 +221,9 @@ class _Problem:
     need no second rollout. `evaluate_zero` costs the all-zero sequence from
     a torque-free rollout with no tape.
 
-    Only the start state and the field schedule are built per problem. What
+    The substep count is checked by `integrate`'s rule once, before the
+    field is sampled, so both rollouts may take it as given. Only the start
+    state and the field schedule are built per problem. What
     stays fixed over a run is bound once, read-only, and shared by every
     problem: the inertia's Jacobian tables (`InertiaTensor._tables`) and the
     config's row scales, reference state and control rows (`MpcConfig`).
@@ -247,6 +238,7 @@ class _Problem:
         inertia: InertiaTensor,
         substeps: int,
     ):
+        self.substeps = _step_count(cfg.ts, substeps)
         self.x0 = x0.as_array()
         self.t0 = t0
         self.cfg = cfg
@@ -255,7 +247,6 @@ class _Problem:
         self.inertia = inertia.as_tuple()
         # `sensitivity`'s inertia tables, built once per inertia
         self.tables = inertia._tables
-        self.substeps = substeps
         # row scales of the residual's Jacobian, as `_residual` applies them
         self.q_scale = cfg._row_scales[0]
 
@@ -283,17 +274,24 @@ class _Problem:
         """Cost r'r of the all-zero sequence and, only if its rollout was taped, its record.
 
         A zero dipole applies no torque, so the rollout is
-        `_torque_free._integrate_torque_free`'s, untaped: its states differ from
-        `rollout`'s at most in the sign of an exact zero, and the residual
-        squares every one, so the cost is `evaluate`'s bit for bit. Where
-        that rollout cannot vouch for its states, the sequence is
-        `evaluate`d instead, which raises `integrate`'s divergence error if
-        there is one, and the record comes back with the cost.
+        `_torque_free._rk4_free_rollout`'s, untaped. The full kernel adds
+        0 * v, a signed zero, to each gyroscopic term, so while the
+        body-frame field v stays finite the two rollouts' states differ at
+        most in the sign of an exact zero, and the residual squares every
+        one, so the cost is `evaluate`'s bit for bit. Where the last state is
+        not finite or its quaternion collapsed to zero (a pre-renormalization
+        norm that overflowed at the last step), `integrate` may raise, or a
+        stage may have grown large enough for the full kernel's 0 * inf
+        torque to be NaN. There the sequence is `evaluate`d instead, which
+        raises `integrate`'s divergence error if there is one, and the
+        record comes back with the cost.
         """
-        u = np.zeros(3 * self.cfg.horizon)
-        states = _integrate_torque_free(self.x0, self.cfg.horizon, self.inertia, self.cfg.ts,
-                                        self.substeps)
-        if states is None:
+        p, substeps = self.cfg.horizon, self.substeps
+        u = np.zeros(3 * p)
+        states = _rk4_free_rollout(tuple(self.x0.tolist()), p, self.inertia,
+                                   self.cfg.ts / substeps, substeps)
+        last = states[-1]
+        if not (all(map(math.isfinite, last)) and any(last[:4])):
             return self.evaluate(u)
         r = _residual(states[1:], u, self.cfg)
         return float(r @ r), None
@@ -301,8 +299,7 @@ class _Problem:
     def linearize(self, record):
         """Residual r (J = r'r) of an evaluated point, from its record, and its Jacobian dr/du."""
         u, tape, r = record
-        sens = sensitivity(tape, u.reshape(-1, 3), self.b, self.inertia, self.cfg.ts,
-                           self.tables)
+        sens = sensitivity(tape, u.reshape(-1, 3), self.b, self.cfg.ts, self.tables)
         r_jac = self.cfg._r_jac
         n = r_jac.shape[0]
         # the scaled state rows, then the control rows, in one C-ordered array:
@@ -448,10 +445,10 @@ def solve(
     the gain ratio on acceptance. It stops for one of the four reasons in
     the module docstring. Each evaluation of the warm start or a trial is
     one taped rollout, and the Jacobian at an accepted trial comes from its
-    tape. Against a warm start the zero start is costed by a torque-free
-    rollout with no tape (`_Problem.evaluate_zero`) and rolled out taped
-    only if it wins; without one it is rolled out taped at once. Either way
-    the Jacobian at the winning start comes from a taped rollout of it.
+    tape. The zero start is costed by a torque-free rollout with no tape
+    (`_Problem.evaluate_zero`), with or without a warm start, and rolled out
+    taped only if it wins, so the Jacobian at the winning start comes from a
+    taped rollout of it.
     """
     p, u_max = cfg.horizon, cfg.u_max
     prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
@@ -464,17 +461,13 @@ def solve(
         if np.max(np.abs(w)) > u_max:
             raise ValueError("warm start violates the dipole bound")
     u = np.zeros(3 * p)
-    if warm is None:
-        # unopposed, the zero sequence wins, so it is rolled out taped at once
-        zero_cost, record = evaluate(u)
-        warm_cost = None
-    else:
-        zero_cost, record = prob.evaluate_zero()
+    zero_cost, record = prob.evaluate_zero()
+    cost, warm_cost = zero_cost, None
+    if warm is not None:
         warm_cost, warm_record = evaluate(w)
-    cost = zero_cost
-    if warm_cost is not None and warm_cost < cost:  # the zero sequence wins ties
-        u, cost, record = w, warm_cost, warm_record
-    elif record is None:  # the zero sequence won, and its cost-only rollout kept no tape
+        if warm_cost < cost:  # the zero sequence wins ties
+            u, cost, record = w, warm_cost, warm_record
+    if record is None:  # the zero sequence won, and its cost-only rollout kept no tape
         record = evaluate(u)[1]
 
     lam, nu = _DAMPING0, 2.0

@@ -449,20 +449,19 @@ def _stage_jacobians(xs: np.ndarray, m: np.ndarray, b: np.ndarray, tables: tuple
     return jac
 
 
-def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float,
-                tables: tuple | None = None) -> np.ndarray:
+def sensitivity(tape, m: np.ndarray, b: np.ndarray, ts: float, tables: tuple) -> np.ndarray:
     """d(x_1..x_p)/d(m_0..m_{p-1}) of an `integrate` rollout, shape (7p, 3p), from its tape.
 
-    m and b are the rollout's dipoles and orbital-frame fields, shape (p, 3).
-    `tables` is `_jacobian_tables(inertia)`, built here when not given (the
-    solver passes `InertiaTensor._tables`, built once per inertia).
-    The tape's packed records are joined and read as one (p, substeps, 33)
-    array, with no float object made per value. The
-    right-hand side's Jacobians [df/dx | df/dm] at every recorded stage come
-    from constant coefficient tensors (`_stage_jacobians`), in a fixed handful
-    of array operations. They are composed into each step's Jacobian, passed
-    through the renormalization q <- q/|q| (Jacobian (I - n n')/|q|)
-    and chained into each interval's (7, 10) map of (start state, dipole).
+    m and b are the rollout's dipoles and orbital-frame fields, shape (p, 3),
+    and `tables` is `_jacobian_tables` of its inertia (the solver passes
+    `InertiaTensor._tables`, built once per inertia). The tape's packed
+    records are joined and read as one (p, substeps, 33) array, with no
+    float object made per value. The right-hand side's Jacobians
+    [df/dx | df/dm] at every recorded stage come from constant coefficient
+    tensors (`_stage_jacobians`), in a fixed handful of array operations.
+    They are composed into each step's Jacobian, passed through the
+    renormalization q <- q/|q| (Jacobian (I - n n')/|q|) and chained into
+    each interval's (7, 10) map of (start state, dipole).
     Those are chained over the intervals into the block lower-triangular
     sensitivity of every interval-end state to every dipole: the p diagonal
     blocks, each interval's own dipole map, go in with one indexed copy,
@@ -473,7 +472,7 @@ def sensitivity(tape, m: np.ndarray, b: np.ndarray, inertia: tuple, ts: float,
     h = ts / substeps
     recs = np.frombuffer(b"".join(tape)).reshape(p, substeps, 33)
     xs = recs[..., :28].reshape(p, 4 * substeps, 7)
-    jac = _stage_jacobians(xs, m, b, tables or _jacobian_tables(inertia))
+    jac = _stage_jacobians(xs, m, b, tables)
     jac = jac.reshape(p, substeps, 4, 7, 10)
     # the RK4 tableau on the stage Jacobians, then the renormalization
     a = jac[..., :7]

@@ -3,9 +3,10 @@
 `store_finite` converts, checks and stores the array fields of the frozen
 value types (`AttitudeState`, `DipoleCommand`, `FieldSample`,
 `ControlSequence` and `MpcConfig`'s weights), `_read_only` freezes the
-arrays that every solve of a run shares, and `_step_count` checks the
-step arguments of both rollouts, `dynamics.integrate` and the torque-free
-`_torque_free._integrate_torque_free`. They sit here because every layer
+arrays that every solve of a run shares, `_count` is the one integer rule
+of a horizon or substep count, and `_step_count` checks the step arguments
+of a rollout, for `dynamics.integrate` and for the solver's `_Problem`,
+which also runs the torque-free rollout. They sit here because every layer
 can import this module without a cycle.
 """
 
@@ -69,12 +70,22 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
+def _count(n, name: str, top=math.inf) -> int:
+    """n as an int, once it is an integer in 1..top; otherwise a ValueError naming `name`.
+
+    An int or a numpy integer passes; a bool or a float, even a whole one, does not.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+    if n > top:
+        raise ValueError(f"{name} must be <= {top}, got {n}")
+    return int(n)
+
+
 def _step_count(ts: float, substeps) -> int:
     """`substeps` as an int, once ts and substeps pass `dynamics.integrate`'s argument rule."""
     if not (math.isfinite(ts) and ts > 0.0):
         raise ValueError(f"interval length must be finite and positive, got {ts}")
-    if isinstance(substeps, bool) or not isinstance(substeps, (int, np.integer)):
-        raise ValueError(f"substeps must be an integer, got {substeps!r}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
-    return int(substeps)
+    return _count(substeps, "substeps")

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import presets
 from .controller import (
+    MAX_HORIZON,
     PREDICTION_SUBSTEPS,  # noqa: F401  re-exported: bench/layers.py imports it from here
     ControlSequence,
     MpcConfig,
@@ -33,14 +34,14 @@ from .controller import (
     solve,
 )
 from .dynamics import AttitudeState, InertiaTensor, propagate
-from .errors import ConfigError, SolverContractError
+from .errors import ConfigError, SolverContractError, _count
 from .orbit import OrbitalElements, field_function
 from .quantizer import quantize_vector
 
 RATE_THRESHOLD_DEG_S = 0.5  # operational meaning of "rates settled"
 
-# Most work a config may ask for (MAX_STEPS counts whole sampling intervals).
-MAX_HORIZON = 100
+# Most work a config may ask for (MAX_STEPS counts whole sampling intervals);
+# `MpcConfig` bounds the horizon by `controller.MAX_HORIZON`.
 MAX_SUBSTEPS = 10_000
 MAX_STEPS = 1_000_000
 
@@ -79,8 +80,6 @@ class ScenarioConfig:
         # the ratio test keeps `steps` from flooring an overflowed quotient
         if self.duration / self.mpc.ts > MAX_STEPS + 1 or self.steps > MAX_STEPS:
             raise ConfigError(f"duration {self.duration} s exceeds {MAX_STEPS} sampling intervals")
-        if self.mpc.horizon > MAX_HORIZON:
-            raise ConfigError(f"horizon {self.mpc.horizon} exceeds {MAX_HORIZON}")
         # the last solve samples the field before (steps + horizon) ts, so
         # that time must be a finite float. An accepted orbit's mean motion
         # is below 1.24e-3 rad/s, so its mean anomaly is then finite too
@@ -99,11 +98,11 @@ class ScenarioConfig:
             raise ConfigError(
                 "mpc.x_ref weighted by ts * q_diag over the horizon leaves the float range"
             )
-        # `integrate`'s integer rule: a bool or a float, even a whole one, is refused
-        n = self.substeps
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 < n <= MAX_SUBSTEPS:
-            raise ConfigError(f"substeps {n!r} is not an integer in 1..{MAX_SUBSTEPS}")
-        object.__setattr__(self, "substeps", int(n))
+        try:
+            substeps = _count(self.substeps, "substeps", MAX_SUBSTEPS)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "substeps", substeps)
 
     @property
     def steps(self) -> int:

@@ -18,6 +18,12 @@ def grid_levels(u: float) -> tuple[float, ...]:
     return (-u, -(2.0 * u / 3.0), -(u / 3.0), 0.0, u / 3.0, 2.0 * u / 3.0, u)
 
 
+# the one integer rule's refusals, shared by every count it checks (a substep
+# count or a horizon): a bool or a float, even a whole one, a string, and an
+# integer below 1. Each count takes np.int64(3) and stores it as an int
+NOT_COUNTS = (True, np.bool_(True), 3.0, np.float64(3.0), "3", 0, -1)
+
+
 def record_criterion(number: str, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""

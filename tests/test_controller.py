@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import grid_levels
+from conftest import NOT_COUNTS, grid_levels
 
 import magsat as ms
 from magsat import (
@@ -15,7 +15,7 @@ from magsat import (
     MpcConfig,
 )
 from magsat import controller, dynamics
-from magsat.controller import shift_warm_start
+from magsat.controller import MAX_HORIZON, shift_warm_start
 from magsat.dynamics import integrate, sensitivity
 from magsat.presets import get_scenario_preset
 from magsat.scenario import load_config
@@ -84,7 +84,8 @@ def test_mpc_config_rejects_bad_horizon_and_times():
     with pytest.raises(ValueError):
         MpcConfig(q_diag=np.zeros(7), r_diag=np.ones(3), horizon=0, ts=1.0,
                   u_max=0.1, x_ref=x_ref)
-    for horizon in (math.inf, math.nan):
+    # a library caller meets the bound a config document does
+    for horizon in (math.inf, math.nan, MAX_HORIZON + 1, 10**9):
         with pytest.raises(ValueError, match="horizon"):
             MpcConfig(q_diag=np.zeros(7), r_diag=np.ones(3), horizon=horizon, ts=1.0,
                       u_max=0.1, x_ref=x_ref)
@@ -101,7 +102,7 @@ def test_mpc_config_horizon_follows_integrates_integer_rule():
     # whole one, is refused, as `dynamics.integrate` refuses its substeps
     args = dict(q_diag=np.zeros(7), r_diag=np.ones(3), ts=1.0, u_max=0.1,
                 x_ref=AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3)))
-    for horizon in (True, 10.0, np.float64(3.0), "3"):
+    for horizon in NOT_COUNTS + (10.0,):
         with pytest.raises(ValueError, match="horizon"):
             MpcConfig(horizon=horizon, **args)
     cfg = MpcConfig(horizon=np.int64(3), **args)
@@ -300,8 +301,8 @@ def test_solver_functions_reject_zero_substeps(call, field_at, detumble_cfg, tab
 
 
 def test_solve_with_a_warm_start_rejects_zero_substeps(field_at, detumble_cfg, table_inertia):
-    # against a warm start the first rollout is the zero sequence's
-    # torque-free one, which checks its arguments by `integrate`'s rule
+    # `_Problem` checks the substep count by `integrate`'s rule before any
+    # rollout, so the zero sequence's torque-free rollout never sees it
     warm = ControlSequence(np.zeros((detumble_cfg.horizon, 3)))
     with pytest.raises(ValueError, match="substeps must be >= 1"):
         ms.solve(detumble_cfg.x_ref, 0.0, field_at, detumble_cfg, table_inertia, warm=warm,
@@ -688,8 +689,8 @@ def test_a_winning_zero_start_is_rolled_out_taped_once(solver_events, field_at, 
                                                        table_inertia):
     # at rest on the reference the zero sequence costs 0 and beats any warm
     # start, so after its cost-only rollout it is rolled out once more, taped,
-    # for the first Jacobian. Without a warm start it wins unopposed and is
-    # rolled out taped at once, with no cost-only rollout
+    # for the first Jacobian. Without a warm start it wins unopposed, on the
+    # same path: cost-only first, then taped once
     x0, p = detumble_cfg.x_ref, detumble_cfg.horizon
     zeros = np.zeros(3 * p).tobytes()
     warm = ControlSequence(np.full((p, 3), 0.5 * detumble_cfg.u_max))
@@ -699,8 +700,8 @@ def test_a_winning_zero_start_is_rolled_out_taped_once(solver_events, field_at, 
     assert solver_events.count(zeros) == 1
     solver_events.clear()
     ms.solve(x0, 0.0, field_at, detumble_cfg, table_inertia)
-    assert solver_events[:2] == [zeros, "linearize"]
-    assert "zero" not in solver_events
+    assert solver_events[:3] == ["zero", zeros, "linearize"]
+    assert solver_events.count(zeros) == 1
 
 
 def test_settled_stop_skips_only_a_tail_that_buys_nothing(solver_events, monkeypatch):
@@ -752,7 +753,7 @@ def test_sensitivity_matches_central_differences(field_at, table_inertia):
         inertia = table_inertia.as_tuple()
         tape = []
         integrate(x0.as_array(), m, b, inertia, cfg.ts, 5, t0, tape)
-        sens = sensitivity(tape, m, b, inertia, cfg.ts)
+        sens = sensitivity(tape, m, b, cfg.ts, table_inertia._tables)
         fd = np.zeros((7 * horizon, 3 * horizon))
         for j in range(3 * horizon):
             ends = []

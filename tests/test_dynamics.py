@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import NOT_COUNTS
 
 import magsat as ms
 from magsat import (
@@ -24,7 +25,7 @@ from magsat.dynamics import (
     sensitivity,
 )
 from magsat.presets import get_scenario_preset
-from magsat._torque_free import _integrate_torque_free, _rk4_free_rollout
+from magsat._torque_free import _rk4_free_rollout
 
 IDENTITY = (0.0, 0.0, 0.0, 1.0)
 UNIT_INERTIA = (1.0, 1.0, 1.0)
@@ -399,11 +400,11 @@ def test_propagate_validates_arguments(table_inertia):
         with pytest.raises(ValueError, match="interval length must be finite and positive"):
             ms.propagate(state, m, constant_field([0, 0, 1e-5]), 0.0, duration, 4,
                          table_inertia)
-    with pytest.raises(ValueError, match="substeps must be >= 1"):
-        ms.propagate(state, m, constant_field([0, 0, 1e-5]), 0.0, 1.0, 0, table_inertia)
-    # a float (even a whole one) or a bool is not a substep count
-    for substeps in (2.5, 3.0, True):
-        with pytest.raises(ValueError, match="substeps must be an integer"):
+    # a float (even a whole one), a bool or a string is not a substep count,
+    # and an integer below 1 is too few
+    for substeps in NOT_COUNTS + (2.5,):
+        match = "substeps must be >= 1" if substeps in (0, -1) else "substeps must be an integer"
+        with pytest.raises(ValueError, match=match):
             ms.propagate(state, m, constant_field([0, 0, 1e-5]), 0.0, 1.0, substeps,
                          table_inertia)
     # a numpy integer is one, and steps exactly as the int does
@@ -732,9 +733,6 @@ def test_torque_free_rollout_is_the_oracles_at_zero_dipole_up_to_a_zeros_sign():
         kernel = np.array(_rk4_free_rollout(tuple(x0.tolist()), p, inertia, ts / substeps,
                                             substeps))
         assert (kernel + 0.0).tobytes() == (expected + 0.0).tobytes(), draw
-        if np.any(expected[-1, :4]):
-            got = _integrate_torque_free(x0, p, inertia, ts, substeps)
-            assert got.tobytes() == kernel.tobytes(), draw
         compared += 1
     assert compared >= 350
 
@@ -798,8 +796,9 @@ def test_sensitivity_matches_its_oracle_bitwise_on_random_rollouts():
         tape = []
         integrate(x0, m, b, inertia.as_tuple(), ts, substeps, 0.0, tape)
         expected = _oracle_sensitivity(tape, m, b, inertia.as_tuple(), ts).tobytes()
-        assert sensitivity(tape, m, b, inertia.as_tuple(), ts).tobytes() == expected, draw
-        shared = sensitivity(tape, m, b, inertia.as_tuple(), ts, inertia._tables)
+        built = sensitivity(tape, m, b, ts, _jacobian_tables(inertia.as_tuple()))
+        assert built.tobytes() == expected, draw
+        shared = sensitivity(tape, m, b, ts, inertia._tables)
         assert shared.tobytes() == expected, draw
 
 
@@ -810,17 +809,17 @@ def test_sensitivity_matches_its_oracle_bitwise_on_every_preset_linearization(
     # every Jacobian the solver builds over the start of each preset run
     compared = []
     kept = controller.sensitivity
+    doc = get_scenario_preset(preset)
+    doc["duration"] = duration
+    cfg = ms.scenario_from_dict(doc)
 
-    def compare(tape, m, b, inertia, ts, tables):
-        sens = kept(tape, m, b, inertia, ts, tables)
-        expected = _oracle_sensitivity(tape, m, b, inertia, ts)
+    def compare(tape, m, b, ts, tables):
+        sens = kept(tape, m, b, ts, tables)
+        expected = _oracle_sensitivity(tape, m, b, cfg.inertia.as_tuple(), ts)
         compared.append(sens.tobytes() == expected.tobytes())
         return sens
 
     monkeypatch.setattr(controller, "sensitivity", compare)
-    doc = get_scenario_preset(preset)
-    doc["duration"] = duration
-    cfg = ms.scenario_from_dict(doc)
     ms.run_scenario(cfg)
     assert len(compared) >= cfg.steps  # every solve linearizes at least once
     assert all(compared), compared.index(False)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import grid_levels
+from conftest import NOT_COUNTS, grid_levels
 
 import magsat.orbit
 import magsat.scenario
@@ -421,13 +421,13 @@ def test_substeps_follows_integrates_integer_rule():
     # an int or a numpy integer, stored as int; a bool or a float, even a
     # whole one, is refused, in a replace as in a document
     cfg = scenario_from_dict(short_config())
-    for value in (True, 3.0):
+    for value in NOT_COUNTS:
         with pytest.raises(ConfigError, match="substeps"):
             dataclasses.replace(cfg, substeps=value)
     replaced = dataclasses.replace(cfg, substeps=np.int64(3))
     assert type(replaced.substeps) is int and replaced.substeps == 3
     for path in (("substeps",), ("mpc", "horizon")):
-        for value in (True, 3.0, "3"):
+        for value in NOT_COUNTS:
             doc = short_config()
             set_at(doc, path, value)
             with pytest.raises(ConfigError, match=path[-1]):
