@@ -53,8 +53,10 @@ winning start or an accepted trial - is built from that point's own tape,
 so no accepted trial is rolled out twice. The exception is the all-zero
 start, since a warm start nearly always beats it: a zero dipole applies
 no torque, so its cost comes from a torque-free rollout with no tape
-(`_torque_free._rk4_free_rollout`), the same cost bit for bit, and it is
-rolled out again, taped, only if it wins. Every solve starts that way;
+(`_torque_free`'s rates pass and attitude pass), the same cost bit for
+bit, and it is rolled out again, taped, only if it wins. Where the cost
+weighs no quaternion row, as on detumbling, the rates pass alone costs it
+while the rates stay under that pass's bound. Every solve starts that way;
 without a warm start the zero sequence wins unopposed, so a cold solve
 pays one extra torque-free rollout. A rejected trial that more damping
 leaves on the same box corner is evaluated again.
@@ -73,7 +75,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._torque_free import _rk4_free_rollout
+from ._torque_free import _rk4_free_attitude, _rk4_free_rates
 from .dynamics import (
     AttitudeState,
     DipoleCommand,
@@ -81,7 +83,7 @@ from .dynamics import (
     integrate,
     sensitivity,
 )
-from .errors import _count, _read_only, _step_count, store_finite
+from .errors import _count, _finite, _read_only, _step_count, store_finite
 from .orbit import FieldSample
 
 # Prediction substeps per sampling interval. The plant integrates at the
@@ -138,10 +140,10 @@ class MpcConfig:
             raise ValueError("r_diag entries must be > 0")
         object.__setattr__(self, "horizon", _count(self.horizon, "horizon", MAX_HORIZON))
         # in Python floats an overflowing product is inf, with no numpy warning
-        top = float(self.ts) * float(max(self.q_diag.max(), self.r_diag.max()))
-        if not (self.ts > 0.0 and math.isfinite(top)):
+        if not (_finite(self.ts) and self.ts > 0.0 and math.isfinite(
+                float(self.ts) * float(max(self.q_diag.max(), self.r_diag.max())))):
             raise ValueError(f"ts {self.ts} s must be positive and finite times each weight")
-        if not (math.isfinite(self.u_max) and self.u_max > 0.0):
+        if not (_finite(self.u_max) and self.u_max > 0.0):
             raise ValueError(f"u_max must be positive, got {self.u_max}")
         norm = math.hypot(*self.x_ref.q)
         if abs(norm - 1.0) > 1e-9:
@@ -152,6 +154,10 @@ class MpcConfig:
         scales = _read_only(np.sqrt(self.ts * self.q_diag), np.sqrt(self.ts * self.r_diag))
         object.__setattr__(self, "_row_scales", scales)
         object.__setattr__(self, "_x_ref", _read_only(self.x_ref.as_array())[0])
+        # the reference quaternion, where the cost's quaternion rows carry no
+        # weight; there the zero start is costed from its rates alone
+        object.__setattr__(self, "_unweighted_q", None if scales[0][:4].any()
+                           else tuple(self._x_ref[:4].tolist()))
         object.__setattr__(self, "_r_jac", _read_only(np.diag(np.tile(scales[1], self.horizon)))[0])
 
 
@@ -219,7 +225,8 @@ class _Problem:
     of the rollout and its residual; `linearize` builds the residual's
     Jacobian from such a record, so the derivatives at an evaluated point
     need no second rollout. `evaluate_zero` costs the all-zero sequence from
-    a torque-free rollout with no tape.
+    a torque-free rollout with no tape, from the body rates alone where the
+    cost weighs no quaternion row.
 
     The substep count is checked by `integrate`'s rule once, before the
     field is sampled, so both rollouts may take it as given. Only the start
@@ -273,27 +280,45 @@ class _Problem:
     def evaluate_zero(self):
         """Cost r'r of the all-zero sequence and, only if its rollout was taped, its record.
 
-        A zero dipole applies no torque, so the rollout is
-        `_torque_free._rk4_free_rollout`'s, untaped. The full kernel adds
-        0 * v, a signed zero, to each gyroscopic term, so while the
-        body-frame field v stays finite the two rollouts' states differ at
-        most in the sign of an exact zero, and the residual squares every
-        one, so the cost is `evaluate`'s bit for bit. Where the last state is
-        not finite or its quaternion collapsed to zero (a pre-renormalization
-        norm that overflowed at the last step), `integrate` may raise, or a
-        stage may have grown large enough for the full kernel's 0 * inf
-        torque to be NaN. There the sequence is `evaluate`d instead, which
-        raises `integrate`'s divergence error if there is one, and the
-        record comes back with the cost.
+        A zero dipole applies no torque, so the rollout is `_torque_free`'s
+        two passes, untaped: the rates pass, then the attitude pass over the
+        stage rates it recorded. The full kernel adds 0 * v, a signed zero,
+        to each gyroscopic term, so while the body-frame field v stays
+        finite the two rollouts' states differ at most in the sign of an
+        exact zero, and the residual squares every one, so the cost is
+        `evaluate`'s bit for bit. Where the last state is not finite or its
+        quaternion collapsed to zero (a pre-renormalization norm that
+        overflowed at the last step), `integrate` may raise, or a stage may
+        have grown large enough for the full kernel's 0 * inf torque to be
+        NaN. There the sequence is `evaluate`d instead, which raises
+        `integrate`'s divergence error if there is one, and the record comes
+        back with the cost.
+
+        Where the cost weighs no quaternion row (`MpcConfig._unweighted_q`) and
+        the start's quaternion norm is within 1/2 of 1, the guarded rates
+        pass runs alone, and the residual's quaternion rows are filled with
+        the reference's: their zero weight sends them to +0, as it sends the
+        passes' finite rows. If the guard gives up, the start takes the path
+        above. Under the guard's bound the passes' states are finite with a
+        nonzero quaternion, so that path would not have fallen back.
         """
-        p, substeps = self.cfg.horizon, self.substeps
+        cfg, substeps = self.cfg, self.substeps
+        p, h = cfg.horizon, cfg.ts / substeps
         u = np.zeros(3 * p)
-        states = _rk4_free_rollout(tuple(self.x0.tolist()), p, self.inertia,
-                                   self.cfg.ts / substeps, substeps)
-        last = states[-1]
-        if not (all(map(math.isfinite, last)) and any(last[:4])):
-            return self.evaluate(u)
-        r = _residual(states[1:], u, self.cfg)
+        x = tuple(self.x0.tolist())
+        rates = None
+        if cfg._unweighted_q is not None and abs(math.hypot(*x[:4]) - 1.0) < 0.5:
+            rates = _rk4_free_rates(x[4:], p, self.inertia, h, substeps, None)
+        if rates is not None:
+            ends = [cfg._unweighted_q + w for w in rates[1:]]
+        else:
+            stages = []
+            rates = _rk4_free_rates(x[4:], p, self.inertia, h, substeps, stages)
+            ends = _rk4_free_attitude(x[:4], rates, stages, h, substeps)[1:]
+            last = ends[-1]
+            if not (all(map(math.isfinite, last)) and any(last[:4])):
+                return self.evaluate(u)
+        r = _residual(ends, u, cfg)
         return float(r @ r), None
 
     def linearize(self, record):
@@ -446,9 +471,10 @@ def solve(
     the module docstring. Each evaluation of the warm start or a trial is
     one taped rollout, and the Jacobian at an accepted trial comes from its
     tape. The zero start is costed by a torque-free rollout with no tape
-    (`_Problem.evaluate_zero`), with or without a warm start, and rolled out
-    taped only if it wins, so the Jacobian at the winning start comes from a
-    taped rollout of it.
+    (`_Problem.evaluate_zero`; its rates pass alone where the cost weighs no
+    quaternion row), with or without a warm start, and rolled out taped only
+    if it wins, so the Jacobian at the winning start comes from a taped
+    rollout of it.
     """
     p, u_max = cfg.horizon, cfg.u_max
     prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)

@@ -34,11 +34,12 @@ only rollout of such a sequence: the plant (`propagate`) is a one-interval
 call and the MPC prediction a p-interval one, so they agree bit for bit at
 equal substep counts and fail at the same substep. The one other rollout is
 the solver's cost of the all-zero sequence, in `_torque_free`:
-`_rk4_rollout` with the torque terms and the tape dropped, whose states
-are `integrate`'s up to the sign of an exact zero. The plant and the
-prediction never use it, so every logged state keeps `integrate`'s zeros.
-A caller that will build
-a Jacobian passes a tape, and `integrate` appends one packed record of 33
+`_rk4_rollout` with the torque terms and the tape dropped, split into a
+rates pass, whose Euler rows never read the attitude, and an attitude pass
+over the stage rates it recorded. Its states are `integrate`'s up to the
+sign of an exact zero. The plant and the prediction never use it, so every
+logged state keeps `integrate`'s zeros. A caller that will build a
+Jacobian passes a tape, and `integrate` appends one packed record of 33
 doubles per RK4 step to it; `sensitivity` reads the tape as one array and
 turns it into the Jacobian of every interval-end state w.r.t. every dipole.
 Only the solver's rollouts keep a tape: the plant and the prediction keep
@@ -59,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IntegrationDivergedError, _read_only, _step_count, store_finite
+from .errors import IntegrationDivergedError, _finite, _read_only, _step_count, store_finite
 from .orbit import FieldSample
 
 
@@ -89,7 +90,7 @@ class InertiaTensor:
 
     def __post_init__(self):
         vals = (self.ix, self.iy, self.iz)
-        if not all(math.isfinite(v) and v > 0.0 for v in vals):
+        if not all(_finite(v) and v > 0.0 for v in vals):
             raise ValueError(f"moments of inertia must be positive, got {vals}")
         ix, iy, iz = vals
         if ix + iy < iz or iy + iz < ix or iz + ix < iy:

@@ -2,12 +2,15 @@
 
 `store_finite` converts, checks and stores the array fields of the frozen
 value types (`AttitudeState`, `DipoleCommand`, `FieldSample`,
-`ControlSequence` and `MpcConfig`'s weights), `_read_only` freezes the
-arrays that every solve of a run shares, `_count` is the one integer rule
-of a horizon or substep count, and `_step_count` checks the step arguments
-of a rollout, for `dynamics.integrate` and for the solver's `_Problem`,
-which also runs the torque-free rollout. They sit here because every layer
-can import this module without a cycle.
+`ControlSequence` and `MpcConfig`'s weights), `_finite` is the finiteness
+test of a scalar field (`InertiaTensor`, `OrbitalElements`, `MpcConfig`'s
+ts and u_max, a run's duration and a rollout's interval length), which an
+integer past the float range fails, `_read_only` freezes the arrays that
+every solve of a run shares, `_count` is the one integer rule of a horizon
+or substep count, and `_step_count` checks the step arguments of a
+rollout, for `dynamics.integrate` and for the solver's `_Problem`, which
+also runs the torque-free rollout. They sit here because every layer can
+import this module without a cycle.
 """
 
 import math
@@ -46,12 +49,17 @@ def store_finite(instance, field: str, shape: tuple) -> None:
     """Store `instance.field` of a frozen dataclass as a float array of `shape`.
 
     A None entry of `shape` matches any length >= 1. A wrong shape or a
-    non-finite entry raises a ValueError naming `Type.field`. An array of
-    exactly `shape` passes the shape check on one tuple comparison, and the
-    per-axis match runs only for any other, so every input meets the same
-    two checks, shape then finiteness, with the same messages.
+    non-finite entry, an integer past the float range included, raises a
+    ValueError naming `Type.field`. An array of exactly `shape` passes the
+    shape check on one tuple comparison, and the per-axis match runs only
+    for any other, so every input meets the same two checks, shape then
+    finiteness, with the same messages.
     """
-    a = np.asarray(getattr(instance, field), dtype=float)
+    value = getattr(instance, field)
+    try:
+        a = np.asarray(value, dtype=float)
+    except OverflowError:  # an integer past the float range: an infinite entry
+        a = np.full(np.shape(value), math.inf)
     if a.shape != shape and (a.ndim != len(shape) or not all(
         n == k if k is not None else n >= 1 for n, k in zip(a.shape, shape)
     )):
@@ -61,6 +69,14 @@ def store_finite(instance, field: str, shape: tuple) -> None:
     if not np.isfinite(a).all():
         raise ValueError(f"{type(instance).__name__}.{field} has non-finite entries")
     object.__setattr__(instance, field, a)
+
+
+def _finite(x) -> bool:
+    """`math.isfinite(x)`, false for an integer past the float range, where that raises."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _read_only(*arrays) -> tuple:
@@ -86,6 +102,6 @@ def _count(n, name: str, top=math.inf) -> int:
 
 def _step_count(ts: float, substeps) -> int:
     """`substeps` as an int, once ts and substeps pass `dynamics.integrate`'s argument rule."""
-    if not (math.isfinite(ts) and ts > 0.0):
+    if not (_finite(ts) and ts > 0.0):
         raise ValueError(f"interval length must be finite and positive, got {ts}")
     return _count(substeps, "substeps")

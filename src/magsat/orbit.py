@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import store_finite
+from .errors import _finite, store_finite
 
 EARTH_MU_KM3_S2 = 398600.4418  # WGS-84
 EARTH_RADIUS_KM = 6378.137     # WGS-84
@@ -65,7 +65,7 @@ class OrbitalElements:
 
     def __post_init__(self):
         for name in ("a_km", "e", "inclination", "raan", "argp", "mean_anomaly"):
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(getattr(self, name)):
                 raise ValueError(f"orbital element {name} is not finite")
             # a Python float, so a cube past the float range raises OverflowError
             object.__setattr__(self, name, float(getattr(self, name)))

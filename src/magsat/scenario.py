@@ -34,7 +34,7 @@ from .controller import (
     solve,
 )
 from .dynamics import AttitudeState, InertiaTensor, propagate
-from .errors import ConfigError, SolverContractError, _count
+from .errors import ConfigError, SolverContractError, _count, _finite
 from .orbit import OrbitalElements, field_function
 from .quantizer import quantize_vector
 
@@ -72,7 +72,7 @@ class ScenarioConfig:
     name: str = ""
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration >= self.mpc.ts):
+        if not (_finite(self.duration) and self.duration >= self.mpc.ts):
             raise ConfigError(
                 f"duration must be at least one sampling interval "
                 f"({self.mpc.ts} s), got {self.duration}"

@@ -95,6 +95,13 @@ def test_mpc_config_rejects_bad_horizon_and_times():
     with pytest.raises(ValueError):
         MpcConfig(q_diag=np.zeros(7), r_diag=np.ones(3), horizon=1, ts=1.0,
                   u_max=0.0, x_ref=x_ref)
+    # an integer past the float range is refused, naming its field
+    for field in ("ts", "u_max"):
+        for big in (10**400, -10**400):
+            args = dict(dict(ts=1.0, u_max=0.1), **{field: big})
+            with pytest.raises(ValueError, match=f"^{field} "):
+                MpcConfig(q_diag=np.zeros(7), r_diag=np.ones(3), horizon=1, x_ref=x_ref,
+                          **args)
 
 
 def test_mpc_config_horizon_follows_integrates_integer_rule():
@@ -145,6 +152,13 @@ def test_value_array_check_names_the_field(cls, field):
             # a wrong shape is named first, even with a non-finite entry
             bad = bad[..., None]
             cases.append((bad, f"{where} must have shape {shape}, got {bad.shape}"))
+    # an integer past the float range is a non-finite entry, not an OverflowError
+    for big in (10**400, -10**400):
+        bad = good.astype(object)
+        bad.flat[0] = big
+        cases.append((bad.tolist(), f"{where} has non-finite entries"))
+        cases.append((bad[..., None].tolist(),
+                      f"{where} must have shape {shape}, got {bad[..., None].shape}"))
     for bad, message in cases:
         with pytest.raises(ValueError) as err:
             cls(**dict(kwargs, **{field: bad}))
@@ -719,6 +733,70 @@ def test_settled_stop_skips_only_a_tail_that_buys_nothing(solver_events, monkeyp
     assert full.stop_reason != "settled"
     assert rollouts < full_rollouts
     assert res.cost == pytest.approx(full.cost, rel=1e-9)
+
+
+@pytest.fixture
+def free_passes(monkeypatch):
+    """In call order: "rates" per torque-free rates pass, "attitude" per attitude pass."""
+    passes = []
+    rates, attitude = controller._rk4_free_rates, controller._rk4_free_attitude
+
+    def spy_rates(*args):
+        passes.append("rates")
+        return rates(*args)
+
+    def spy_attitude(*args):
+        passes.append("attitude")
+        return attitude(*args)
+
+    monkeypatch.setattr(controller, "_rk4_free_rates", spy_rates)
+    monkeypatch.setattr(controller, "_rk4_free_attitude", spy_attitude)
+    return passes
+
+
+@pytest.mark.parametrize("name, passes", [
+    ("detumble-paper", ["rates"]), ("attitude-paper", ["rates", "attitude"]),
+])
+def test_zero_start_runs_the_attitude_pass_only_where_the_cost_weighs_it(
+    free_passes, monkeypatch, name, passes
+):
+    # detumble weighs only the body rates, so each solve costs its zero
+    # start by the rates pass alone; the slew weighs the attitude, so each
+    # runs both passes. Either way the zero cost is `evaluate`'s bit for bit
+    doc = get_scenario_preset(name)
+    doc["duration"] = 5 * doc["mpc"]["ts"]
+    cfg = ms.scenario_from_dict(doc)
+    costs = []
+    evaluate_zero = controller._Problem.evaluate_zero
+
+    def checked_evaluate_zero(self):
+        cost, record = evaluate_zero(self)
+        costs.append((cost, self.evaluate(np.zeros(3 * self.cfg.horizon))[0]))
+        return cost, record
+
+    monkeypatch.setattr(controller._Problem, "evaluate_zero", checked_evaluate_zero)
+    ms.run_scenario(cfg)
+    assert free_passes == passes * 5
+    assert len(costs) == 5
+    for cost, taped in costs:
+        assert np.float64(cost).tobytes() == np.float64(taped).tobytes()
+
+
+def test_rates_pass_hands_over_one_ulp_past_its_bound(free_passes, field_at, detumble_cfg,
+                                                      table_inertia):
+    # a single-axis spin keeps its rates exactly: at h * |w|_1 = 1/4 (h = 1 s)
+    # the rates pass runs alone; one ulp faster its guard gives up at the
+    # start, and both passes run, recording the stages. Both costs are
+    # `evaluate`'s bit for bit
+    zeros = np.zeros(3 * detumble_cfg.horizon)
+    handed_over = ["rates", "rates", "attitude"]
+    for rate, passes in ((0.25, ["rates"]), (np.nextafter(0.25, 1.0), handed_over)):
+        x0 = AttitudeState(q=np.array([0.0, 0.0, 0.6, 0.8]), omega=np.array([0.0, rate, 0.0]))
+        prob = controller._Problem(x0, 0.0, field_at, detumble_cfg, table_inertia, 2)
+        free_passes.clear()
+        cost = prob.evaluate_zero()[0]
+        assert free_passes == passes
+        assert np.float64(cost).tobytes() == np.float64(prob.evaluate(zeros)[0]).tobytes()
 
 
 def test_gradient_is_grad_of_evaluate_record(field_at, table_inertia):

@@ -25,7 +25,7 @@ from magsat.dynamics import (
     sensitivity,
 )
 from magsat.presets import get_scenario_preset
-from magsat._torque_free import _rk4_free_rollout
+from magsat._torque_free import _rk4_free_attitude, _rk4_free_rates
 
 IDENTITY = (0.0, 0.0, 0.0, 1.0)
 UNIT_INERTIA = (1.0, 1.0, 1.0)
@@ -120,6 +120,10 @@ def test_inertia_rejects_non_positive():
         InertiaTensor(0.0, 0.1, 0.1)
     with pytest.raises(ValueError):
         InertiaTensor(0.1, -0.1, 0.1)
+    # an integer past the float range is refused, not an OverflowError
+    for moments in ((10**400, 0.03, 0.04), (0.02, -10**400, 0.04), (0.02, 0.03, 10**400)):
+        with pytest.raises(ValueError, match="moments of inertia must be positive"):
+            InertiaTensor(*moments)
 
 
 def test_inertia_rejects_triangle_violation():
@@ -396,7 +400,7 @@ def test_propagate_matches_repeated_steps(table_inertia):
 def test_propagate_validates_arguments(table_inertia):
     state = AttitudeState(q=np.array([0, 0, 0, 1.0]), omega=np.zeros(3))
     m = DipoleCommand(np.zeros(3))
-    for duration in (-1.0, 0.0, float("nan"), float("inf")):
+    for duration in (-1.0, 0.0, float("nan"), float("inf"), 10**400, -10**400):
         with pytest.raises(ValueError, match="interval length must be finite and positive"):
             ms.propagate(state, m, constant_field([0, 0, 1e-5]), 0.0, duration, 4,
                          table_inertia)
@@ -704,12 +708,15 @@ def test_torque_free_rollout_is_the_oracles_at_zero_dipole_up_to_a_zeros_sign():
     # with m = 0 the full right-hand side adds 0 * v, a signed zero, to each
     # gyroscopic term, so the torque-free rollout must give the oracle's
     # states under zero dipoles in magnitude; x + 0.0 reads -0.0 as +0.0.
-    # Starts with exact signed zeros, then single-axis spins and tumbles at
-    # rates of 10^k rad/s, k in -3..2, at the attitude preset's scale (Ts 30 s)
-    # and at short steps. A draw the oracle cannot finish is skipped
+    # The rates pass alone must give the oracle's rate columns, guarded or
+    # recording its stages, and the attitude pass over those stages the
+    # oracle's states. Starts with exact signed zeros, then single-axis spins
+    # and tumbles at rates of 10^k rad/s, k in -3..2, at the attitude
+    # preset's scale (Ts 30 s) and at short steps. A draw the oracle cannot
+    # finish is skipped
     rng = np.random.default_rng(47)
     starts = list(_signed_zero_starts())
-    compared = 0
+    compared = guarded = 0
     for draw in range(400):
         if draw < len(starts):
             x0 = np.array(starts[draw])
@@ -730,11 +737,17 @@ def test_torque_free_rollout_is_the_oracles_at_zero_dipole_up_to_a_zeros_sign():
             continue
         if not np.isfinite(expected).all():
             continue
-        kernel = np.array(_rk4_free_rollout(tuple(x0.tolist()), p, inertia, ts / substeps,
-                                            substeps))
+        x, h, stages = tuple(x0.tolist()), ts / substeps, []
+        rates = _rk4_free_rates(x[4:], p, inertia, h, substeps, stages)
+        assert (np.array(rates) + 0.0).tobytes() == (expected[:, 4:] + 0.0).tobytes(), draw
+        kernel = np.array(_rk4_free_attitude(x[:4], rates, stages, h, substeps))
         assert (kernel + 0.0).tobytes() == (expected + 0.0).tobytes(), draw
+        alone = _rk4_free_rates(x[4:], p, inertia, h, substeps, None)
+        if alone is not None:
+            assert np.array(alone).tobytes() == np.array(rates).tobytes(), draw
+            guarded += 1
         compared += 1
-    assert compared >= 350
+    assert compared >= 350 and guarded >= 200
 
 
 # --- bitwise oracle: the Jacobian before its blocks were built in place -------------

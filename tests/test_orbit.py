@@ -293,6 +293,16 @@ def test_elements_reject_nonpositive_semi_major_axis(a_km):
                         argp=0.0, mean_anomaly=0.0)
 
 
+@pytest.mark.parametrize("name", ["a_km", "e", "inclination", "raan", "argp", "mean_anomaly"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 10**400, -10**400])
+def test_elements_reject_non_finite_values(name, value):
+    # an integer past the float range is not finite: a ValueError naming the
+    # element, not an OverflowError
+    args = dict(a_km=7000.0, e=0.0, inclination=0.0, raan=0.0, argp=0.0, mean_anomaly=0.0)
+    with pytest.raises(ValueError, match=f"^orbital element {name} is not finite$"):
+        OrbitalElements(**dict(args, **{name: value}))
+
+
 def test_elements_normalize_angles():
     el = OrbitalElements(a_km=7000.0, e=0.0, inclination=-math.pi / 2.0,
                          raan=3.0 * math.pi, argp=0.0, mean_anomaly=TWO_PI)

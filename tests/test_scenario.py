@@ -401,6 +401,9 @@ def test_replace_rejects_unbounded_duration():
         dataclasses.replace(cfg, duration=1e15)
     with pytest.raises(ConfigError, match="duration"):
         dataclasses.replace(cfg, duration=(MAX_STEPS + 1) * cfg.mpc.ts)
+    # an integer past the float range, not an OverflowError
+    with pytest.raises(ConfigError, match="duration"):
+        dataclasses.replace(cfg, duration=10**400)
 
 
 def test_replace_revalidates():

@@ -3,12 +3,15 @@
 The returned sequence respects the dipole bound, never costs more than the
 zero or warm-start sequence, and two calls on the same input agree bit for
 bit. The zero sequence's cost-only evaluation costs what its taped one
-does, bit for bit, or fails alike. The box-constrained quadratic step
+does, bit for bit, or fails alike, also where no quaternion weight lets it
+skip the attitude. The box-constrained quadratic step
 solver returns a point that is feasible, satisfies the KKT conditions, is
 bitwise repeatable and does not depend on the start active set. Needs
 `hypothesis` (the `[test]` extra); skipped without it. Derandomized and
 without an example database, so every run draws the same examples.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -125,6 +128,38 @@ def test_zero_sequence_cost_only_evaluation_matches_the_taped_one(
     # must cost what the taped rollout of `evaluate` costs, bit for bit, or
     # fail as it does: the same exception with the same time
     x0, t0, cfg, substeps = problem
+    prob = controller._Problem(x0, t0, ms.field_function(sso_elements), cfg, table_inertia,
+                               substeps)
+    zeros = np.zeros(3 * cfg.horizon)
+    assert cost_or_failure(prob.evaluate_zero) == cost_or_failure(lambda: prob.evaluate(zeros))
+
+
+def single_axis_start(rate: float, ts: float, substeps: int, q_norm: float = 1.0):
+    """A `zero_starts` problem spinning about x at `rate` rad/s, p = 10, |q| = q_norm."""
+    cfg = MpcConfig(q_diag=np.array([0.0, 0.0, 0.0, 0.0, 500.0, 1000.0, 250.0]),
+                    r_diag=np.full(3, 1e-8), horizon=10, ts=ts, u_max=0.1,
+                    x_ref=AttitudeState(q=np.array([0.0, 0.0, 0.0, 1.0]), omega=np.zeros(3)))
+    q = q_norm * np.array([0.0, 0.6, 0.0, 0.8])
+    return AttitudeState(q=q, omega=np.array([rate, 0.0, 0.0])), 0.0, cfg, substeps
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(problem=zero_starts())
+# a single-axis spin keeps its rates exactly, so h * |w|_1 stays at the
+# rates pass's bound 1/4 (h = 0.5 s), one ulp past it, or far past the float
+# range, where the full rollout diverges. A slow spin whose quaternion's
+# squares underflow renormalizes to NaN, so it must not skip the attitude
+@example(problem=single_axis_start(0.5, 1.0, 2))
+@example(problem=single_axis_start(np.nextafter(0.5, 1.0), 1.0, 2))
+@example(problem=single_axis_start(1e150, 2.0, 3))
+@example(problem=single_axis_start(0.01, 2.0, 3, q_norm=1e-200))
+def test_rate_only_zero_cost_matches_the_taped_one(sso_elements, table_inertia, problem):
+    # with every quaternion weight zero the zero sequence is costed from the
+    # rates pass alone where its guard holds, and by both passes where it
+    # does not: the same problems must cost what `evaluate` costs, bit for
+    # bit, or fail as it does
+    x0, t0, cfg, substeps = problem
+    cfg = dataclasses.replace(cfg, q_diag=np.concatenate([np.zeros(4), cfg.q_diag[4:]]))
     prob = controller._Problem(x0, t0, ms.field_function(sso_elements), cfg, table_inertia,
                                substeps)
     zeros = np.zeros(3 * cfg.horizon)
