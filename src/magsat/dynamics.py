@@ -29,10 +29,14 @@ dipole, the orbital-frame field and the inertia that calls `_body_field`.
 stage value a local float, and evaluates each slope in place, so no call is
 made per stage. It computes `_rhs`'s values, bit for bit, with `_rhs`'s
 power-of-two factors folded into the step sizes and the field; the tests
-hold all three to one step-by-step oracle bit for bit. `integrate` is the
-only rollout of such a sequence: the plant (`propagate`) is a one-interval
-call and the MPC prediction a p-interval one, so they agree bit for bit at
-equal substep counts and fail at the same substep. The one other rollout is
+hold all three to one step-by-step oracle bit for bit. `_rk4.c` is
+`_rk4_rollout` in C, every float operation in its order: `_rk4` builds it
+at import, checks it against `_rk4_rollout` and loads it with ctypes, and
+`integrate` runs `_rk4.rollout`, the compiled kernel where it loaded and
+`_rk4_rollout` where it did not, with the same states and tape either way.
+`integrate` is the only rollout of such a sequence: the plant (`propagate`)
+is a one-interval call and the MPC prediction a p-interval one, so they
+agree bit for bit at equal substep counts and fail at the same substep. The one other rollout is
 the solver's cost of the all-zero sequence, in `_torque_free`:
 `_rk4_rollout` with the torque terms and the tape dropped, split into a
 rates pass, whose Euler rows never read the attitude, and an attitude pass
@@ -60,6 +64,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _rk4
 from .errors import IntegrationDivergedError, _finite, _read_only, _step_count, store_finite
 from .orbit import FieldSample
 
@@ -147,7 +152,8 @@ def integrate(
 
     Interval k holds the dipole m[k] and the orbital-frame field b[k] (m and
     b have shape (p, 3)) over [t0 + k ts, t0 + (k+1) ts], in `substeps` steps
-    of ts / substeps. All p * substeps steps run in one `_rk4_rollout` call.
+    of ts / substeps. All p * substeps steps run in one kernel call,
+    `_rk4.rollout`: the compiled `_rk4.c` where it loaded, else `_rk4_rollout`.
     Returns the p+1 interval-end states, shape (p+1, 7) with x first. A
     caller that will build a Jacobian (`sensitivity`) passes a list as
     `tape`, and every step appends its record (x, xa, xb, xc, the new
@@ -171,10 +177,10 @@ def integrate(
     substeps = _step_count(ts, substeps)
     h = ts / substeps
     m, b = m.tolist(), b.tolist()
-    states = _rk4_rollout(tuple(x.tolist()), m, b, inertia, h, substeps, tape)
+    states = _rk4.rollout(tuple(x.tolist()), m, b, inertia, h, substeps, tape)
     if not all(map(math.isfinite, states[-1])):
         k = next(k for k, x in enumerate(states) if not all(map(math.isfinite, x))) - 1
-        steps = _rk4_rollout(states[k], m[k:k + 1] * substeps, b[k:k + 1] * substeps, inertia,
+        steps = _rk4.rollout(states[k], m[k:k + 1] * substeps, b[k:k + 1] * substeps, inertia,
                              h, 1, None)
         j = next(j for j, x in enumerate(steps) if not all(map(math.isfinite, x)))
         t = t0 + k * ts + j * h
@@ -257,6 +263,8 @@ def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps:
     `_rhs`'s order: negating the sum would flip the sign of an exact zero.
     The folds could differ from `_rhs` only where a field product or a
     kinematic slope is subnormal or within a factor 2 of overflow.
+    It is the reference that `_rk4.c` is checked against at import, and
+    the kernel `integrate` runs where no build of that file loaded.
     """
     ix, iy, iz = inertia
     gx, gy, gz = iy - iz, iz - ix, ix - iy
@@ -397,6 +405,8 @@ def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps:
         states.append((x0, x1, x2, x3, x4, x5, x6))
     return states
 
+
+_rk4.load(_rk4_rollout)
 
 # Constant coefficient tensors of the stage Jacobian [df/dx | df/dm]. a @ _CROSS
 # is the cross-product matrix of a, flattened: a x w = (a @ _CROSS).reshape(3, 3) @ w.

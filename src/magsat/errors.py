@@ -4,13 +4,13 @@
 value types (`AttitudeState`, `DipoleCommand`, `FieldSample`,
 `ControlSequence` and `MpcConfig`'s weights), `_finite` is the finiteness
 test of a scalar field (`InertiaTensor`, `OrbitalElements`, `MpcConfig`'s
-ts and u_max, a run's duration and a rollout's interval length), which an
-integer past the float range fails, `_read_only` freezes the arrays that
-every solve of a run shares, `_count` is the one integer rule of a horizon
-or substep count, and `_step_count` checks the step arguments of a
-rollout, for `dynamics.integrate` and for the solver's `_Problem`, which
-also runs the torque-free rollout. They sit here because every layer can
-import this module without a cycle.
+ts and u_max, a run's duration, a rollout's interval length and the
+quantizer's arguments), which an integer past the float range fails,
+`_read_only` freezes the arrays that every solve of a run shares, `_count`
+is the one integer rule of a horizon or substep count, and `_step_count`
+checks the step arguments of a rollout, for `dynamics.integrate` and for
+the solver's `_Problem`, which also runs the torque-free rollout. They sit
+here because every layer can import this module without a cycle.
 """
 
 import math

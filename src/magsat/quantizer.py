@@ -14,23 +14,25 @@ Level values are always computed as fractions of u_max at the point of use
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 
 import numpy as np
 
 from .dynamics import DipoleCommand
+from .errors import _finite
 
 
 def quantize(u_mpc: float, u_max: float) -> float:
     """Quantize one dipole component onto the seven-level grid.
 
     Inputs outside [-u_max, u_max] are legal and saturate; the controller
-    guarantees the bound but the quantizer does not rely on it.
+    guarantees the bound but the quantizer does not rely on it. A u_max that
+    is not finite and positive, or a command that is not finite, an integer
+    past the float range included, raises ValueError.
     """
-    if not (math.isfinite(u_max) and u_max > 0.0):
+    if not (_finite(u_max) and u_max > 0.0):
         raise ValueError(f"u_max must be positive, got {u_max}")
-    if not math.isfinite(u_mpc):
+    if not _finite(u_mpc):
         raise ValueError(f"command must be finite, got {u_mpc}")
     if u_mpc == 0.0:
         return 0.0

@@ -13,7 +13,7 @@ from magsat import (
     InertiaTensor,
     IntegrationDivergedError,
 )
-from magsat import controller
+from magsat import _rk4, controller, dynamics
 from magsat.dynamics import (
     _DVDQ,
     _KIN,
@@ -30,6 +30,19 @@ from magsat._torque_free import _rk4_free_attitude, _rk4_free_rates
 IDENTITY = (0.0, 0.0, 0.0, 1.0)
 UNIT_INERTIA = (1.0, 1.0, 1.0)
 ZERO = (0.0, 0.0, 0.0)
+
+
+@pytest.fixture(params=["python", "compiled"])
+def kernel(request, monkeypatch):
+    """Run a test under each RK4 kernel `integrate` can run: the Python one, then the compiled one.
+
+    The compiled kernel is tested where it loaded; CI fails where it did not.
+    """
+    if request.param == "python":
+        monkeypatch.setattr(_rk4, "rollout", dynamics._rk4_rollout)
+    elif _rk4.library is None:
+        pytest.skip(f"the compiled RK4 kernel did not load: {_rk4.error}")
+    return request.param
 
 
 def constant_field(b):
@@ -338,7 +351,7 @@ def test_blowup_within_interval_carries_substep_time(via, rate, t_fail, table_in
     assert str(err.value) == f"state became non-finite at t={t_fail}"
 
 
-def test_zero_quaternion_norm_reports_as_divergence():
+def test_zero_quaternion_norm_reports_as_divergence(kernel):
     # attitude-paper's x0 spun at 1e41 rad/s about y: the first 10 s substep
     # overflows the quaternion's sum of squares, so renormalizing sends it
     # to zero, and the second substep's pre-renormalization norm is exactly
@@ -352,7 +365,7 @@ def test_zero_quaternion_norm_reports_as_divergence():
     assert err.value.t == 20.0
 
 
-def test_taped_and_untaped_rollouts_agree(table_inertia):
+def test_taped_and_untaped_rollouts_agree(table_inertia, kernel):
     # the tape only records the steps: the states are bitwise the same with
     # and without one, and it holds one 33-float record per RK4 step
     rng = np.random.default_rng(17)
@@ -616,7 +629,7 @@ def _oracle_rollout(x0, m, b, inertia, ts, substeps):
 
 @pytest.mark.parametrize("substeps", [1, 3, 20, 800])
 @pytest.mark.parametrize("inertia", ["table", "random"])
-def test_integrate_matches_step_by_step_oracle_bitwise(substeps, inertia, table_inertia):
+def test_integrate_matches_step_by_step_oracle_bitwise(substeps, inertia, table_inertia, kernel):
     # interval-end states, taped and untaped, and every 33-float tape record
     # are the oracle's bit for bit
     rng = np.random.default_rng(1000 + substeps)
@@ -638,7 +651,7 @@ def test_integrate_matches_step_by_step_oracle_bitwise(substeps, inertia, table_
     assert integrate(x0, m, b, inertia, ts, substeps, t0).tobytes() == states.tobytes()
 
 
-def test_integrate_matches_oracle_bitwise_over_many_short_rollouts():
+def test_integrate_matches_oracle_bitwise_over_many_short_rollouts(kernel):
     # one reassociated product in one RK4 stage moves an end state's last bit
     # in only a few percent of draws, so many short rollouts: some with one
     # rate component exactly 0, some at the attitude preset's step (Ts 30 s
@@ -683,7 +696,7 @@ def _signed_zero_starts():
         yield tuple(x.tolist())
 
 
-def test_integrate_keeps_the_oracles_signed_zeros_bitwise():
+def test_integrate_keeps_the_oracles_signed_zeros_bitwise(kernel):
     # the kernel folds `_rhs`'s factors 0.5 and 2.0 into the step sizes and
     # the field, and writes some sums without a unary minus: exact only if
     # every zero keeps its sign. Each start runs a zero-dipole interval, then

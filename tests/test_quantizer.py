@@ -128,6 +128,15 @@ def test_quantize_rejects_bad_arguments():
         quantize(math.inf, 0.1)
 
 
+def test_quantize_rejects_integers_past_the_float_range():
+    # math.isfinite raises OverflowError on such an integer; the quantizer
+    # reads it as infinite, a ValueError like any other bad argument
+    with pytest.raises(ValueError, match="u_max must be positive, got 1000"):
+        quantize(0.0, 10**400)
+    with pytest.raises(ValueError, match="command must be finite, got 1000"):
+        quantize(10**400, 0.1)
+
+
 def test_quantize_vector_componentwise():
     out = quantize_vector(DipoleCommand(np.array([0.09, -0.05, 0.0])), 0.1)
     np.testing.assert_array_equal(out.m, [0.1, -(0.1 / 3.0), 0.0])
