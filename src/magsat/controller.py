@@ -48,18 +48,11 @@ Each evaluation is one rollout, as one zero-order-hold sequence through the
 plant's integrator `dynamics.integrate`, and it keeps its tape (one packed
 record of 33 doubles per RK4 step: its four stage states, the new
 quaternion and the pre-renormalization norm) and its residual, because any
-evaluated point may be linearized. The Jacobian at an accepted point - the
-winning start or an accepted trial - is built from that point's own tape,
-so no accepted trial is rolled out twice. The exception is the all-zero
-start, since a warm start nearly always beats it: a zero dipole applies
-no torque, so its cost comes from a torque-free rollout with no tape
-(`_torque_free`'s rates pass and attitude pass), the same cost bit for
-bit, and it is rolled out again, taped, only if it wins. Where the cost
-weighs no quaternion row, as on detumbling, the rates pass alone costs it
-while the rates stay under that pass's bound. Every solve starts that way;
-without a warm start the zero sequence wins unopposed, so a cold solve
-pays one extra torque-free rollout. A rejected trial that more damping
-leaves on the same box corner is evaluated again.
+evaluated point may be linearized. Every point is evaluated that way: the
+all-zero start, the warm start and each trial. The Jacobian at an accepted
+point - the winning start or an accepted trial - is built from that point's
+own tape, so no accepted point is rolled out twice. A rejected trial that
+more damping leaves on the same box corner is evaluated again.
 `predict` is the same rollout without a tape, since it is never
 linearized; it returns the state array itself.
 
@@ -75,7 +68,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._torque_free import _rk4_free_attitude, _rk4_free_rates
 from .dynamics import (
     AttitudeState,
     DipoleCommand,
@@ -83,7 +75,7 @@ from .dynamics import (
     integrate,
     sensitivity,
 )
-from .errors import _count, _finite, _read_only, _step_count, store_finite
+from .errors import _count, _finite, _read_only, store_finite
 from .orbit import FieldSample
 
 # Prediction substeps per sampling interval. The plant integrates at the
@@ -154,10 +146,6 @@ class MpcConfig:
         scales = _read_only(np.sqrt(self.ts * self.q_diag), np.sqrt(self.ts * self.r_diag))
         object.__setattr__(self, "_row_scales", scales)
         object.__setattr__(self, "_x_ref", _read_only(self.x_ref.as_array())[0])
-        # the reference quaternion, where the cost's quaternion rows carry no
-        # weight; there the zero start is costed from its rates alone
-        object.__setattr__(self, "_unweighted_q", None if scales[0][:4].any()
-                           else tuple(self._x_ref[:4].tolist()))
         object.__setattr__(self, "_r_jac", _read_only(np.diag(np.tile(scales[1], self.horizon)))[0])
 
 
@@ -224,16 +212,14 @@ class _Problem:
     it untaped. `evaluate` makes it taped and returns the cost with a record
     of the rollout and its residual; `linearize` builds the residual's
     Jacobian from such a record, so the derivatives at an evaluated point
-    need no second rollout. `evaluate_zero` costs the all-zero sequence from
-    a torque-free rollout with no tape, from the body rates alone where the
-    cost weighs no quaternion row.
+    need no second rollout.
 
-    The substep count is checked by `integrate`'s rule once, before the
-    field is sampled, so both rollouts may take it as given. Only the start
-    state and the field schedule are built per problem. What
-    stays fixed over a run is bound once, read-only, and shared by every
-    problem: the inertia's Jacobian tables (`InertiaTensor._tables`) and the
-    config's row scales, reference state and control rows (`MpcConfig`).
+    Only the start state and the field schedule are built per problem; the
+    substep count is taken as given, and `integrate` checks it on every
+    rollout. What stays fixed over a run is bound once, read-only, and
+    shared by every problem: the inertia's Jacobian tables
+    (`InertiaTensor._tables`) and the config's row scales, reference state
+    and control rows (`MpcConfig`).
     """
 
     def __init__(
@@ -245,7 +231,7 @@ class _Problem:
         inertia: InertiaTensor,
         substeps: int,
     ):
-        self.substeps = _step_count(cfg.ts, substeps)
+        self.substeps = substeps
         self.x0 = x0.as_array()
         self.t0 = t0
         self.cfg = cfg
@@ -276,50 +262,6 @@ class _Problem:
         tape = []
         r = _residual(self.rollout(u, tape)[1:], u, self.cfg)
         return float(r @ r), (u, tape, r)
-
-    def evaluate_zero(self):
-        """Cost r'r of the all-zero sequence and, only if its rollout was taped, its record.
-
-        A zero dipole applies no torque, so the rollout is `_torque_free`'s
-        two passes, untaped: the rates pass, then the attitude pass over the
-        stage rates it recorded. The full kernel adds 0 * v, a signed zero,
-        to each gyroscopic term, so while the body-frame field v stays
-        finite the two rollouts' states differ at most in the sign of an
-        exact zero, and the residual squares every one, so the cost is
-        `evaluate`'s bit for bit. Where the last state is not finite or its
-        quaternion collapsed to zero (a pre-renormalization norm that
-        overflowed at the last step), `integrate` may raise, or a stage may
-        have grown large enough for the full kernel's 0 * inf torque to be
-        NaN. There the sequence is `evaluate`d instead, which raises
-        `integrate`'s divergence error if there is one, and the record comes
-        back with the cost.
-
-        Where the cost weighs no quaternion row (`MpcConfig._unweighted_q`) and
-        the start's quaternion norm is within 1/2 of 1, the guarded rates
-        pass runs alone, and the residual's quaternion rows are filled with
-        the reference's: their zero weight sends them to +0, as it sends the
-        passes' finite rows. If the guard gives up, the start takes the path
-        above. Under the guard's bound the passes' states are finite with a
-        nonzero quaternion, so that path would not have fallen back.
-        """
-        cfg, substeps = self.cfg, self.substeps
-        p, h = cfg.horizon, cfg.ts / substeps
-        u = np.zeros(3 * p)
-        x = tuple(self.x0.tolist())
-        rates = None
-        if cfg._unweighted_q is not None and abs(math.hypot(*x[:4]) - 1.0) < 0.5:
-            rates = _rk4_free_rates(x[4:], p, self.inertia, h, substeps, None)
-        if rates is not None:
-            ends = [cfg._unweighted_q + w for w in rates[1:]]
-        else:
-            stages = []
-            rates = _rk4_free_rates(x[4:], p, self.inertia, h, substeps, stages)
-            ends = _rk4_free_attitude(x[:4], rates, stages, h, substeps)[1:]
-            last = ends[-1]
-            if not (all(map(math.isfinite, last)) and any(last[:4])):
-                return self.evaluate(u)
-        r = _residual(ends, u, cfg)
-        return float(r @ r), None
 
     def linearize(self, record):
         """Residual r (J = r'r) of an evaluated point, from its record, and its Jacobian dr/du."""
@@ -468,13 +410,9 @@ def solve(
     Levenberg-Marquardt damping and accepts the step by an Armijo test on
     the true cost, raising the damping on each rejection and adjusting it by
     the gain ratio on acceptance. It stops for one of the four reasons in
-    the module docstring. Each evaluation of the warm start or a trial is
-    one taped rollout, and the Jacobian at an accepted trial comes from its
-    tape. The zero start is costed by a torque-free rollout with no tape
-    (`_Problem.evaluate_zero`; its rates pass alone where the cost weighs no
-    quaternion row), with or without a warm start, and rolled out taped only
-    if it wins, so the Jacobian at the winning start comes from a taped
-    rollout of it.
+    the module docstring. Each evaluation, of the zero sequence, the warm
+    start or a trial, is one taped rollout, and the Jacobian at the winning
+    start or an accepted trial comes from its own tape.
     """
     p, u_max = cfg.horizon, cfg.u_max
     prob = _Problem(x0, t0, field_at, cfg, inertia, substeps)
@@ -487,14 +425,12 @@ def solve(
         if np.max(np.abs(w)) > u_max:
             raise ValueError("warm start violates the dipole bound")
     u = np.zeros(3 * p)
-    zero_cost, record = prob.evaluate_zero()
+    zero_cost, record = evaluate(u)
     cost, warm_cost = zero_cost, None
     if warm is not None:
         warm_cost, warm_record = evaluate(w)
         if warm_cost < cost:  # the zero sequence wins ties
             u, cost, record = w, warm_cost, warm_record
-    if record is None:  # the zero sequence won, and its cost-only rollout kept no tape
-        record = evaluate(u)[1]
 
     lam, nu = _DAMPING0, 2.0
     iterations, stop_reason = 0, None

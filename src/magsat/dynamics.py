@@ -35,16 +35,11 @@ at import, checks it against `_rk4_rollout` and loads it with ctypes, and
 `integrate` runs `_rk4.rollout`, the compiled kernel where it loaded and
 `_rk4_rollout` where it did not, with the same states and tape either way.
 `integrate` is the only rollout of such a sequence: the plant (`propagate`)
-is a one-interval call and the MPC prediction a p-interval one, so they
-agree bit for bit at equal substep counts and fail at the same substep. The one other rollout is
-the solver's cost of the all-zero sequence, in `_torque_free`:
-`_rk4_rollout` with the torque terms and the tape dropped, split into a
-rates pass, whose Euler rows never read the attitude, and an attitude pass
-over the stage rates it recorded. Its states are `integrate`'s up to the
-sign of an exact zero. The plant and the prediction never use it, so every
-logged state keeps `integrate`'s zeros. A caller that will build a
-Jacobian passes a tape, and `integrate` appends one packed record of 33
-doubles per RK4 step to it; `sensitivity` reads the tape as one array and
+is a one-interval call, and the MPC prediction and each of the solver's
+evaluations, the all-zero start's included, a p-interval one, so they agree
+bit for bit at equal substep counts and fail at the same substep. A
+caller that will build a Jacobian passes a tape, and `integrate` appends one
+packed record of 33 doubles per RK4 step to it; `sensitivity` reads the tape as one array and
 turns it into the Jacobian of every interval-end state w.r.t. every dipole.
 Only the solver's rollouts keep a tape: the plant and the prediction keep
 none, so an 800-substep plant interval holds no more than one step's stages

@@ -315,8 +315,8 @@ def test_solver_functions_reject_zero_substeps(call, field_at, detumble_cfg, tab
 
 
 def test_solve_with_a_warm_start_rejects_zero_substeps(field_at, detumble_cfg, table_inertia):
-    # `_Problem` checks the substep count by `integrate`'s rule before any
-    # rollout, so the zero sequence's torque-free rollout never sees it
+    # the zero sequence's rollout is the first, and `integrate` checks the
+    # substep count there, before the warm start is rolled out
     warm = ControlSequence(np.zeros((detumble_cfg.horizon, 3)))
     with pytest.raises(ValueError, match="substeps must be >= 1"):
         ms.solve(detumble_cfg.x_ref, 0.0, field_at, detumble_cfg, table_inertia, warm=warm,
@@ -654,26 +654,19 @@ def test_box_qp_frees_every_wrong_signed_bound_in_one_pass(monkeypatch):
 
 @pytest.fixture
 def solver_events(monkeypatch):
-    """In call order: each taped rollout's controls as bytes, "zero" per cost-only
-    zero-sequence rollout, and "linearize" per Jacobian."""
+    """In call order: each taped rollout's controls as bytes, and "linearize" per Jacobian."""
     events = []
     evaluate, linearize = controller._Problem.evaluate, controller._Problem.linearize
-    evaluate_zero = controller._Problem.evaluate_zero
 
     def spy_evaluate(self, controls):
         events.append(np.array(controls).tobytes())
         return evaluate(self, controls)
-
-    def spy_evaluate_zero(self):
-        events.append("zero")
-        return evaluate_zero(self)
 
     def spy_linearize(self, record):
         events.append("linearize")
         return linearize(self, record)
 
     monkeypatch.setattr(controller._Problem, "evaluate", spy_evaluate)
-    monkeypatch.setattr(controller._Problem, "evaluate_zero", spy_evaluate_zero)
     monkeypatch.setattr(controller._Problem, "linearize", spy_linearize)
     return events
 
@@ -681,10 +674,9 @@ def solver_events(monkeypatch):
 def test_solve_rolls_out_each_sequence_once(solver_events):
     # each evaluated point keeps its tape: the first Jacobian comes from the
     # winning start's rollout and every later one from the accepted trial's.
-    # The starts are the zero sequence, cost-only, and the warm start, in
-    # that order. The warm start is a cold solve's answer shifted, as in
-    # closed loop, and it wins, so nothing else is rolled out before the
-    # first Jacobian
+    # The starts are the zero sequence and the warm start, in that order.
+    # The warm start is a cold solve's answer shifted, as in closed loop,
+    # and it wins, so nothing else is rolled out before the first Jacobian
     cfg = load_config("attitude-paper")
     events = solver_events
     field_at = ms.field_function(cfg.elements)
@@ -692,7 +684,8 @@ def test_solve_rolls_out_each_sequence_once(solver_events):
     events.clear()
     res = ms.solve(cfg.x0, 0.0, field_at, cfg.mpc, cfg.inertia, warm=warm)
     assert res.warm_cost < res.zero_cost
-    assert events[:3] == ["zero", warm.dipoles.tobytes(), "linearize"]
+    zeros = np.zeros(3 * cfg.mpc.horizon).tobytes()
+    assert events[:3] == [zeros, warm.dipoles.tobytes(), "linearize"]
     assert res.iterations > 0  # accepted trials were rolled out
     seen = [e for e in events if e != "linearize"]
     assert len(seen) >= res.iterations + 2  # both starts and each accepted trial
@@ -702,19 +695,19 @@ def test_solve_rolls_out_each_sequence_once(solver_events):
 def test_a_winning_zero_start_is_rolled_out_taped_once(solver_events, field_at, detumble_cfg,
                                                        table_inertia):
     # at rest on the reference the zero sequence costs 0 and beats any warm
-    # start, so after its cost-only rollout it is rolled out once more, taped,
-    # for the first Jacobian. Without a warm start it wins unopposed, on the
-    # same path: cost-only first, then taped once
+    # start, so the first Jacobian comes from its own taped rollout, with no
+    # second one in between. Without a warm start it wins unopposed, on the
+    # same path
     x0, p = detumble_cfg.x_ref, detumble_cfg.horizon
     zeros = np.zeros(3 * p).tobytes()
     warm = ControlSequence(np.full((p, 3), 0.5 * detumble_cfg.u_max))
     res = ms.solve(x0, 0.0, field_at, detumble_cfg, table_inertia, warm=warm)
     assert res.cost == res.zero_cost == 0.0 < res.warm_cost
-    assert solver_events[:4] == ["zero", warm.dipoles.tobytes(), zeros, "linearize"]
+    assert solver_events[:3] == [zeros, warm.dipoles.tobytes(), "linearize"]
     assert solver_events.count(zeros) == 1
     solver_events.clear()
     ms.solve(x0, 0.0, field_at, detumble_cfg, table_inertia)
-    assert solver_events[:3] == ["zero", zeros, "linearize"]
+    assert solver_events[:2] == [zeros, "linearize"]
     assert solver_events.count(zeros) == 1
 
 
@@ -733,70 +726,6 @@ def test_settled_stop_skips_only_a_tail_that_buys_nothing(solver_events, monkeyp
     assert full.stop_reason != "settled"
     assert rollouts < full_rollouts
     assert res.cost == pytest.approx(full.cost, rel=1e-9)
-
-
-@pytest.fixture
-def free_passes(monkeypatch):
-    """In call order: "rates" per torque-free rates pass, "attitude" per attitude pass."""
-    passes = []
-    rates, attitude = controller._rk4_free_rates, controller._rk4_free_attitude
-
-    def spy_rates(*args):
-        passes.append("rates")
-        return rates(*args)
-
-    def spy_attitude(*args):
-        passes.append("attitude")
-        return attitude(*args)
-
-    monkeypatch.setattr(controller, "_rk4_free_rates", spy_rates)
-    monkeypatch.setattr(controller, "_rk4_free_attitude", spy_attitude)
-    return passes
-
-
-@pytest.mark.parametrize("name, passes", [
-    ("detumble-paper", ["rates"]), ("attitude-paper", ["rates", "attitude"]),
-])
-def test_zero_start_runs_the_attitude_pass_only_where_the_cost_weighs_it(
-    free_passes, monkeypatch, name, passes
-):
-    # detumble weighs only the body rates, so each solve costs its zero
-    # start by the rates pass alone; the slew weighs the attitude, so each
-    # runs both passes. Either way the zero cost is `evaluate`'s bit for bit
-    doc = get_scenario_preset(name)
-    doc["duration"] = 5 * doc["mpc"]["ts"]
-    cfg = ms.scenario_from_dict(doc)
-    costs = []
-    evaluate_zero = controller._Problem.evaluate_zero
-
-    def checked_evaluate_zero(self):
-        cost, record = evaluate_zero(self)
-        costs.append((cost, self.evaluate(np.zeros(3 * self.cfg.horizon))[0]))
-        return cost, record
-
-    monkeypatch.setattr(controller._Problem, "evaluate_zero", checked_evaluate_zero)
-    ms.run_scenario(cfg)
-    assert free_passes == passes * 5
-    assert len(costs) == 5
-    for cost, taped in costs:
-        assert np.float64(cost).tobytes() == np.float64(taped).tobytes()
-
-
-def test_rates_pass_hands_over_one_ulp_past_its_bound(free_passes, field_at, detumble_cfg,
-                                                      table_inertia):
-    # a single-axis spin keeps its rates exactly: at h * |w|_1 = 1/4 (h = 1 s)
-    # the rates pass runs alone; one ulp faster its guard gives up at the
-    # start, and both passes run, recording the stages. Both costs are
-    # `evaluate`'s bit for bit
-    zeros = np.zeros(3 * detumble_cfg.horizon)
-    handed_over = ["rates", "rates", "attitude"]
-    for rate, passes in ((0.25, ["rates"]), (np.nextafter(0.25, 1.0), handed_over)):
-        x0 = AttitudeState(q=np.array([0.0, 0.0, 0.6, 0.8]), omega=np.array([0.0, rate, 0.0]))
-        prob = controller._Problem(x0, 0.0, field_at, detumble_cfg, table_inertia, 2)
-        free_passes.clear()
-        cost = prob.evaluate_zero()[0]
-        assert free_passes == passes
-        assert np.float64(cost).tobytes() == np.float64(prob.evaluate(zeros)[0]).tobytes()
 
 
 def test_gradient_is_grad_of_evaluate_record(field_at, table_inertia):

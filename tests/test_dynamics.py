@@ -25,7 +25,6 @@ from magsat.dynamics import (
     sensitivity,
 )
 from magsat.presets import get_scenario_preset
-from magsat._torque_free import _rk4_free_attitude, _rk4_free_rates
 
 IDENTITY = (0.0, 0.0, 0.0, 1.0)
 UNIT_INERTIA = (1.0, 1.0, 1.0)
@@ -715,52 +714,6 @@ def test_integrate_keeps_the_oracles_signed_zeros_bitwise(kernel):
         expected_states, expected_tape = _oracle_rollout(x0, m, b, inertia, ts, substeps)
         assert states.tobytes() == expected_states.tobytes(), draw
         assert np.frombuffer(b"".join(tape)).tobytes() == expected_tape.tobytes(), draw
-
-
-def test_torque_free_rollout_is_the_oracles_at_zero_dipole_up_to_a_zeros_sign():
-    # with m = 0 the full right-hand side adds 0 * v, a signed zero, to each
-    # gyroscopic term, so the torque-free rollout must give the oracle's
-    # states under zero dipoles in magnitude; x + 0.0 reads -0.0 as +0.0.
-    # The rates pass alone must give the oracle's rate columns, guarded or
-    # recording its stages, and the attitude pass over those stages the
-    # oracle's states. Starts with exact signed zeros, then single-axis spins
-    # and tumbles at rates of 10^k rad/s, k in -3..2, at the attitude
-    # preset's scale (Ts 30 s) and at short steps. A draw the oracle cannot
-    # finish is skipped
-    rng = np.random.default_rng(47)
-    starts = list(_signed_zero_starts())
-    compared = guarded = 0
-    for draw in range(400):
-        if draw < len(starts):
-            x0 = np.array(starts[draw])
-        else:
-            x0 = np.concatenate([random_unit_quaternion(rng), np.zeros(3)])
-            rate = 10.0 ** int(rng.integers(-3, 3))
-            if draw % 2:
-                x0[4 + draw % 3] = rate * rng.choice([-1.0, 1.0])  # a single-axis spin
-            else:
-                x0[4:] = rate * rng.normal(size=3)
-        ts = float(rng.choice([0.1, 1.0, 30.0]))
-        p, substeps = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        inertia = tuple(rng.uniform(*((0.02, 0.04) if draw % 4 else (1.0, 2.0)), size=3).tolist())
-        b = rng.uniform(-5e-5, 5e-5, size=(p, 3))
-        try:
-            expected, _ = _oracle_rollout(x0, np.zeros((p, 3)), b, inertia, ts, substeps)
-        except ZeroDivisionError:  # the oracle's zero quaternion norm
-            continue
-        if not np.isfinite(expected).all():
-            continue
-        x, h, stages = tuple(x0.tolist()), ts / substeps, []
-        rates = _rk4_free_rates(x[4:], p, inertia, h, substeps, stages)
-        assert (np.array(rates) + 0.0).tobytes() == (expected[:, 4:] + 0.0).tobytes(), draw
-        kernel = np.array(_rk4_free_attitude(x[:4], rates, stages, h, substeps))
-        assert (kernel + 0.0).tobytes() == (expected + 0.0).tobytes(), draw
-        alone = _rk4_free_rates(x[4:], p, inertia, h, substeps, None)
-        if alone is not None:
-            assert np.array(alone).tobytes() == np.array(rates).tobytes(), draw
-            guarded += 1
-        compared += 1
-    assert compared >= 350 and guarded >= 200
 
 
 # --- bitwise oracle: the Jacobian before its blocks were built in place -------------
