@@ -14,7 +14,7 @@ from magsat import (
     FieldSample,
     MpcConfig,
 )
-from magsat import controller, dynamics
+from magsat import controller, dynamics, scenario
 from magsat.controller import MAX_HORIZON, shift_warm_start
 from magsat.dynamics import integrate, sensitivity
 from magsat.presets import get_scenario_preset
@@ -709,6 +709,75 @@ def test_a_winning_zero_start_is_rolled_out_taped_once(solver_events, field_at, 
     ms.solve(x0, 0.0, field_at, detumble_cfg, table_inertia)
     assert solver_events[:2] == [zeros, "linearize"]
     assert solver_events.count(zeros) == 1
+
+
+@pytest.mark.parametrize("start", ["cold", "zero-wins", "tie", "warm-wins"])
+def test_the_first_jacobian_is_the_winning_starts_own_record(monkeypatch, field_at,
+                                                             detumble_cfg, table_inertia, start):
+    # the cheaper start wins and the zero sequence wins ties; the first
+    # Jacobian is built from the record its own rollout returned, not from
+    # the other start's. Cold and zero-wins start on the reference, where
+    # the zero sequence costs 0; a tie is a warm start of zeros; the warm
+    # start wins when it is a cold solve's answer and the zero sequence
+    # costs more
+    records, linearized = [], []
+    evaluate, linearize = controller._Problem.evaluate, controller._Problem.linearize
+
+    def spy_evaluate(self, controls):
+        cost, record = evaluate(self, controls)
+        records.append(record)
+        return cost, record
+
+    def spy_linearize(self, record):
+        linearized.append(record)
+        return linearize(self, record)
+
+    p, u_max = detumble_cfg.horizon, detumble_cfg.u_max
+    spun = AttitudeState(q=np.array([0.0, 0.0, 0.6, 0.8]), omega=np.array([0.02, -0.01, 0.03]))
+    x0, warm = {
+        "cold": (detumble_cfg.x_ref, None),
+        "zero-wins": (detumble_cfg.x_ref, ControlSequence(np.full((p, 3), 0.5 * u_max))),
+        "tie": (spun, ControlSequence(np.zeros((p, 3)))),
+        "warm-wins": (spun, ms.solve(spun, 0.0, field_at, detumble_cfg, table_inertia).sequence),
+    }[start]
+    monkeypatch.setattr(controller._Problem, "evaluate", spy_evaluate)
+    monkeypatch.setattr(controller._Problem, "linearize", spy_linearize)
+    res = ms.solve(x0, 0.0, field_at, detumble_cfg, table_inertia, warm=warm)
+    winner = 1 if start == "warm-wins" else 0
+    assert len(records) >= (1 if warm is None else 2)
+    assert linearized[0] is records[winner]
+    if warm is not None:
+        assert (res.warm_cost < res.zero_cost) == (start == "warm-wins")
+        assert (res.warm_cost == res.zero_cost) == (start == "tie")
+
+
+@pytest.mark.parametrize("name", ["detumble-paper", "attitude-paper"])
+def test_closed_loop_starts_cost_what_the_public_cost_gives_them(monkeypatch, name):
+    # detumble weighs only the body rates and the slew the attitude too;
+    # either way every solve's zero and warm-start costs are `total_cost` of
+    # `predict` under that sequence, bit for bit, through five closed-loop
+    # steps, each after the first with a warm start
+    doc = get_scenario_preset(name)
+    doc["duration"] = 5 * doc["mpc"]["ts"]
+    cfg = ms.scenario_from_dict(doc)
+    solve, checked = scenario.solve, []
+
+    def public_cost(x0, t0, field_at, seq):
+        states = ms.predict(x0, seq, field_at, t0, cfg.mpc, cfg.inertia)
+        return np.float64(ms.total_cost(states, seq, cfg.mpc)).tobytes()
+
+    def checked_solve(x0, t0, field_at, mpc, inertia, warm=None):
+        res = solve(x0, t0, field_at, mpc, inertia, warm=warm)
+        zeros = ControlSequence(np.zeros((mpc.horizon, 3)))
+        assert np.float64(res.zero_cost).tobytes() == public_cost(x0, t0, field_at, zeros)
+        if warm is not None:
+            assert np.float64(res.warm_cost).tobytes() == public_cost(x0, t0, field_at, warm)
+        checked.append(warm is not None)
+        return res
+
+    monkeypatch.setattr(scenario, "solve", checked_solve)
+    ms.run_scenario(cfg)
+    assert checked == [False, True, True, True, True]
 
 
 def test_settled_stop_skips_only_a_tail_that_buys_nothing(solver_events, monkeypatch):

@@ -2,12 +2,16 @@
 
 The returned sequence respects the dipole bound, never costs more than the
 zero or warm-start sequence, and two calls on the same input agree bit for
-bit. The box-constrained quadratic step solver returns a point that is
-feasible, satisfies the KKT conditions, is bitwise repeatable and does not
-depend on the start active set. Needs `hypothesis` (the `[test]` extra);
-skipped without it. Derandomized and without an example database, so every
-run draws the same examples.
+bit. The zero start costs what the public cost function gives the zero
+sequence, bit for bit, or fails alike, also where no quaternion weight
+reads the attitude. The box-constrained quadratic step solver returns a
+point that is feasible, satisfies the KKT conditions, is bitwise repeatable
+and does not depend on the start active set. Needs `hypothesis` (the
+`[test]` extra); skipped without it. Derandomized and without an example
+database, so every run draws the same examples.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -75,6 +79,84 @@ def test_solve_bound_dominance_and_determinism(sso_elements, table_inertia, prob
     )
     assert (first.iterations, first.stop_reason) == (second.iterations, second.stop_reason)
     assert first.stop_reason in ("converged", "settled", "iteration_cap", "no_step")
+
+
+@st.composite
+def zero_starts(draw):
+    """A start state, time, MPC config and prediction substeps for the zero sequence.
+
+    The quaternion and the rates hold exact +0.0 and -0.0 entries, some
+    starts spin about one axis, and the rates reach 10^k rad/s for k in
+    -3..160, far past where a rollout leaves the float range.
+    """
+    horizon = draw(st.integers(min_value=1, max_value=10))
+    substeps = draw(st.integers(min_value=1, max_value=3))
+    zero = st.sampled_from([0.0, -0.0])
+    q = unit(draw(st.lists(st.one_of(zero, reals(-1.0, 1.0)), min_size=4, max_size=4)))
+    rate = 10.0 ** draw(st.integers(min_value=-3, max_value=160))
+    if draw(st.booleans()):
+        omega = np.array([-0.0, 0.0, 0.0])
+        omega[draw(st.integers(min_value=0, max_value=2))] = rate * draw(st.sampled_from([-1, 1]))
+    else:
+        omega = rate * np.array(draw(st.lists(st.one_of(zero, reals(-1.0, 1.0)), min_size=3,
+                                              max_size=3)))
+    cfg = MpcConfig(
+        q_diag=np.array(draw(vectors(7, 0.0, 1000.0))),
+        r_diag=np.array(draw(vectors(3, 1e-8, 1e-2))),
+        horizon=horizon,
+        ts=draw(reals(0.1, 1e4)),
+        u_max=0.1,
+        x_ref=AttitudeState(q=unit(draw(vectors(4, -1.0, 1.0))), omega=np.zeros(3)),
+    )
+    return AttitudeState(q=q, omega=omega), draw(reals(0.0, 5400.0)), cfg, substeps
+
+
+def single_axis_start(rate: float, ts: float, substeps: int, q_norm: float = 1.0):
+    """A `zero_starts` problem spinning about x at `rate` rad/s, p = 10, |q| = q_norm."""
+    cfg = MpcConfig(q_diag=np.array([0.0, 0.0, 0.0, 0.0, 500.0, 1000.0, 250.0]),
+                    r_diag=np.full(3, 1e-8), horizon=10, ts=ts, u_max=0.1,
+                    x_ref=AttitudeState(q=np.array([0.0, 0.0, 0.0, 1.0]), omega=np.zeros(3)))
+    q = q_norm * np.array([0.0, 0.6, 0.0, 0.8])
+    return AttitudeState(q=q, omega=np.array([rate, 0.0, 0.0])), 0.0, cfg, substeps
+
+
+def cost_or_failure(call):
+    """The cost `call` returns as bytes, or the type, message and time of what it raised."""
+    try:
+        return np.float64(call()).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the two paths must fail alike
+        return type(exc), str(exc), getattr(exc, "t", None)
+
+
+@pytest.mark.parametrize("weigh_attitude", [True, False], ids=["all-weights", "rates-only"])
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(problem=zero_starts())
+# a single-axis spin keeps its rates exactly; one far past the float range
+# diverges, and a slow one whose quaternion's squares underflow renormalizes
+# to NaN, which must fail alike even where no quaternion weight reads it
+@example(problem=single_axis_start(0.5, 1.0, 2))
+@example(problem=single_axis_start(1e150, 2.0, 3))
+@example(problem=single_axis_start(0.01, 2.0, 3, q_norm=1e-200))
+def test_zero_start_costs_the_public_cost_of_the_zero_sequence(
+    sso_elements, table_inertia, weigh_attitude, problem
+):
+    # `solve` costs its zero start by the taped rollout of `evaluate`; that
+    # cost must be `total_cost` of `predict`'s untaped rollout, bit for bit,
+    # or fail as it does: the same exception with the same time. Rates-only
+    # zeroes every quaternion weight, as the detumble preset does
+    x0, t0, cfg, substeps = problem
+    if not weigh_attitude:
+        cfg = dataclasses.replace(cfg, q_diag=np.concatenate([np.zeros(4), cfg.q_diag[4:]]))
+    field_at = ms.field_function(sso_elements)
+    prob = controller._Problem(x0, t0, field_at, cfg, table_inertia, substeps)
+    zeros = ControlSequence(np.zeros((cfg.horizon, 3)))
+
+    def public_cost():
+        states = ms.predict(x0, zeros, field_at, t0, cfg, table_inertia, substeps=substeps)
+        return ms.total_cost(states, zeros, cfg)
+
+    taped = cost_or_failure(lambda: prob.evaluate(np.zeros(3 * cfg.horizon))[0])
+    assert taped == cost_or_failure(public_cost)
 
 
 @st.composite
