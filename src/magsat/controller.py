@@ -19,10 +19,11 @@ residual
 the solver and `total_cost` both evaluate it that way. The optimizer is
 box-constrained Gauss-Newton with Levenberg-Marquardt damping. The residual
 Jacobian comes from forward sensitivities: `dynamics.sensitivity` turns a
-rollout's tape into the state Jacobian dx/du, whose rows the state weights
-scale. The gradient is 2 J'r and the Gauss-Newton Hessian 2 J'J. Each step
-minimizes the damped quadratic model exactly over the box with a primal
-active-set method, and is accepted by an Armijo test on the true cost.
+rollout's tape into the state Jacobian dx/du (ordered sums, no BLAS call),
+whose rows the state weights scale. The gradient is 2 J'r and the
+Gauss-Newton Hessian 2 J'J. Each step minimizes the damped quadratic model
+exactly over the box with a primal active-set method, and is accepted by an
+Armijo test on the true cost.
 `_box_qp` owns the box: it starts its active set from the components of u
 exactly on +-u_max and returns the next iterate inside it. After an accepted
 step those are the last QP's final set, and on the warm start the last
@@ -217,9 +218,8 @@ class _Problem:
     Only the start state and the field schedule are built per problem; the
     substep count is taken as given, and `integrate` checks it on every
     rollout. What stays fixed over a run is bound once, read-only, and
-    shared by every problem: the inertia's Jacobian tables
-    (`InertiaTensor._tables`) and the config's row scales, reference state
-    and control rows (`MpcConfig`).
+    shared by every problem: the config's row scales, reference state and
+    control rows (`MpcConfig`).
     """
 
     def __init__(
@@ -238,8 +238,6 @@ class _Problem:
         # orbital-frame field at the p interval start times (zero-order hold)
         self.b = np.array([field_at(t0 + k * cfg.ts).b for k in range(cfg.horizon)])
         self.inertia = inertia.as_tuple()
-        # `sensitivity`'s inertia tables, built once per inertia
-        self.tables = inertia._tables
         # row scales of the residual's Jacobian, as `_residual` applies them
         self.q_scale = cfg._row_scales[0]
 
@@ -266,7 +264,7 @@ class _Problem:
     def linearize(self, record):
         """Residual r (J = r'r) of an evaluated point, from its record, and its Jacobian dr/du."""
         u, tape, r = record
-        sens = sensitivity(tape, u.reshape(-1, 3), self.b, self.cfg.ts, self.tables)
+        sens = sensitivity(tape, u.reshape(-1, 3), self.b, self.cfg.ts, self.inertia)
         r_jac = self.cfg._r_jac
         n = r_jac.shape[0]
         # the scaled state rows, then the control rows, in one C-ordered array:

@@ -39,19 +39,17 @@ is a one-interval call, and the MPC prediction and each of the solver's
 evaluations, the all-zero start's included, a p-interval one, so they agree
 bit for bit at equal substep counts and fail at the same substep. A
 caller that will build a Jacobian passes a tape, and `integrate` appends one
-packed record of 33 doubles per RK4 step to it; `sensitivity` reads the tape as one array and
-turns it into the Jacobian of every interval-end state w.r.t. every dipole.
+packed record of 33 doubles per RK4 step to it; `sensitivity` turns the tape
+into the Jacobian of every interval-end state w.r.t. every dipole, in
+`_rk4.c` where it loaded, else in its numpy reference in `_rk4`: ordered
+sums either way, so its bytes do not depend on BLAS.
 Only the solver's rollouts keep a tape: the plant and the prediction keep
 none, so an 800-substep plant interval holds no more than one step's stages
 at a time.
-The right-hand side's Jacobian at every stage comes from a few constant
-coefficient tensors, read off `_rhs` and `_body_field` at import, so it is
-not written twice.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -60,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from . import _rk4
-from .errors import IntegrationDivergedError, _finite, _read_only, _step_count, store_finite
+from .errors import IntegrationDivergedError, _finite, _step_count, store_finite
 from .orbit import FieldSample
 
 
@@ -98,11 +96,6 @@ class InertiaTensor:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.ix, self.iy, self.iz)
-
-    @functools.cached_property
-    def _tables(self) -> tuple:
-        """`_jacobian_tables` of this inertia, built on first use and shared by every solve."""
-        return _jacobian_tables(self.as_tuple())
 
 
 @dataclass(frozen=True)
@@ -188,8 +181,8 @@ def _body_field(q, b) -> tuple:
 
     R(q) is the direction cosine matrix of the orbital-to-body quaternion
     (q1..q4, scalar-last), written out for any q, unit or not. It is the
-    reference rotation: `_rhs` calls it, `_DVDQ` is read off it and
-    `_rk4_rollout` computes its values in place, bit for bit.
+    reference rotation: `_rhs` calls it and `_rk4_rollout` computes its
+    values in place, bit for bit.
     """
     q1, q2, q3, q4 = q
     bx, by, bz = b
@@ -214,8 +207,9 @@ def _rhs(x, m, b, inertia) -> tuple:
     """The 7 derivatives of the state x = (q1..q4, wx, wy, wz) under dipole m in field b.
 
     b is the orbital-frame field, rotated into body axes by `_body_field`.
-    It is the reference right-hand side: `_KIN` is read off it and
-    `_rk4_rollout` computes its values in place, bit for bit.
+    It is the reference right-hand side: `_rk4_rollout` computes its values
+    in place, bit for bit, and the tests hold the stage Jacobians of
+    `sensitivity` to its complex-step derivatives.
     """
     q1, q2, q3, q4, wx, wy, wz = x
     mx, my, mz = m
@@ -403,103 +397,16 @@ def _rk4_rollout(x: tuple, m: list, b: list, inertia: tuple, h: float, substeps:
 
 _rk4.load(_rk4_rollout)
 
-# Constant coefficient tensors of the stage Jacobian [df/dx | df/dm]. a @ _CROSS
-# is the cross-product matrix of a, flattened: a x w = (a @ _CROSS).reshape(3, 3) @ w.
-# The gyroscopic entry d(w_i dot)/d(w_j) is g_i w_l, with g_x = (Iy - Iz)/Ix
-# and cyclic, where i, j, l are distinct: where _GYRO[l, i, j] is 1. _KIN is
-# read off `_rhs` and _DVDQ off `_body_field` with a unit imaginary step,
-# exact for terms of degree at most two in the stepped input: the kinematic
-# rows are x @ _KIN, and dv/dq = q @ (b @ _DVDQ) for v = R(q) b.
-_CROSS = np.cross(np.eye(3)[:, None], np.eye(3)).transpose(0, 2, 1).reshape(3, 9)
-_GYRO = np.abs(_CROSS).reshape(3, 3, 3)
-_UNIT = np.eye(7)
-_KIN = np.zeros((7, 7, 10))
-_KIN[..., :7] = np.imag([[_rhs(_UNIT[l] + 1j * _UNIT[j], (0, 0, 0), (0, 0, 0), (1, 1, 1))
-                          for j in range(7)] for l in range(7)]).transpose(0, 2, 1)
-_DVDQ = np.imag([[[_body_field(_UNIT[a, :4] + 1j * _UNIT[j, :4], d) for j in range(4)]
-                  for a in range(4)] for d in _UNIT[:3, :3]])
-_DVDQ = _DVDQ.transpose(0, 1, 3, 2).reshape(3, 48)
-_read_only(_CROSS, _GYRO, _UNIT, _KIN, _DVDQ)
 
-
-def _jacobian_tables(inertia: tuple) -> tuple:
-    """The inertia's part of `_stage_jacobians`: the (7, 70) state table and I^-1 as a column.
-
-    The state table is _KIN with the gyroscopic entries filled in. Both are
-    read-only: `InertiaTensor._tables` builds them once per inertia, and
-    every solve of a run reads the same two arrays.
-    """
-    ix, iy, iz = inertia
-    kin = _KIN.copy()
-    kin[4:, 4:, 4:7] = _GYRO * [[(iy - iz) / ix], [(iz - ix) / iy], [(ix - iy) / iz]]
-    return _read_only(kin.reshape(7, 70), 1.0 / np.array(inertia)[:, None])
-
-
-def _stage_jacobians(xs: np.ndarray, m: np.ndarray, b: np.ndarray, tables: tuple) -> np.ndarray:
-    """[df/dx | df/dm] of `_rhs` at the stage states xs, shape (p, n, 7) -> (p, n, 7, 10).
-
-    xs[k] holds stages of interval k, which holds the dipole m[k] and the
-    orbital-frame field b[k]; `tables` is `_jacobian_tables(inertia)`. The
-    kinematic rows and the gyroscopic entries are linear in the state; the
-    torque rows are I^-1 [m]x dv/dq and the dipole columns -I^-1 [v]x, with
-    v = (1/2) (dv/dq) q since v is homogeneous of degree two in q.
-    """
-    kin, inv = tables
-    shape = xs.shape[:2]
-    jac = (xs @ kin).reshape(shape + (7, 10))
-    q = xs[..., :4]
-    dvdq = (q @ (b @ _DVDQ).reshape(-1, 4, 12)).reshape(shape + (3, 4))
-    jac[..., 4:, :4] = (inv * (m @ _CROSS).reshape(-1, 1, 3, 3)) @ dvdq
-    v = 0.5 * (dvdq @ q[..., None])[..., 0]
-    jac[..., 4:, 7:] = -inv * (v @ _CROSS).reshape(shape + (3, 3))
-    return jac
-
-
-def sensitivity(tape, m: np.ndarray, b: np.ndarray, ts: float, tables: tuple) -> np.ndarray:
+def sensitivity(tape, m: np.ndarray, b: np.ndarray, ts: float, inertia: tuple) -> np.ndarray:
     """d(x_1..x_p)/d(m_0..m_{p-1}) of an `integrate` rollout, shape (7p, 3p), from its tape.
 
-    m and b are the rollout's dipoles and orbital-frame fields, shape (p, 3),
-    and `tables` is `_jacobian_tables` of its inertia (the solver passes
-    `InertiaTensor._tables`, built once per inertia). The tape's packed
-    records are joined and read as one (p, substeps, 33) array, with no
-    float object made per value. The right-hand side's Jacobians
-    [df/dx | df/dm] at every recorded stage come from constant coefficient
-    tensors (`_stage_jacobians`), in a fixed handful of array operations.
-    They are composed into each step's Jacobian, passed through the
-    renormalization q <- q/|q| (Jacobian (I - n n')/|q|) and chained into
-    each interval's (7, 10) map of (start state, dipole).
-    Those are chained over the intervals into the block lower-triangular
-    sensitivity of every interval-end state to every dipole: the p diagonal
-    blocks, each interval's own dipole map, go in with one indexed copy,
-    and the p - 1 products of the chain fill the blocks below them in place.
+    m and b are the rollout's dipoles and orbital-frame fields, float arrays
+    of shape (p, 3), and inertia its (ix, iy, iz). It runs `_rk4.sensitivity`:
+    `_rk4.c`'s Jacobian where the build loaded, else its numpy reference
+    `_rk4.reference_sensitivity`, with the same bytes either way. Each
+    stage's [df/dx | df/dm] is written out entry by entry; the RK4 tableau,
+    the renormalization q <- q/|q| and the chain over the steps and the
+    intervals make every matrix product an ordered sum, with no BLAS call.
     """
-    p = len(m)
-    substeps = len(tape) // p
-    h = ts / substeps
-    recs = np.frombuffer(b"".join(tape)).reshape(p, substeps, 33)
-    xs = recs[..., :28].reshape(p, 4 * substeps, 7)
-    jac = _stage_jacobians(xs, m, b, tables)
-    jac = jac.reshape(p, substeps, 4, 7, 10)
-    # the RK4 tableau on the stage Jacobians, then the renormalization
-    a = jac[..., :7]
-    k1 = jac[:, :, 0]
-    k2 = jac[:, :, 1] + (0.5 * h) * (a[:, :, 1] @ k1)
-    k3 = jac[:, :, 2] + (0.5 * h) * (a[:, :, 2] @ k2)
-    k4 = jac[:, :, 3] + h * (a[:, :, 3] @ k3)
-    phi = (h / 6.0) * (k1 + k4 + 2.0 * (k2 + k3))
-    phi[..., :7] += _UNIT
-    n, norm = recs[..., 28:32], recs[..., 32, None, None]
-    rows = phi[..., :4, :]
-    phi[..., :4, :] = (rows - n[..., :, None] * (n[..., None, :] @ rows)) / norm
-    interval = phi[:, 0].copy()
-    for j in range(1, substeps):
-        interval = phi[:, j, :, :7] @ interval
-        interval[..., 7:] += phi[:, j, :, 7:]
-    # every diagonal block in one indexed copy: sens[k, :, k] is (p, 7, 3), as interval[..., 7:]
-    k = np.arange(p)
-    sens = np.zeros((p, 7, p, 3))
-    sens[k, :, k] = interval[..., 7:]
-    sens = sens.reshape(p, 7, 3 * p)
-    for k in range(1, p):
-        sens[k, :, : 3 * k] = interval[k, :, :7] @ sens[k - 1, :, : 3 * k]
-    return sens.reshape(7 * p, 3 * p)
+    return _rk4.sensitivity(tape, m, b, ts, inertia)

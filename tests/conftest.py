@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import magsat as ms
+from magsat import _rk4, dynamics
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -40,6 +41,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in sorted(_ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(params=["python", "compiled"])
+def kernel(request, monkeypatch):
+    """Run a test under each build of `_rk4.c`'s functions: the Python ones, then the compiled ones.
+
+    "python" runs the Python kernel `dynamics._rk4_rollout` and the numpy
+    Jacobian `_rk4.reference_sensitivity`. The compiled functions are tested
+    where they loaded; CI fails where they did not.
+    """
+    if request.param == "python":
+        monkeypatch.setattr(_rk4, "rollout", dynamics._rk4_rollout)
+        monkeypatch.setattr(_rk4, "sensitivity", _rk4.reference_sensitivity)
+    elif _rk4.library is None:
+        pytest.skip(f"the compiled RK4 kernel did not load: {_rk4.error}")
+    return request.param
 
 
 @pytest.fixture(scope="session")

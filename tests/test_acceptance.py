@@ -396,20 +396,25 @@ def test_criterion_7c_single_step_grid_dominance(recorder, sso_elements, table_i
 # --- criterion 8: determinism ---------------------------------------------------------------------
 
 # SHA-256 of the full-length preset CSVs, recorded on x86-64 Linux with
-# CPython 3.11 and numpy 2.4 (the bytes depend on the platform's libm and
-# BLAS); two independent runs of each preset produced the same bytes. A run
-# that is not deterministic cannot reproduce a recorded hash, so comparing
-# against it is at least as strict as comparing two runs in one process.
+# CPython 3.11 and numpy 2.4.6; two independent runs of each preset produced
+# the same bytes. A run that is not deterministic cannot reproduce a recorded
+# hash, so comparing against it is at least as strict as comparing two runs
+# in one process. The bytes depend on the platform's libm and on the OpenBLAS
+# kernel the CPU selects at run time, not only on the numpy wheel: the
+# solver's 2 J'r, 2 J'J and r'r and its box QP's linear solves go through
+# BLAS and LAPACK (the Jacobian itself does not). They were recorded on an
+# AVX-512 host, which gives the same bytes as OPENBLAS_CORETYPE=SkylakeX.
 PRESET_FULL_CSV_SHA256 = {
-    "detumble-paper": "1d2c608348f8f28c1aeaadceaeec5c02d4af373b976a602fe363a1215608f08d",
-    "attitude-paper": "18eae7aa029e0ebb31a23a1dbbc29b69c3848e28c4a2bb0236146d77fc483b17",
+    "detumble-paper": "68dfbd5482501bf23357e5271ee67ca55bed5ef8cbe1cac677258eb57604a517",
+    "attitude-paper": "b39c724ea34c406b0ca3866bd5bf320be8de5fab0cff8a559d74e7addd3c1eff",
 }
 
 
 # SHA-256 of the same runs' trajectory, recorded on the same platform: the CSV
 # without the raw dipole and solve-cost columns (mx_raw..mz_raw, J). The
 # quantizer absorbs rounding-level changes in the solver, so a change to the
-# solver's arithmetic may move the full digests above and leave these as they are.
+# solver's arithmetic may move the full digests above and leave these as they
+# are; they hold under OPENBLAS_CORETYPE=Haswell and Prescott too.
 PRESET_TRAJECTORY_SHA256 = {
     "detumble-paper": "a1f85062c919ec64248b5bafb086897860d45d12cc1dc3f4b6a39c99dabc0021",
     "attitude-paper": "05258b6bab459dba691ae26e25067ca33f71a38588fc50df06909fbe8cd89b92",

@@ -14,7 +14,7 @@ from magsat import (
     FieldSample,
     MpcConfig,
 )
-from magsat import controller, dynamics, scenario
+from magsat import _rk4, controller, scenario
 from magsat.controller import MAX_HORIZON, shift_warm_start
 from magsat.dynamics import integrate, sensitivity
 from magsat.presets import get_scenario_preset
@@ -169,34 +169,27 @@ def test_value_array_check_names_the_field(cls, field):
         np.testing.assert_array_equal(stored, np.asarray(value, dtype=float))
 
 
-def test_shared_solver_constants_are_read_only_and_built_once_per_run(monkeypatch):
+def test_shared_solver_constants_are_read_only():
     # every solve of a run reads these arrays, so a write into one would
-    # silently change every later solve: each refuses it. The inertia's
-    # Jacobian tables are built once per run, not once per solve
+    # silently change every later solve: each refuses it. The reference
+    # Jacobian's index tables are read by every solve where no build loaded
     doc = get_scenario_preset("detumble-paper")
     doc["duration"] = 20.0
     cfg = ms.scenario_from_dict(doc)
-    built = []
-    build = dynamics._jacobian_tables
-    monkeypatch.setattr(dynamics, "_jacobian_tables",
-                        lambda inertia: built.append(inertia) or build(inertia))
     log = ms.run_scenario(cfg)
     assert len(log) == 10
-    assert built == [cfg.inertia.as_tuple()]
     mpc = cfg.mpc
     shared = {
-        "_KIN": dynamics._KIN, "_DVDQ": dynamics._DVDQ, "_CROSS": dynamics._CROSS,
-        "_GYRO": dynamics._GYRO, "_UNIT": dynamics._UNIT,
         "q scales": mpc._row_scales[0], "r scales": mpc._row_scales[1],
         "_r_jac": mpc._r_jac, "_x_ref": mpc._x_ref,
-        "state table": cfg.inertia._tables[0], "inverse inertia": cfg.inertia._tables[1],
+        **{name: getattr(_rk4, name) for name in (
+            "_KINEMATIC", "_KIN_ROW", "_KIN_COL", "_KIN_FROM", "_KIN_SIGN", "_DVDQ", "_DVDQ_FROM")},
     }
     for name, a in shared.items():
         before = a.copy()
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
         assert a.tobytes() == before.tobytes(), name
-    assert built == [cfg.inertia.as_tuple()]
 
 
 def test_control_sequence_validation():
@@ -815,7 +808,7 @@ def test_gradient_is_grad_of_evaluate_record(field_at, table_inertia):
     np.testing.assert_array_equal(g, (2.0 * (jac.T @ r)).reshape(3, 3))
 
 
-def test_sensitivity_matches_central_differences(field_at, table_inertia):
+def test_sensitivity_matches_central_differences(field_at, table_inertia, kernel):
     # every entry of d(x_1..x_p)/du against central differences of predict;
     # the blocks above the diagonal (later controls on earlier states) are 0
     rng = np.random.default_rng(109)
@@ -829,7 +822,7 @@ def test_sensitivity_matches_central_differences(field_at, table_inertia):
         inertia = table_inertia.as_tuple()
         tape = []
         integrate(x0.as_array(), m, b, inertia, cfg.ts, 5, t0, tape)
-        sens = sensitivity(tape, m, b, cfg.ts, table_inertia._tables)
+        sens = sensitivity(tape, m, b, cfg.ts, inertia)
         fd = np.zeros((7 * horizon, 3 * horizon))
         for j in range(3 * horizon):
             ends = []

@@ -1,5 +1,10 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,35 +18,14 @@ from magsat import (
     InertiaTensor,
     IntegrationDivergedError,
 )
-from magsat import _rk4, controller, dynamics
-from magsat.dynamics import (
-    _DVDQ,
-    _KIN,
-    _body_field,
-    _jacobian_tables,
-    _rhs,
-    _stage_jacobians,
-    integrate,
-    sensitivity,
-)
+from magsat import _rk4, controller
+from magsat._rk4 import _stage_jacobians
+from magsat.dynamics import _body_field, _rhs, integrate, sensitivity
 from magsat.presets import get_scenario_preset
 
 IDENTITY = (0.0, 0.0, 0.0, 1.0)
 UNIT_INERTIA = (1.0, 1.0, 1.0)
 ZERO = (0.0, 0.0, 0.0)
-
-
-@pytest.fixture(params=["python", "compiled"])
-def kernel(request, monkeypatch):
-    """Run a test under each RK4 kernel `integrate` can run: the Python one, then the compiled one.
-
-    The compiled kernel is tested where it loaded; CI fails where it did not.
-    """
-    if request.param == "python":
-        monkeypatch.setattr(_rk4, "rollout", dynamics._rk4_rollout)
-    elif _rk4.library is None:
-        pytest.skip(f"the compiled RK4 kernel did not load: {_rk4.error}")
-    return request.param
 
 
 def constant_field(b):
@@ -509,7 +493,7 @@ def test_stage_jacobians_match_complex_step_of_deriv():
     xs = rng.normal(size=(p, n, 7))  # quaternions deliberately not unit
     m, b = rng.normal(size=(p, 3)), rng.normal(size=(p, 3))
     inertia = (0.6, 1.1, 1.7)
-    jac = _stage_jacobians(xs, m, b, _jacobian_tables(inertia))
+    jac = _stage_jacobians(xs, m, b, inertia)
     exact = np.empty_like(jac)
     for k, i, j in np.ndindex(p, n, 10):
         x, mk = xs[k, i].astype(complex), m[k].astype(complex)
@@ -581,16 +565,28 @@ def test_rhs_matches_oracle_deriv_bitwise():
 
 
 def test_stage_tables_equal_the_oracles_unit_imaginary_step_tables():
-    # the tables are read off `_rhs` and `_body_field`; read the same way off
-    # the oracle, they must come out equal entry for entry, not only to the
-    # rounding that `test_stage_jacobians_match_complex_step_of_deriv` allows
+    # the reference Jacobian's hand-written tables, read off the oracle with a
+    # unit imaginary step (exact for terms of degree at most two in the
+    # stepped input), must come out equal entry for entry, not only to the
+    # rounding that `test_stage_jacobians_match_complex_step_of_deriv` allows.
+    # kin[l, i, j] is the coefficient of x_l in df_i/dx_j: the kinematic rows
+    # name one state component each, and at unit inertia the other rows are 0
     unit = np.eye(7)
     kin = np.imag([[_oracle_deriv(unit[l] + 1j * unit[j], ZERO, ZERO, UNIT_INERTIA)
-                    for j in range(7)] for l in range(7)])
-    assert np.array_equal(_KIN[..., :7], kin.transpose(0, 2, 1))
+                    for j in range(7)] for l in range(7)]).transpose(0, 2, 1)
+    table = _rk4._KINEMATIC
+    expected = np.zeros((7, 7, 7))
+    for i, j in zip(*np.nonzero(table)):
+        expected[abs(table[i, j]) - 1, i, j] = 0.5 * np.sign(table[i, j])
+    assert np.array_equal(kin, expected)
+    # dvdq[d, a, j, l] is the coefficient of q_a b_d in dv_l/dq_j
     dvdq = np.imag([[[_oracle_body_field(unit[a, :4] + 1j * unit[j, :4], d) for j in range(4)]
                      for a in range(4)] for d in unit[:3, :3]])
-    assert np.array_equal(_DVDQ, dvdq.transpose(0, 1, 3, 2).reshape(3, 48))
+    table = _rk4._DVDQ
+    expected = np.zeros((3, 4, 4, 3))
+    for l, j, d in np.ndindex(3, 4, 3):
+        expected[d, abs(table[l, j, d]) - 1, j, l] = 2.0 * np.sign(table[l, j, d])
+    assert np.array_equal(dvdq, expected)
 
 
 def _rk4_stages(x, m, b, inertia, h):
@@ -718,48 +714,60 @@ def test_integrate_keeps_the_oracles_signed_zeros_bitwise(kernel):
 
 # --- bitwise oracle: the Jacobian before its blocks were built in place -------------
 
+def _ordered_product(a, b):
+    """a @ b over the last two axes, each entry summed over the inner index left to right.
+
+    The sum starts from its first product; the ufuncs round every product
+    and every sum on its own, with no BLAS call.
+    """
+    out = a[..., :, 0, None] * b[..., 0, None, :]
+    for i in range(1, a.shape[-1]):
+        out = out + a[..., :, i, None] * b[..., i, None, :]
+    return out
+
+
 def _oracle_sensitivity(tape, m, b, inertia, ts):
     """`sensitivity` as it was before its diagonal blocks became one indexed copy.
 
-    It builds its own inertia tables and identity and writes each interval's
-    diagonal block inside the chaining loop. The kept `sensitivity` must
-    give its bytes exactly.
+    It writes each interval's diagonal block inside the chaining loop and
+    adds the identity entry by entry. The kept `sensitivity` must give its
+    bytes exactly.
     """
     p = len(m)
     substeps = len(tape) // p
     h = ts / substeps
     recs = np.frombuffer(b"".join(tape)).reshape(p, substeps, 33)
     xs = recs[..., :28].reshape(p, 4 * substeps, 7)
-    jac = _stage_jacobians(xs, m, b, _jacobian_tables(inertia))
+    jac = _stage_jacobians(xs, m, b, inertia)
     jac = jac.reshape(p, substeps, 4, 7, 10)
     a = jac[..., :7]
     k1 = jac[:, :, 0]
-    k2 = jac[:, :, 1] + (0.5 * h) * (a[:, :, 1] @ k1)
-    k3 = jac[:, :, 2] + (0.5 * h) * (a[:, :, 2] @ k2)
-    k4 = jac[:, :, 3] + h * (a[:, :, 3] @ k3)
+    k2 = jac[:, :, 1] + (0.5 * h) * _ordered_product(a[:, :, 1], k1)
+    k3 = jac[:, :, 2] + (0.5 * h) * _ordered_product(a[:, :, 2], k2)
+    k4 = jac[:, :, 3] + h * _ordered_product(a[:, :, 3], k3)
     phi = (h / 6.0) * (k1 + k4 + 2.0 * (k2 + k3))
-    phi[..., :7] += np.eye(7)
+    for i in range(7):
+        phi[..., i, i] += 1.0
     n, norm = recs[..., 28:32], recs[..., 32, None, None]
     rows = phi[..., :4, :]
-    phi[..., :4, :] = (rows - n[..., :, None] * (n[..., None, :] @ rows)) / norm
+    phi[..., :4, :] = (rows - n[..., :, None] * _ordered_product(n[..., None, :], rows)) / norm
     interval = phi[:, 0].copy()
     for j in range(1, substeps):
-        interval = phi[:, j, :, :7] @ interval
+        interval = _ordered_product(phi[:, j, :, :7], interval)
         interval[..., 7:] += phi[:, j, :, 7:]
     sens = np.zeros((p, 7, 3 * p))
     sens[0, :, 0:3] = interval[0, :, 7:]
     for k in range(1, p):
-        sens[k, :, : 3 * k] = interval[k, :, :7] @ sens[k - 1, :, : 3 * k]
+        sens[k, :, : 3 * k] = _ordered_product(interval[k, :, :7], sens[k - 1, :, : 3 * k])
         sens[k, :, 3 * k : 3 * k + 3] = interval[k, :, 7:]
     return sens.reshape(7 * p, 3 * p)
 
 
-def test_sensitivity_matches_its_oracle_bitwise_on_random_rollouts():
+def test_sensitivity_matches_its_oracle_bitwise_on_random_rollouts(kernel):
     # the pinned CSVs cannot show a rounding-level Jacobian change (the
     # quantizer absorbs it), so the Jacobian itself must be the oracle's,
     # bit for bit: horizons 1-10, substeps 1-3, Ts 0.1, 2 and 30 s, q not
-    # unit, exact +-0.0 in q, omega and some dipoles, with the tables built
-    # per call and the inertia's shared ones
+    # unit, exact +-0.0 in q, omega and some dipoles
     rng = np.random.default_rng(53)
     for draw in range(200):
         p, substeps = int(rng.integers(1, 11)), int(rng.integers(1, 4))
@@ -771,19 +779,16 @@ def test_sensitivity_matches_its_oracle_bitwise_on_random_rollouts():
         if draw % 4 == 0:
             m[int(rng.integers(p))] = rng.choice([0.0, -0.0], size=3)
         b = rng.uniform(-5e-5, 5e-5, size=(p, 3))
-        inertia = InertiaTensor(*rng.uniform(0.02, 0.04, size=3).tolist())
+        inertia = tuple(rng.uniform(0.02, 0.04, size=3).tolist())
         tape = []
-        integrate(x0, m, b, inertia.as_tuple(), ts, substeps, 0.0, tape)
-        expected = _oracle_sensitivity(tape, m, b, inertia.as_tuple(), ts).tobytes()
-        built = sensitivity(tape, m, b, ts, _jacobian_tables(inertia.as_tuple()))
-        assert built.tobytes() == expected, draw
-        shared = sensitivity(tape, m, b, ts, inertia._tables)
-        assert shared.tobytes() == expected, draw
+        integrate(x0, m, b, inertia, ts, substeps, 0.0, tape)
+        expected = _oracle_sensitivity(tape, m, b, inertia, ts).tobytes()
+        assert sensitivity(tape, m, b, ts, inertia).tobytes() == expected, draw
 
 
 @pytest.mark.parametrize("preset, duration", [("detumble-paper", 60.0), ("attitude-paper", 120.0)])
 def test_sensitivity_matches_its_oracle_bitwise_on_every_preset_linearization(
-    preset, duration, monkeypatch
+    preset, duration, monkeypatch, kernel
 ):
     # every Jacobian the solver builds over the start of each preset run
     compared = []
@@ -792,9 +797,9 @@ def test_sensitivity_matches_its_oracle_bitwise_on_every_preset_linearization(
     doc["duration"] = duration
     cfg = ms.scenario_from_dict(doc)
 
-    def compare(tape, m, b, ts, tables):
-        sens = kept(tape, m, b, ts, tables)
-        expected = _oracle_sensitivity(tape, m, b, cfg.inertia.as_tuple(), ts)
+    def compare(tape, m, b, ts, inertia):
+        sens = kept(tape, m, b, ts, inertia)
+        expected = _oracle_sensitivity(tape, m, b, inertia, ts)
         compared.append(sens.tobytes() == expected.tobytes())
         return sens
 
@@ -802,3 +807,65 @@ def test_sensitivity_matches_its_oracle_bitwise_on_every_preset_linearization(
     ms.run_scenario(cfg)
     assert len(compared) >= cfg.steps  # every solve linearizes at least once
     assert all(compared), compared.index(False)
+
+
+@pytest.mark.skipif(_rk4.library is None, reason=f"the compiled RK4 kernel did not load: {_rk4.error}")
+def test_the_compiled_jacobian_gives_the_references_bytes_on_random_tapes():
+    # the oracle tests hold both to the oracle on finite rollouts; here the
+    # tapes are drawn as the solver never makes them: exact +-0.0 anywhere,
+    # and every fourth one with an inf or a NaN in one of its doubles, whose
+    # NaNs must fall where the reference's fall (their sign and payload may differ)
+    rng = np.random.default_rng(67)
+    for draw in range(300):
+        p, substeps = int(rng.integers(1, 11)), int(rng.integers(1, 4))
+        ts = (0.1, 2.0, 30.0)[draw % 3]
+        m = rng.uniform(-0.1, 0.1, size=(p, 3))
+        b = rng.uniform(-5e-5, 5e-5, size=(p, 3))
+        recs = rng.normal(size=(p * substeps, 33))
+        recs[..., 4:7] *= 0.01
+        recs[rng.random(recs.shape) < 0.05] = rng.choice([0.0, -0.0])
+        if draw % 4 == 0:
+            recs.flat[int(rng.integers(recs.size))] = rng.choice([np.inf, -np.inf, np.nan])
+        tape = [rec.tobytes() for rec in recs]
+        inertia = tuple(rng.uniform(0.02, 0.04, size=3).tolist())
+        got = _rk4.sensitivity(tape, m, b, ts, inertia)
+        with np.errstate(all="ignore"):
+            want = _rk4.reference_sensitivity(tape, m, b, ts, inertia)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), draw
+        assert got[~nan].tobytes() == want[~nan].tobytes(), draw
+
+
+def _jacobian_digest() -> str:
+    """SHA-256 of the Jacobians of 40 fixed tapes, by the loaded function and by the reference."""
+    rng = np.random.default_rng(61)
+    digest = hashlib.sha256()
+    for draw in range(40):
+        p, substeps = int(rng.integers(1, 11)), int(rng.integers(1, 4))
+        ts = (0.1, 2.0, 30.0)[draw % 3]
+        x0 = np.concatenate([rng.normal(size=4), rng.normal(size=3) * (0.01 if ts == 30.0 else 0.3)])
+        m = rng.uniform(-0.1, 0.1, size=(p, 3))
+        b = rng.uniform(-5e-5, 5e-5, size=(p, 3))
+        inertia = tuple(rng.uniform(0.02, 0.04, size=3).tolist())
+        tape = []
+        integrate(x0, m, b, inertia, ts, substeps, 0.0, tape)
+        digest.update(sensitivity(tape, m, b, ts, inertia).tobytes())
+        digest.update(_rk4.reference_sensitivity(tape, m, b, ts, inertia).tobytes())
+    return digest.hexdigest()
+
+
+def test_the_jacobian_does_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernel for the CPU at run time, and a matrix product
+    # through another kernel may round differently. Prescott is one every
+    # x86-64 CPU can run; elsewhere the variable is ignored and the test
+    # compares two runs of the same code. The Jacobian makes no BLAS call, so
+    # a process forced onto it must give this process's bytes
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               OPENBLAS_CORETYPE="Prescott")
+    out = subprocess.run(
+        [sys.executable, "-c", "import test_dynamics; print(test_dynamics._jacobian_digest())"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == _jacobian_digest()

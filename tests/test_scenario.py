@@ -511,14 +511,17 @@ def test_readme_solve_example_matches_the_loop():
 
 # SHA-256 of RunLog.to_csv() for shortened preset runs, recorded with the
 # Gauss-Newton solver, the r'r cost, the cost-unit stopping tests, the
-# 3-substep prediction and the coefficient-tensor stage Jacobians (x86-64
-# Linux, CPython 3.11, numpy 2.4); two independent runs produced the same
-# bytes. A change to a floating-point operation of the closed loop can change
+# 3-substep prediction and the Jacobian of ordered sums (x86-64 Linux,
+# CPython 3.11, numpy 2.4.6, on an AVX-512 host, which gives the same bytes
+# as OPENBLAS_CORETYPE=SkylakeX: the solver's 2 J'r, 2 J'J and r'r and its
+# box QP's linear solves go through BLAS and LAPACK, so the bytes depend on
+# the OpenBLAS kernel the CPU selects at run time, not only on the numpy
+# wheel); two independent runs produced the same bytes. A change to a floating-point operation of the closed loop can change
 # these bytes. The four attitude solves take 5 to 19 Gauss-Newton iterations,
 # so they cover the Jacobian path too, although a rounding-level change to the
 # Jacobian left the attitude bytes as they were.
 PRESET_CSV_SHA256 = {
-    ("detumble-paper", 60.0): "871d51281a09766e594f9fe0ba368a93528fc0adbf5afe8b8d8cba84cee067ed",
+    ("detumble-paper", 60.0): "cd94fc4494a365edd0ed8e6759b3279a2c02ca7c6ed6d30c28a3bb72001cb22c",
     ("attitude-paper", 120.0): "a98bf39fac89335a42795b1a57f62d354a97c5e6b767940998e87fc63a9e0b68",
 }
 
@@ -530,11 +533,12 @@ def test_preset_csv_bytes_are_stable():
 
 
 # SHA-256 of RunLog.to_csv() for attitude-paper at horizon 40 over 900 s (30
-# solves), recorded on the same platform before the box QP started its active
-# set from the components on the bound. At this horizon a QP makes about 20
+# solves), recorded on the same platform and host; first recorded before the
+# box QP started its active set from the components on the bound, re-recorded
+# when the Jacobian became ordered sums (its trajectory columns kept their bytes). At this horizon a QP makes about 20
 # linear solves (up to 121) from the old start set, so a change to the QP's
 # start or its passes that moved an iterate would show here.
-LONG_HORIZON_CSV_SHA256 = "22a78a1415333aef1816c4d1b9f4342d662f127cd2ff06e60a24c396036bd118"
+LONG_HORIZON_CSV_SHA256 = "03ad59435c568137c08825c2b410cfe57ab192f79f8ac8b8b7e98e9d754064d0"
 
 
 def test_long_horizon_csv_bytes_are_stable():
